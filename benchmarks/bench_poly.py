@@ -1,25 +1,23 @@
-"""Compare the compiled polynomial kernel against the pure-Python fallback.
+"""Time two symbolic workloads that stress the polynomial kernel.
 
-Runs representative symbolic workloads twice, in subprocesses, with the
-backend pinned through JETVAR_PURE_KERNEL, and prints a timing table.
+Prints the best-of-N wall time of each workload, run in this process:
 
     python benchmarks/bench_poly.py [--repeat N]
+
+End-to-end CLI timings and per-layer metrics come from
+``python3 perfbench/run.py``.
 """
 
 import argparse
-import json
-import os
-import subprocess
+import random
 import sys
-
-WORKER = r"""
-import json, random, time
+import time
 from fractions import Fraction
 
-import jetvar
-from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr
-from jetvar import varcalc as V
 from jetvar import multiindex as mi
+from jetvar import varcalc as V
+from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr
+
 
 def random_lagrangian(ctx, rng, n_terms, degree):
     atoms = [base(i) for i in range(1, ctx.n + 1)]
@@ -27,19 +25,12 @@ def random_lagrangian(ctx, rng, n_terms, degree):
               for k in range(ctx.r + 1) for J in mi.tuples(ctx.n, k)]
     total = Expr.const(ctx, 0)
     for _ in range(n_terms):
-        term = Expr.const(ctx, Fraction(rng.choice([-3,-2,-1,1,2,3]), rng.randint(1,4)))
+        term = Expr.const(ctx, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
         for _ in range(rng.randint(1, degree)):
             term = term * Expr.coord(ctx, rng.choice(atoms))
         total = total + term
     return total
 
-def bench(fn, repeat):
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 def poly_stress():
     ctx = ChartContext(2, 2, 2)
@@ -50,10 +41,11 @@ def poly_stress():
         acc = acc * f
     return acc
 
+
 def derivation_batch():
     rng = random.Random(12345)
     out = []
-    for shape in [(1,1,2), (2,1,2), (2,2,2), (1,1,3), (2,1,3), (2,2,3)]:
+    for shape in [(1, 1, 2), (2, 1, 2), (2, 2, 2), (1, 1, 3), (2, 1, 3), (2, 2, 3)]:
         ctx = ChartContext(*shape)
         prob = V.LagrangianProblem(ctx, random_lagrangian(ctx, rng, 5, 3))
         out.append(V.euler_lagrange(prob))
@@ -62,27 +54,14 @@ def derivation_batch():
         V.hamilton_form(lep)
     return out
 
-repeat = int(__import__("sys").argv[1])
-results = {
-    "backend": jetvar.KERNEL_BACKEND,
-    "poly_stress": bench(poly_stress, repeat),
-    "derivation_batch": bench(derivation_batch, repeat),
-}
-print(json.dumps(results))
-"""
 
-
-def run_backend(pure: bool, repeat: int) -> dict:
-    env = dict(os.environ)
-    if pure:
-        env["JETVAR_PURE_KERNEL"] = "1"
-    else:
-        env.pop("JETVAR_PURE_KERNEL", None)
-    proc = subprocess.run([sys.executable, "-c", WORKER, str(repeat)],
-                          capture_output=True, text=True, env=env)
-    if proc.returncode != 0:
-        raise RuntimeError(proc.stderr)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+def best_time(fn, repeat):
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def main() -> int:
@@ -90,17 +69,10 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=3,
                     help="best-of-N timing per workload")
     args = ap.parse_args()
-    compiled = run_backend(pure=False, repeat=args.repeat)
-    pure = run_backend(pure=True, repeat=args.repeat)
-    if compiled["backend"] == pure["backend"]:
-        print("note: compiled kernel unavailable; both runs used the "
-              f"{pure['backend']!r} backend")
-    names = [k for k in compiled if k != "backend"]
-    width = max(len(n) for n in names)
-    print(f"{'workload':<{width}}  {'compiled':>10}  {'pure':>10}  {'speedup':>8}")
-    for n in names:
-        ratio = pure[n] / compiled[n] if compiled[n] else float("inf")
-        print(f"{n:<{width}}  {compiled[n]:>9.4f}s  {pure[n]:>9.4f}s  {ratio:>7.2f}x")
+    workloads = {"poly_stress": poly_stress, "derivation_batch": derivation_batch}
+    width = max(len(n) for n in workloads)
+    for name, fn in workloads.items():
+        print(f"{name:<{width}}  {best_time(fn, args.repeat):>9.4f}s")
     return 0
 
 

@@ -6,9 +6,8 @@ verification tools: regularity and definiteness tests, canonical-equation
 integration, extremal fields and excess-function minimality certificates.
 """
 
-from ._poly import BACKEND as KERNEL_BACKEND
 from .symcore import ChartContext, Expr, parse_expr
 
 __version__ = "0.1.0"
 
-__all__ = ["ChartContext", "Expr", "parse_expr", "KERNEL_BACKEND", "__version__"]
+__all__ = ["ChartContext", "Expr", "parse_expr", "__version__"]

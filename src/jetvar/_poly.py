@@ -1,4 +1,4 @@
-"""Pure-Python polynomial kernel.
+"""Polynomial kernel: exact sparse polynomials with rational coefficients.
 
 A polynomial is a dict mapping monomials to rational coefficients:
 
@@ -9,14 +9,9 @@ A polynomial is a dict mapping monomials to rational coefficients:
 Atom ids are opaque integers interned by the expression layer. The empty
 mono ``()`` is the constant term; the empty dict is the zero polynomial.
 Zero coefficients are never stored, so dict equality is polynomial equality.
-
-The compiled twin in ``_speedups.pyx`` implements the same functions with
-identical semantics; either backend may be active at runtime.
 """
 
 from math import gcd
-
-BACKEND = "python"
 
 ONE_MONO = ()
 

@@ -190,13 +190,6 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     return out
 
 
-def wedge_all(*forms: DiffForm) -> DiffForm:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 def ext_d(a: DiffForm) -> DiffForm:
     """Exterior derivative, acting coordinate-wise on coefficients."""
     out = DiffForm(a.ctx, a.degree + 1)

@@ -436,6 +436,9 @@ class _NewtonRecovery:
             relations = [self.table[(s, (1,) * (r - layer))] for s in range(1, m + 1)]
             jac = [[e.partial(c) for c in unknowns] for e in relations]
             self.layers.append((layer, unknowns, relations, jac))
+        # dL/dy(s;1^(k-1)) for the momentum equations, one per (s, k)
+        self.dL = [[prob.L.partial(jet(s, (1,) * (k - 1))) for k in range(1, r + 1)]
+                   for s in range(1, m + 1)]
         self.guess = {c: 0.0 for _, us, _, _ in self.layers for c in us}
 
     def _solve_layer(self, layer_data, pt):
@@ -493,7 +496,7 @@ class _NewtonRecovery:
                 out.append(pt[jet(s, (1,) * (k + 1))])
         for s in range(1, ctx.m + 1):
             for k in range(1, r + 1):
-                dL = self.prob.L.partial(jet(s, (1,) * (k - 1))).eval(pt)
+                dL = self.dL[s - 1][k - 1].eval(pt)
                 out.append(dL - (pt[mom(s, (1,) * (k - 1))] if k > 1 else 0.0))
         return np.array(out)
 
@@ -539,10 +542,14 @@ def holonomy_residual_column(traj: Trajectory, prob: LagrangianProblem):
     return col, interior
 
 
+def interior_max(col: np.ndarray, interior: slice) -> float:
+    """Max of a residual column over the index range where it is accurate."""
+    return float(np.max(col[interior])) if len(col) else 0.0
+
+
 def holonomy_residual(traj: Trajectory, prob: LagrangianProblem) -> float:
     """Max |d/dx of a jet column minus the next column| on the interior."""
-    col, interior = holonomy_residual_column(traj, prob)
-    return float(np.max(col[interior])) if len(col) else 0.0
+    return interior_max(*holonomy_residual_column(traj, prob))
 
 
 def euler_lagrange_residual_column(traj: Trajectory, prob: LagrangianProblem):
@@ -561,5 +568,4 @@ def euler_lagrange_residual_column(traj: Trajectory, prob: LagrangianProblem):
 
 def euler_lagrange_residual_along(traj: Trajectory, prob: LagrangianProblem) -> float:
     """Max |dL/dy o trajectory - d/dx of the first momentum column|."""
-    col, interior = euler_lagrange_residual_column(traj, prob)
-    return float(np.max(col[interior])) if len(col) else 0.0
+    return interior_max(*euler_lagrange_residual_column(traj, prob))

@@ -86,14 +86,6 @@ class Section:
         """Substitution jet coordinate -> component expression."""
         return {jet(s, J): e for (s, J), e in self.components.items()}
 
-    def point_values(self, xs) -> dict:
-        """Coordinate values (base + jets) at a base point."""
-        pt = {base(i + 1): x for i, x in enumerate(xs)}
-        out = dict(pt)
-        for (s, J), e in self.components.items():
-            out[jet(s, J)] = e.eval(pt)
-        return out
-
 
 def jet_prolong_section(gamma: Section, order: int) -> Section:
     """Prolong a base section: component at (s, J) is the J-fold x-partial."""

@@ -1,6 +1,5 @@
 """Exact symbolic expressions over jet-space coordinates."""
 
-from ..multiindex import count as multiindex_count
 from .context import (FUNCTIONS, ChartContext, Coord, FuncAtom, base, jet,
                       mom, vel)
 from .expr import Expr
@@ -9,22 +8,5 @@ from .parser import parse_expr
 __all__ = [
     "ChartContext", "Coord", "FuncAtom", "Expr", "FUNCTIONS",
     "base", "jet", "vel", "mom",
-    "parse_expr", "multiindex_count",
-    "partial", "total_derivative", "prolonged_total_derivative", "evaluate",
+    "parse_expr",
 ]
-
-
-def partial(e: Expr, c: Coord) -> Expr:
-    return e.partial(c)
-
-
-def total_derivative(e: Expr, i: int) -> Expr:
-    return e.total_derivative(i)
-
-
-def prolonged_total_derivative(e: Expr, q: int) -> Expr:
-    return e.prolonged_total_derivative(q)
-
-
-def evaluate(e: Expr, point: dict) -> float:
-    return e.eval(point)

@@ -4,7 +4,7 @@ An :class:`Expr` is a quotient of two canonical polynomials over interned
 atoms. Atoms are chart coordinates or elementary-function subexpressions
 (``sin``, ``cos``, ``exp``, ``ln``, ``sqrt`` of an Expr). Coefficients are
 exact rationals, sums and products are flattened into the polynomial dicts
-of the kernel, and the denominator is normalized to leading coefficient 1
+of the kernel (:mod:`jetvar._poly`), and the denominator is normalized to leading coefficient 1
 (a constant denominator is folded away). Consequently:
 
 * two polynomial expressions are equal iff their dicts are identical;

@@ -1,6 +1,9 @@
-"""Shared fixtures: random problem corpus and independent oracles."""
+"""Shared fixtures: random problem corpus, independent oracles, CLI runner."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -98,3 +101,14 @@ def assert_sym_equal(a, b, msg=""):
     if isinstance(b, (int, Fraction)):
         b = Expr.const(a.ctx, b)
     assert a.equal_exact(b), f"{msg}: {a} != {b}"
+
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def run_jetvar(*args):
+    """Run ``python -m jetvar.cli`` in a child process on this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "jetvar.cli", *args],
+                          capture_output=True, text=True, env=env)

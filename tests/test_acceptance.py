@@ -7,8 +7,6 @@ lines; the whole suite targets well under five minutes.
 import json
 import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -22,7 +20,7 @@ from jetvar import numerics as N
 from jetvar import varcalc as V
 from jetvar.symcore import ChartContext, Expr, base, jet, mom, parse_expr, vel
 from conftest import (alternating_sum_euler_lagrange, assert_sym_equal,
-                      random_polynomial)
+                      random_polynomial, run_jetvar)
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -278,8 +276,7 @@ def test_criterion_09_forms_engine():
 
 def test_criterion_10_cli_determinism_and_exit_codes(tmp_path):
     def run(*args):
-        proc = subprocess.run([sys.executable, "-m", "jetvar.cli", *args],
-                              capture_output=True, text=True)
+        proc = run_jetvar(*args)
         try:
             return proc.returncode, json.loads(proc.stdout)
         except json.JSONDecodeError:

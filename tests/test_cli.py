@@ -1,12 +1,11 @@
 import json
 import math
 import os
-import subprocess
-import sys
 
 import pytest
 
 from jetvar.symcore import ChartContext, parse_expr
+from conftest import run_jetvar
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -16,8 +15,7 @@ def prob_path(name):
 
 
 def run_cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "jetvar.cli", *args],
-                          capture_output=True, text=True)
+    proc = run_jetvar(*args)
     try:
         data = json.loads(proc.stdout)
     except json.JSONDecodeError:
@@ -146,6 +144,24 @@ def test_unknown_tolerance_rejected():
     assert code == 1
 
 
+@pytest.mark.parametrize("blocks,extra", [
+    ("[domain]\nlower = 0, abc\n", ()),
+    ("[domain]\nresolution = sixty\n", ()),
+    ("[domain]\nresolution = 50\n\n[tolerances]\nholonomy = oops\n", ()),
+    ("[domain]\nresolution = 50\n", ("--tol", "holonomy=abc")),
+    ("[domain]\nresolution = 50\n\n[domain]\nlower = 1\n", ()),
+], ids=["domain-lower", "domain-resolution", "tolerances-block", "tol-option",
+        "duplicate-block"])
+def test_malformed_input_is_input_error(tmp_path, blocks, extra):
+    f = tmp_path / "bad.prob"
+    f.write_text("[problem]\nn = 1\nm = 1\nr = 1\n\n"
+                 "[lagrangian]\nL = \"1/2*y(1;1)^2 - 1/2*y(1)^2\"\n\n"
+                 "[gamma]\ny(1) = \"sin(x(1))\"\n\n" + blocks)
+    code, data, _ = run_cli("verify-extremal", str(f), *extra)
+    assert code == 1
+    assert data["error"]["type"] == "InputError"
+
+
 @pytest.mark.parametrize("args", [
     ("derive", HO),
     ("legendre", HO),
@@ -180,8 +196,7 @@ def test_out_file_and_text_format(tmp_path):
     code, _, _ = run_cli("derive", HO, "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["exit_code"] == 0
-    proc = subprocess.run([sys.executable, "-m", "jetvar.cli", "derive", HO,
-                           "--format", "text"], capture_output=True, text=True)
+    proc = run_jetvar("derive", HO, "--format", "text")
     assert proc.returncode == 0
     assert "momenta" in proc.stdout
 

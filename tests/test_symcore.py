@@ -242,13 +242,3 @@ def test_context_validation():
     ctx = ChartContext(1, 1, 1, velocity_enabled=False)
     with pytest.raises(IndexRangeError):
         parse_expr("v(1;|1)", ctx)
-
-
-def test_module_level_operation_functions(ctx):
-    import jetvar.symcore as sc
-    e = parse_expr("y(1)*y(1;1)", ctx)
-    assert sc.partial(e, jet(1)) == parse_expr("y(1;1)", ctx)
-    assert sc.total_derivative(e, 1) == e.total_derivative(1)
-    assert sc.prolonged_total_derivative(e, 1) == e.prolonged_total_derivative(1)
-    assert sc.evaluate(e, {jet(1): 2, jet(1, (1,)): 3}) == 6.0
-    assert sc.multiindex_count((1, 1, 2)) == 3
