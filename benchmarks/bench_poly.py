@@ -1,6 +1,16 @@
-"""Time two symbolic workloads that stress the polynomial kernel.
+"""Time the polynomial kernel and the numeric evaluation layer in process.
 
-Prints the best-of-N wall time of each workload, run in this process:
+Two symbolic workloads stress the polynomial kernel; two numeric ones
+evaluate compiled expressions at many points (the symbolic setup of those
+is done once, outside the timed region):
+
+* ``laplace_action_201``: trapezoid quadrature of the Laplace action
+  integrand along a varied section, as in ``first-variation``, on a 201^2
+  grid;
+* ``ho_hdd_integrate``: RK4 on the harmonic oscillator's canonical
+  equations over [0, 1] at step 2.5e-4 (4000 steps), with recovery of y'.
+
+Prints the best-of-N wall time of each workload:
 
     python benchmarks/bench_poly.py [--repeat N]
 
@@ -14,9 +24,11 @@ import sys
 import time
 from fractions import Fraction
 
+from jetvar import legendre as LG
 from jetvar import multiindex as mi
+from jetvar import numerics as N
 from jetvar import varcalc as V
-from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr
+from jetvar.symcore import ChartContext, Expr, base, jet, mom, parse_expr
 
 
 def random_lagrangian(ctx, rng, n_terms, degree):
@@ -55,6 +67,24 @@ def derivation_batch():
     return out
 
 
+def laplace_action_201():
+    ctx = ChartContext(2, 1, 1)
+    prob = V.LagrangianProblem(ctx, parse_expr("1/2*(y(1;1)^2 + y(1;2)^2)", ctx))
+    varied = parse_expr("x(1)^2 - x(2)^2 + 1/100000*(1/2 + x(1)*x(2))", ctx)
+    pro = N.jet_prolong_section(N.Section.of_base(ctx, {1: varied}), 1)
+    integrand = prob.L.subs(pro.subs_map())
+    domain = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 201)
+    return lambda: N.quadrature(integrand, domain)
+
+
+def ho_hdd_integrate():
+    ctx = ChartContext(1, 1, 1)
+    prob = V.LagrangianProblem(ctx, parse_expr("1/2*y(1;1)^2 - 1/2*y(1)^2", ctx))
+    chart = LG.legendre_chart(prob)
+    init = {jet(1): 0.0, mom(1, (1,)): 1.0}
+    return lambda: LG.hdd_integrate(chart, init, 0.0, 1.0, 2.5e-4)
+
+
 def best_time(fn, repeat):
     best = float("inf")
     for _ in range(repeat):
@@ -69,7 +99,9 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=3,
                     help="best-of-N timing per workload")
     args = ap.parse_args()
-    workloads = {"poly_stress": poly_stress, "derivation_batch": derivation_batch}
+    workloads = {"poly_stress": poly_stress, "derivation_batch": derivation_batch,
+                 "laplace_action_201": laplace_action_201(),
+                 "ho_hdd_integrate": ho_hdd_integrate()}
     width = max(len(n) for n in workloads)
     for name, fn in workloads.items():
         print(f"{name:<{width}}  {best_time(fn, args.repeat):>9.4f}s")

@@ -167,8 +167,8 @@ class ProblemFile:
         blk = self.cp["domain"]
         lower = _num_list(blk.get("lower", "0"), "[domain] lower")
         upper = _num_list(blk.get("upper", "1"), "[domain] upper")
-        res = resolution or _number(blk.get("resolution", "1000"),
-                                    "[domain] resolution", int)
+        res = (_number(blk.get("resolution", "1000"), "[domain] resolution", int)
+               if resolution is None else resolution)
         if len(lower) == 1 and self.ctx.n > 1:
             lower = lower * self.ctx.n
             upper = upper * self.ctx.n
@@ -521,17 +521,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override a named tolerance")
     p.add_argument("--at", help="point file for regularity/definiteness")
     p.add_argument("--init", help="initial-data file for hdd-solve")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--x1", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--eps", type=float, default=1e-5,
+    # Numbers are read as text and parsed in run(), so that a malformed
+    # value exits 1 with a report instead of argparse's exit 2.
+    p.add_argument("--x0")
+    p.add_argument("--x1")
+    p.add_argument("--step")
+    p.add_argument("--resolution")
+    p.add_argument("--eps", default="1e-5",
                    help="variation-parameter step for first-variation")
     return p
 
 
+NUMERIC_OPTIONS = {"x0": float, "x1": float, "step": float, "resolution": int, "eps": float}
+
+
+def _parse_numeric_options(args) -> argparse.Namespace:
+    """A copy of ``args`` with the numeric options parsed from text."""
+    parsed = dict(vars(args))
+    for name, kind in NUMERIC_OPTIONS.items():
+        if isinstance(parsed.get(name), str):
+            parsed[name] = _number(parsed[name], f"--{name}", kind)
+    return argparse.Namespace(**parsed)
+
+
 def run(args) -> tuple[dict, int]:
     try:
+        args = _parse_numeric_options(args)
         pf = ProblemFile(args.file)
         for item in args.tol:
             if "=" not in item:

@@ -24,7 +24,7 @@ from .errors import InputError, UnsupportedSymbolicError
 from .forms import DiffForm
 from .legendre import hessian_definiteness
 from .numerics import IntegrationDomain, Section
-from .symcore import ChartContext, Expr, base, jet
+from .symcore import ChartContext, Evaluator, Expr, base, jet
 from .varcalc import (LagrangianProblem, LepageanForm, action_value,
                       euler_lagrange)
 
@@ -203,15 +203,13 @@ def compatibility_residual(w: SlopeField, gamma: Section,
     ctx = w.ctx
     pro = numerics.jet_prolong_section(gamma, ctx.r)
     sub = numerics.jet_prolong_section(gamma, ctx.r - 1).subs_map()
-    worst = 0.0
-    for xs in domain.grid_points(resolution):
-        pt = {base(i + 1): x for i, x in enumerate(xs)}
-        for sigma in range(1, ctx.m + 1):
-            for A in mi.tuples(ctx.n, ctx.r):
-                field_val = w.components[(sigma, A)].subs(sub).eval(pt)
-                jet_val = pro.component(sigma, A).eval(pt)
-                worst = max(worst, abs(field_val - jet_val))
-    return worst
+    pairs = []
+    for sigma in range(1, ctx.m + 1):
+        for A in mi.tuples(ctx.n, ctx.r):
+            pairs += [w.components[(sigma, A)].subs(sub), pro.component(sigma, A)]
+    _, grids = domain.mesh(resolution)
+    vals = Evaluator(pairs, numerics.base_coords(domain.dim)).grid(*grids)
+    return numerics.max_abs(*(f - j for f, j in zip(vals[::2], vals[1::2])))
 
 
 @dataclass
@@ -280,32 +278,42 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
         # distinct deterministic scale per coordinate, in (1/2, 1]
         return 0.5 + 0.5 * (idx + 1) / count
 
+    def perturbed(vals, coords, radius):
+        # one new trailing axis: the offsets, scaled per coordinate in sort order
+        ranked = sorted(range(len(coords)), key=lambda k: coords[k].sort_key())
+        out = list(vals)
+        for idx, k in enumerate(ranked):
+            out[k] = vals[k][..., None] + radius * offs * spread(idx, len(ranked))
+        return out
+
+    # Field points over the base grid: the order < r jets of the section and
+    # the field's order-r slopes there.
+    xs = numerics.base_coords(domain.dim)
+    lower = [jet(s, J) for s, J in ctx.jets(max_order=ctx.r - 1)]
+    top = w.top_subs_map()
+    tops = list(top)
+    lower_ev = Evaluator([lower_pro.component(c.sigma, c.J) for c in lower], xs)
+    top_ev = Evaluator(top.values(), xs + lower)
+    excess_ev = Evaluator([wd.excess], xs + lower + tops)
+
+    # Sampled neighbourhood: per grid point, offsets of the lower jets, then
+    # per lower sample, offsets of the field slopes there.
+    axes, grids = domain.mesh(grid.points + 2)
+    xg = [g[..., None] for g in grids]
+    lower_vals = perturbed(lower_ev.grid(*grids), lower, grid.lower_radius)
+    top_vals = perturbed(top_ev.grid(*xg, *lower_vals), tops, grid.top_radius)
+    vals = excess_ev.grid(*(g[..., None] for g in xg),
+                          *(v[..., None] for v in lower_vals), *top_vals)[0].ravel()
     min_excess = float("inf")
     argmin = None
-    for xs in domain.grid_points(resolution=grid.points + 2):
-        pt = {base(i + 1): x for i, x in enumerate(xs)}
-        center = {jet(s, J): lower_pro.component(s, J).eval(pt)
-                  for s, J in ctx.jets(max_order=ctx.r - 1)}
-        lower_keys = sorted(center, key=lambda c: c.sort_key())
-        for du in offs:
-            lower_pt = dict(pt)
-            for idx, c in enumerate(lower_keys):
-                lower_pt[c] = center[c] + grid.lower_radius * du * spread(idx, len(lower_keys))
-            field_top = {c: e.eval(lower_pt)
-                         for c, e in w.top_subs_map().items()}
-            top_keys = sorted(field_top, key=lambda c: c.sort_key())
-            for dv in offs:
-                sample = dict(lower_pt)
-                for idx, c in enumerate(top_keys):
-                    sample[c] = field_top[c] + grid.top_radius * dv * spread(idx, len(top_keys))
-                val = wd.excess.eval(sample)
-                if val < min_excess:
-                    min_excess = val
-                    argmin = tuple(xs)
+    if (vals < np.inf).any():
+        k = int(np.nanargmin(vals))
+        min_excess = float(vals[k])
+        point = np.unravel_index(k // offs.size ** 2, grids[0].shape)
+        argmin = tuple(ax[i] for ax, i in zip(axes, point))
     report.add("excess-nonnegative", min_excess >= -1e-12,
                f"sampled minimum {min_excess:.3e} at x={argmin}")
 
-    top = w.top_subs_map()
     at_field = wd.excess.subs(top)
     identities_ok = at_field.is_zero()
     for i in range(1, ctx.n + 1):
@@ -317,12 +325,12 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
 
     pd_ok = True
     pd_detail = []
-    for xs in domain.grid_points(resolution=3):
-        pt = {base(i + 1): x for i, x in enumerate(xs)}
-        for s, J in ctx.jets(max_order=ctx.r - 1):
-            pt[jet(s, J)] = lower_pro.component(s, J).eval(pt)
-        for c, e in top.items():
-            pt[c] = e.eval(pt)
+    axes, grids = domain.mesh(3)
+    lower_vals = lower_ev.grid(*grids)
+    top_vals = top_ev.grid(*grids, *lower_vals)
+    for idx in np.ndindex(grids[0].shape):
+        pt = {x: ax[i] for x, ax, i in zip(xs, axes, idx)}
+        pt.update((c, float(v[idx])) for c, v in zip(lower + tops, lower_vals + top_vals))
         _, pd, _ = hessian_definiteness(prob, pt)
         pd_ok &= pd
         pd_detail.append(pd)
@@ -339,9 +347,6 @@ def extremal_residual_via_field(prob: LagrangianProblem, gamma: Section,
     el = euler_lagrange(prob)
     sub = numerics.jet_prolong_section(gamma, 2 * ctx.r).subs_map()
     closed = [e.subs(sub) for e in el.values()]
-    worst = 0.0
-    for xs in domain.grid_points(resolution):
-        pt = {base(i + 1): x for i, x in enumerate(xs)}
-        for e in closed:
-            worst = max(worst, abs(e.eval(pt)))
-    return worst
+    _, grids = domain.mesh(resolution)
+    return numerics.max_abs(
+        *Evaluator(closed, numerics.base_coords(domain.dim)).grid(*grids))

@@ -30,7 +30,7 @@ from . import numerics
 from .errors import (DegeneracyError, InputError, JetvarError, NewtonError,
                      UnsupportedSymbolicError)
 from .numerics import IntegrationDomain, ResidualSummary
-from .symcore import ChartContext, Expr, base, jet, mom
+from .symcore import ChartContext, Coord, Evaluator, Expr, base, jet, mom
 from .varcalc import LagrangianProblem, MomentaTable, momenta
 
 
@@ -112,7 +112,11 @@ def momenta_jacobian(prob: LagrangianProblem):
 
 
 def _eval_matrix(entries, point) -> np.ndarray:
-    return np.array([[e.eval(point) for e in row] for row in entries], dtype=float)
+    """All entries at one point, through one evaluator over the point's keys."""
+    coords = [c for c in point if isinstance(c, Coord)]
+    flat = [e for row in entries for e in row]
+    vals = Evaluator(flat, coords)(*[point[c] for c in coords])
+    return np.array(vals, dtype=float).reshape(len(entries), len(entries[0]) if entries else 0)
 
 
 def matrix_rank(M: np.ndarray, rel_tol: float = 1e-10) -> int:
@@ -312,17 +316,16 @@ class Trajectory:
     xs: np.ndarray
     columns: dict  # Coord -> np.ndarray
 
-    def at(self, idx: int) -> dict:
-        pt = {base(1): float(self.xs[idx])}
-        for c, col in self.columns.items():
-            pt[c] = float(col[idx])
-        return pt
-
 
 def _state_coords(ctx: ChartContext):
     ys = [jet(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(ctx.r)]
     ps = [mom(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(1, ctx.r + 1)]
     return ys, ps
+
+
+def _top_coords(ctx: ChartContext):
+    """Jets of order r .. 2r-1 that a trajectory reconstructs, per fiber."""
+    return [jet(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(ctx.r, 2 * ctx.r)]
 
 
 def hdd_integrate(source, init: dict, x0: float, x1: float, step: float,
@@ -333,7 +336,8 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float,
     H drives the flow) or a :class:`LagrangianProblem` (top jets are
     recovered per stage by a Newton solve on the top momentum relations).
     Trajectories carry the state columns plus the reconstructed jets of
-    order r .. 2r-1.
+    order r .. 2r-1. Both right-hand sides take the positional state
+    (x, ys, ps) through evaluators compiled once.
     """
     if isinstance(source, LegendreChartData):
         prob = source.prob
@@ -346,6 +350,8 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float,
     ctx = prob.ctx
     if ctx.n != 1:
         raise InputError("canonical integration is restricted to n = 1")
+    if not all(math.isfinite(v) for v in (x0, x1, step)):
+        raise InputError("x0, x1 and step must be finite")
     if step <= 0 or x1 <= x0:
         raise InputError("need step > 0 and x1 > x0")
 
@@ -354,21 +360,18 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float,
     for c in state_coords:
         if c not in init:
             raise InputError(f"initial data missing {c.text()}")
-    table = chart.table if chart else momenta(prob)
 
     if chart is not None:
-        rhs_exprs = _symbolic_rhs(ctx, chart)
+        inputs = [base(1)] + state_coords
+        rhs = Evaluator(_symbolic_rhs(ctx, chart), inputs)
+        recover = Evaluator([chart.inverse[(c.sigma, c.J)] for c in _top_coords(ctx)],
+                            inputs)
 
         def f(x, state):
-            pt = {base(1): x}
-            pt.update(zip(state_coords, state))
-            return np.array([e.eval(pt) for e in rhs_exprs])
-        recover = _symbolic_recover(ctx, chart)
+            return np.array(rhs(x, *state.tolist()))
     else:
-        solver = _NewtonRecovery(prob, table, newton_tol, newton_max)
-
-        def f(x, state):
-            return solver.rhs(x, dict(zip(state_coords, state)))
+        solver = _NewtonRecovery(prob, momenta(prob), newton_tol, newton_max)
+        f = solver.rhs
         recover = solver.recover
 
     xs = [x0]
@@ -387,16 +390,9 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float,
 
     xs = np.array(xs)
     arr = np.array(states)
+    top = np.array([recover(xv, *row) for xv, row in zip(xs.tolist(), arr.tolist())])
     columns = {c: arr[:, i] for i, c in enumerate(state_coords)}
-    extra = {jet(s, (1,) * k): np.empty_like(xs)
-             for s in range(1, ctx.m + 1) for k in range(ctx.r, 2 * ctx.r)}
-    for idx, xv in enumerate(xs):
-        pt = {base(1): float(xv)}
-        pt.update({c: columns[c][idx] for c in state_coords})
-        rec = recover(float(xv), pt)
-        for c, v in rec.items():
-            extra[c][idx] = v
-    columns.update(extra)
+    columns.update((c, top[:, i]) for i, c in enumerate(_top_coords(ctx)))
     return Trajectory(xs, columns)
 
 
@@ -411,64 +407,71 @@ def _symbolic_rhs(ctx: ChartContext, chart: LegendreChartData):
     return exprs
 
 
-def _symbolic_recover(ctx: ChartContext, chart: LegendreChartData):
-    def recover(x, pt):
-        return {jet(s, (1,) * k): chart.inverse[(s, (1,) * k)].eval(pt)
-                for s in range(1, ctx.m + 1) for k in range(ctx.r, 2 * ctx.r)}
-    return recover
-
-
 class _NewtonRecovery:
-    """Stage-wise recovery of jets above order r-1 from the momentum relations."""
+    """Stage-wise recovery of jets above order r-1 from the momentum relations.
+
+    Layer l solves the m relations P(s;1^(r-l)) = state momentum for the jets
+    of order r+l, given x, the state jets and the lower layers' solutions.
+    Each layer's relations and Jacobian, and the dL/dy set of the momentum
+    equations, are compiled once over positional inputs.
+    """
 
     def __init__(self, prob: LagrangianProblem, table: MomentaTable,
                  tol: float, max_iter: int):
-        self.prob = prob
-        self.ctx = prob.ctx
-        self.table = table
+        ctx = prob.ctx
+        r, m = ctx.r, ctx.m
+        self.m = m
         self.tol = tol
         self.max_iter = max_iter
-        r = self.ctx.r
-        m = self.ctx.m
+        ys, ps = _state_coords(ctx)
+        self.n_ys = len(ys)
+        known = [base(1)] + ys
         self.layers = []
         for layer in range(r):
             unknowns = [jet(s, (1,) * (r + layer)) for s in range(1, m + 1)]
-            relations = [self.table[(s, (1,) * (r - layer))] for s in range(1, m + 1)]
-            jac = [[e.partial(c) for c in unknowns] for e in relations]
-            self.layers.append((layer, unknowns, relations, jac))
+            relations = [table[(s, (1,) * (r - layer))] for s in range(1, m + 1)]
+            jac = [e.partial(c) for e in relations for c in unknowns]
+            targets = [len(ys) + ps.index(mom(s, (1,) * (r - layer)))
+                       for s in range(1, m + 1)]
+            inputs = known + unknowns
+            self.layers.append((layer, Evaluator(relations, inputs),
+                                Evaluator(jac, inputs), targets))
+            known = inputs
+        order_r = [jet(s, (1,) * r) for s in range(1, m + 1)]
         # dL/dy(s;1^(k-1)) for the momentum equations, one per (s, k)
-        self.dL = [[prob.L.partial(jet(s, (1,) * (k - 1))) for k in range(1, r + 1)]
-                   for s in range(1, m + 1)]
-        self.guess = {c: 0.0 for _, us, _, _ in self.layers for c in us}
+        self.dL = Evaluator([prob.L.partial(jet(s, (1,) * (k - 1)))
+                             for s in range(1, m + 1) for k in range(1, r + 1)],
+                            [base(1)] + ys + order_r)
+        # per (s, k): the momentum subtracted in that equation (none for k = 1)
+        self.p_prev = [len(ys) + ps.index(mom(s, (1,) * (k - 1))) if k > 1 else None
+                       for s in range(1, m + 1) for k in range(1, r + 1)]
+        # per (s, k): the state jet of order k+1, or None for an order-r jet
+        self.y_next = [ys.index(jet(s, (1,) * (k + 1))) if k + 1 < r else None
+                       for s in range(1, m + 1) for k in range(r)]
+        self.guess = [np.zeros(m) for _ in range(r)]
 
-    def _solve_layer(self, layer_data, pt):
-        layer, unknowns, relations, jac = layer_data
-        m = self.ctx.m
-        target = np.array([pt[mom(s, (1,) * (self.ctx.r - layer))]
-                           for s in range(1, m + 1)])
-        start = np.array([self.guess[c] for c in unknowns])
+    def _solve_layer(self, k: int, known: list, state) -> np.ndarray:
+        layer, rel, jac, targets = self.layers[k]
+        target = np.array([state[i] for i in targets])
         last_error = None
         for restart in (0.0, 1.0, -1.0, 0.5, -0.5):
-            x = start + restart
             try:
-                x = self._newton(x, unknowns, relations, jac, target, pt, layer)
+                x = self._newton(self.guess[k] + restart, rel, jac, known, target, layer)
             except NewtonError as exc:
                 last_error = exc
                 continue
-            for c, v in zip(unknowns, x):
-                self.guess[c] = v
-                pt[c] = v
-            return
+            self.guess[k] = x
+            return x
         raise last_error
 
-    def _newton(self, x, unknowns, relations, jac, target, pt, layer):
+    def _newton(self, x, rel, jac, known, target, layer):
+        m = self.m
         for _ in range(self.max_iter):
-            local = dict(pt)
-            local.update(zip(unknowns, x))
-            F = np.array([e.eval(local) for e in relations]) - target
-            if np.max(np.abs(F)) <= self.tol:
+            args = known + x.tolist()
+            F = np.array(rel(*args)) - target
+            if all(abs(v) <= self.tol for v in F.tolist()):  # False on NaN, like np.max
                 return x
-            J = np.array([[e.eval(local) for e in row] for row in jac])
+            J = np.array(jac(*args)).reshape(m, m)
             try:
                 dx = np.linalg.solve(J, F)
             except np.linalg.LinAlgError as exc:
@@ -477,27 +480,23 @@ class _NewtonRecovery:
         raise NewtonError(
             f"no convergence after {self.max_iter} iterations at layer {layer}")
 
-    def recover(self, x, pt):
-        local = dict(pt)
-        for layer_data in self.layers:
-            self._solve_layer(layer_data, local)
-        r = self.ctx.r
-        return {jet(s, (1,) * k): local[jet(s, (1,) * k)]
-                for s in range(1, self.ctx.m + 1) for k in range(r, 2 * r)}
+    def recover(self, x: float, *state) -> list:
+        """Jets of order r .. 2r-1 at one trajectory sample, per fiber."""
+        known = [x, *state[:self.n_ys]]
+        solved = []
+        for k in range(len(self.layers)):
+            u = self._solve_layer(k, known, state)
+            solved.append(u)
+            known = known + u.tolist()
+        return [u[s] for s in range(self.m) for u in solved]
 
-    def rhs(self, x, pt):
-        pt = {base(1): x, **pt}
-        self._solve_layer(self.layers[0], pt)  # fills order-r jets
-        ctx = self.ctx
-        r = ctx.r
-        out = []
-        for s in range(1, ctx.m + 1):
-            for k in range(r):
-                out.append(pt[jet(s, (1,) * (k + 1))])
-        for s in range(1, ctx.m + 1):
-            for k in range(1, r + 1):
-                dL = self.dL[s - 1][k - 1].eval(pt)
-                out.append(dL - (pt[mom(s, (1,) * (k - 1))] if k > 1 else 0.0))
+    def rhs(self, x: float, state: np.ndarray) -> np.ndarray:
+        ys = state[:self.n_ys].tolist()
+        u = self._solve_layer(0, [x, *ys], state)  # the order-r jets
+        r = len(self.layers)
+        out = [u[n // r] if i is None else state[i] for n, i in enumerate(self.y_next)]
+        dL = self.dL(x, *ys, *u.tolist())
+        out += [v - (0.0 if i is None else state[i]) for v, i in zip(dL, self.p_prev)]
         return np.array(out)
 
 
@@ -508,8 +507,12 @@ def _grid_derivative(xs: np.ndarray, col: np.ndarray):
 
     Uses the fourth-order five-point stencil on the (uniform) interior so
     the check does not drown in second-order truncation error; falls back
-    to np.gradient when the grid is too short or non-uniform.
+    to np.gradient when the grid is too short or non-uniform. Fewer than
+    three samples admit no second-order derivative and raise InputError.
     """
+    if len(xs) < 3:
+        raise InputError(f"trajectory has {len(xs)} samples; the derivative checks "
+                         "need at least 3: reduce the step (--step)")
     h = np.diff(xs)
     if len(xs) < 7 or np.max(np.abs(h - h[0])) > 1e-9 * max(abs(h[0]), 1e-300):
         return np.gradient(col, xs, edge_order=2), slice(1, -1)
@@ -558,11 +561,11 @@ def euler_lagrange_residual_column(traj: Trajectory, prob: LagrangianProblem):
     xs = traj.xs
     col = np.zeros_like(xs)
     interior = slice(1, -1)
-    for s in range(1, ctx.m + 1):
-        dLdy = prob.L.partial(jet(s, ()))
-        vals = np.array([dLdy.eval(traj.at(i)) for i in range(len(xs))])
+    dLdy = [prob.L.partial(jet(s, ())) for s in range(1, ctx.m + 1)]
+    vals = Evaluator(dLdy, [base(1), *traj.columns]).grid(xs, *traj.columns.values())
+    for s, v in zip(range(1, ctx.m + 1), vals):
         d, interior = _grid_derivative(xs, traj.columns[mom(s, (1,))])
-        col = np.maximum(col, np.abs(vals - d))
+        col = np.maximum(col, np.abs(v - d))
     return col, interior
 
 

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, MissingCoordinateError
-from .symcore import ChartContext, Expr, base, jet
+from .symcore import ChartContext, Evaluator, Expr, base, jet
 from . import forms
 from . import multiindex as mi
 
@@ -34,12 +33,16 @@ class IntegrationDomain:
         return len(self.lower)
 
     def axes(self, resolution: int | None = None):
-        res = resolution or self.resolution
+        """Sample points per axis; ``resolution`` overrides the domain's."""
+        res = self.resolution if resolution is None else resolution
+        if res < 2:
+            raise InputError(f"resolution must be at least 2, got {res}")
         return [np.linspace(a, b, res) for a, b in zip(self.lower, self.upper)]
 
-    def grid_points(self, resolution: int | None = None):
-        for xs in itertools.product(*self.axes(resolution)):
-            yield xs
+    def mesh(self, resolution: int | None = None):
+        """The axes and their ``ij`` meshgrid (row-major = product order)."""
+        axes = self.axes(resolution)
+        return axes, np.meshgrid(*axes, indexing="ij")
 
 
 def interval(a: float, b: float, resolution: int = 100) -> IntegrationDomain:
@@ -106,19 +109,19 @@ def pullback_along(form: forms.DiffForm, section: Section) -> forms.DiffForm:
     return forms.pullback(form, section.subs_map())
 
 
+def base_coords(n: int) -> list:
+    """x(1) .. x(n), the inputs of an evaluator on a domain's grid."""
+    return [base(i + 1) for i in range(n)]
+
+
 def quadrature(integrand: Expr, domain: IntegrationDomain,
                resolution: int | None = None) -> float:
     """Tensor-product trapezoid rule over the box."""
     for c in integrand.coords():
         if c.kind != "x":
             raise InputError(f"integrand must be a base function, found {c.text()}")
-    axes = domain.axes(resolution)
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat_points = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = np.array([
-        integrand.eval({base(i + 1): x for i, x in enumerate(p)})
-        for p in flat_points
-    ]).reshape(grids[0].shape)
+    axes, grids = domain.mesh(resolution)
+    vals = Evaluator([integrand], base_coords(domain.dim)).grid(*grids)[0]
     for axis, ax in enumerate(axes):
         vals = np.trapezoid(vals, ax, axis=0)
     return float(vals)
@@ -132,31 +135,26 @@ def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain,
     difference; for n = 2 the four faces carry the induced (counterclockwise)
     orientation.
     """
-    ctx = form.ctx
     n = domain.dim
     if form.degree != n - 1:
         raise InputError("boundary integrand must have degree n-1")
     if n == 1:
-        f = form.coefficient(())
-        return (f.eval({base(1): domain.upper[0]})
-                - f.eval({base(1): domain.lower[0]}))
+        f = Evaluator([form.coefficient(())], [base(1)])
+        return f(domain.upper[0])[0] - f(domain.lower[0])[0]
     if n != 2:
         raise InputError("boundary quadrature supports n <= 2 only")
-    f1 = form.coefficient((forms.d_(base(1)),))
-    f2 = form.coefficient((forms.d_(base(2)),))
+    f1 = Evaluator([form.coefficient((forms.d_(base(1)),))], [base(1), base(2)])
+    f2 = Evaluator([form.coefficient((forms.d_(base(2)),))], [base(1), base(2)])
     (a1, a2), (b1, b2) = domain.lower, domain.upper
-    res = resolution or domain.resolution
-    xs = np.linspace(a1, b1, res)
-    ys = np.linspace(a2, b2, res)
+    xs, ys = domain.axes(resolution)
 
-    def line(e, fixed_coord, fixed_value, var_coord, ts):
-        vals = [e.eval({fixed_coord: fixed_value, var_coord: t}) for t in ts]
-        return float(np.trapezoid(vals, ts))
+    def line(f, x1, x2, ts):
+        return float(np.trapezoid(f.grid(x1, x2)[0], ts))
 
-    total = line(f1, base(2), a2, base(1), xs)       # bottom, +x1
-    total += line(f2, base(1), b1, base(2), ys)      # right, +x2
-    total -= line(f1, base(2), b2, base(1), xs)      # top, -x1
-    total -= line(f2, base(1), a1, base(2), ys)      # left, -x2
+    total = line(f1, xs, a2, xs)       # bottom, +x1
+    total += line(f2, b1, ys, ys)      # right, +x2
+    total -= line(f1, xs, b2, xs)      # top, -x1
+    total -= line(f2, a1, ys, ys)      # left, -x2
     return total
 
 
@@ -165,11 +163,6 @@ class ResidualSummary:
     """Max-absolute-value summary for a family of residual expressions."""
 
     entries: dict = field(default_factory=dict)  # name -> (max_abs, argmax point)
-
-    def record(self, name, value: float, point) -> None:
-        prev = self.entries.get(name)
-        if prev is None or abs(value) > prev[0]:
-            self.entries[name] = (abs(value), tuple(point))
 
     @property
     def global_max(self) -> float:
@@ -195,12 +188,31 @@ def residual_grid(exprs: dict, binding: dict, domain: IntegrationDomain,
                 raise MissingCoordinateError(
                     f"binding does not close coordinate {c.text()}")
         closed[name] = ce
+    axes, grids = domain.mesh(resolution)
+    names = list(closed)
+    values = Evaluator(closed.values(), base_coords(domain.dim)).grid(*grids)
     summary = ResidualSummary()
-    for xs in domain.grid_points(resolution):
-        pt = {base(i + 1): x for i, x in enumerate(xs)}
-        for name, ce in closed.items():
-            summary.record(name, ce.eval(pt), xs)
+    for name, v in zip(names, values):
+        idx = _first_max_index(np.abs(v).ravel())
+        point = np.unravel_index(idx, v.shape)
+        summary.entries[name] = (float(abs(v.flat[idx])),
+                                 tuple(ax[k] for ax, k in zip(axes, point)))
     return summary
+
+
+def _first_max_index(a: np.ndarray) -> int:
+    """Index where a running strict-greater maximum over ``a`` ends.
+
+    That is the first maximum in order; NaN entries are skipped, except a
+    NaN first entry, which no later comparison replaces.
+    """
+    return 0 if np.isnan(a[0]) else int(np.nanargmax(a))
+
+
+def max_abs(*values) -> float:
+    """Largest absolute entry over arrays, ignoring NaN; 0.0 when empty."""
+    return float(max((np.fmax.reduce(np.abs(v), axis=None, initial=0.0)
+                      for v in values), default=0.0))
 
 
 def rk4_step(f, x: float, state: np.ndarray, h: float) -> np.ndarray:

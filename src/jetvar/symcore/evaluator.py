@@ -1,0 +1,211 @@
+"""Compiled numeric evaluation of expression sets.
+
+An :class:`Evaluator` turns a list of expressions and an ordered list of
+input coordinates into one generated Python function. The function walks a
+single atom table shared by the whole set: every coordinate and every
+``sin``/``cos``/``exp``/``ln``/``sqrt`` atom (also those nested inside
+function arguments) is computed once per call, at the place where the
+expression-by-expression walk of ``num`` then ``den`` first reaches it.
+Each monomial is ``cn/cd`` times its atom powers in monomial order, and each
+polynomial is ``0.0`` plus its monomials in dict order, so results on floats
+are bit-identical to that walk.
+
+The same generated function runs on Python floats (``__call__``, ``math``
+functions, checks that raise at once) and on numpy arrays (:meth:`grid`,
+numpy functions, checks that record a mask). A grid with a failing point
+re-runs the float path at the first flagged point in row-major order, so
+the exception type and message are those of a point-by-point loop.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .. import _poly as K
+from ..errors import (DivisionByZeroError, DomainError, EvaluationError,
+                      MissingCoordinateError)
+from .context import Coord
+
+_ONE = {K.ONE_MONO: (1, 1)}
+_CHUNK = 64  # summands per generated line; keeps the compiler's nesting shallow
+_OVERFLOW = "evaluation overflowed to a non-finite value"
+
+
+def _missing(text: str):
+    raise MissingCoordinateError(f"no value for coordinate {text}")
+
+
+class _FloatOps:
+    """Float namespace of the generated code: checks raise immediately."""
+
+    sin = math.sin
+    cos = math.cos
+    exp = math.exp
+    log = math.log
+    sqrt = math.sqrt
+    missing = staticmethod(_missing)
+
+    @staticmethod
+    def den(v):
+        if v == 0:
+            raise DivisionByZeroError("denominator evaluated to zero")
+
+    @staticmethod
+    def ln_arg(v):
+        if v <= 0:
+            raise DomainError(f"ln of non-positive value {v}")
+
+    @staticmethod
+    def sqrt_arg(v):
+        if v < 0:
+            raise DomainError(f"sqrt of negative value {v}")
+
+
+class _GridOps:
+    """Array namespace of the generated code: checks record a mask."""
+
+    sin = np.sin
+    cos = np.cos
+    exp = np.exp
+    log = np.log
+    sqrt = np.sqrt
+    missing = staticmethod(_missing)
+
+    def __init__(self):
+        self.flags = []
+
+    def den(self, v):
+        self.flags.append(v == 0)
+
+    def ln_arg(self, v):
+        self.flags.append(v <= 0)
+
+    def sqrt_arg(self, v):
+        self.flags.append(v < 0)
+
+
+class Evaluator:
+    """Evaluate ``exprs`` at values of ``inputs``, given positionally.
+
+    Input coordinates are interned in ``ctx`` in the given order. A
+    coordinate in the support of an expression but not among the inputs
+    (or passed as ``None`` to the float path) raises
+    :class:`MissingCoordinateError` where the walk first needs it.
+    """
+
+    __slots__ = ("inputs", "source", "_fn")
+
+    def __init__(self, exprs, inputs):
+        exprs = list(exprs)
+        self.inputs = tuple(inputs)
+        if not exprs:
+            self.source = ""
+            self._fn = lambda _m, *xs: ()
+            return
+        self.source = _generate(exprs[0].ctx, exprs, self.inputs)
+        namespace: dict = {}
+        exec(compile(self.source, "<jetvar evaluator>", "exec"), namespace)
+        self._fn = namespace["_ev"]
+
+    def __call__(self, *values) -> tuple:
+        """Values of all expressions at one point of Python numbers."""
+        xs = [None if v is None else float(v) for v in values]
+        try:
+            out = self._fn(_FloatOps, *xs)
+        except (OverflowError, ValueError) as exc:
+            raise EvaluationError(_OVERFLOW) from exc
+        for v in out:
+            if not math.isfinite(v):
+                if all(x is not None and math.isfinite(x) for x in xs):
+                    raise EvaluationError(_OVERFLOW)
+                break
+        return out
+
+    def grid(self, *arrays) -> list:
+        """Values of all expressions on broadcast arrays, one array each."""
+        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+        shape = arrays[0].shape if arrays else ()
+        ops = _GridOps()
+        with np.errstate(all="ignore"):
+            out = [v if isinstance(v, np.ndarray) and v.shape == shape
+                   else np.full(shape, v, dtype=float)
+                   for v in self._fn(ops, *arrays)]
+        bad = np.zeros(shape, dtype=bool)
+        for flag in ops.flags:
+            bad |= flag
+        finite_in = np.ones(shape, dtype=bool)
+        for a in arrays:
+            finite_in &= np.isfinite(a)
+        for v in out:
+            bad |= finite_in & ~np.isfinite(v)
+        if bad.any():
+            idx = int(np.flatnonzero(bad)[0])
+            point = [float(a.flat[idx]) for a in arrays]
+            self(*point)  # raises the error of a point-by-point loop
+            raise EvaluationError(f"evaluation failed at {point}")
+        return out
+
+
+def _generate(ctx, exprs, inputs) -> str:
+    """Source of ``_ev(_m, x0, x1, ...)`` returning a tuple of values."""
+    slot = {ctx.coord_id(c): k for k, c in enumerate(inputs)}
+    names: dict = {}
+    lines: list = []
+
+    def atom(aid: int) -> str:
+        name = names.get(aid)
+        if name is not None:
+            return name
+        a = ctx.atom(aid)
+        if isinstance(a, Coord):
+            k = slot.get(aid)
+            if k is None:
+                name = f"v{aid}"
+                lines.append(f"{name} = _m.missing({a.text()!r})")
+            else:
+                name = f"x{k}"
+                lines.append(f"if {name} is None: _m.missing({a.text()!r})")
+        else:
+            arg = f"u{aid}"
+            poly(a.arg.num, arg)
+            if a.arg.den != _ONE:
+                poly(a.arg.den, f"w{aid}")
+                lines.append(f"_m.den(w{aid})")
+                lines.append(f"{arg} = {arg} / w{aid}")
+            if a.name in ("ln", "sqrt"):
+                lines.append(f"_m.{a.name}_arg({arg})")
+            name = f"f{aid}"
+            lines.append(f"{name} = _m.{'log' if a.name == 'ln' else a.name}({arg})")
+        names[aid] = name
+        return name
+
+    def poly(p: dict, target: str) -> None:
+        terms = []
+        for mono, (cn, cd) in p.items():
+            try:
+                c = cn / cd
+            except OverflowError as exc:
+                raise EvaluationError(_OVERFLOW) from exc
+            factors = [atom(aid) if e == 1 else f"{atom(aid)}**{e}" for aid, e in mono]
+            if c != 1.0 or not factors:
+                factors.insert(0, f"({c!r})" if c < 0 else repr(c))
+            terms.append("*".join(factors))
+        if not terms:
+            lines.append(f"{target} = 0.0")
+        for start in range(0, len(terms), _CHUNK):
+            head = "0.0" if start == 0 else target
+            lines.append(f"{target} = {head} + " + " + ".join(terms[start:start + _CHUNK]))
+
+    results = []
+    for i, e in enumerate(exprs):
+        poly(e.num, f"n{i}")
+        if e.den != _ONE:
+            poly(e.den, f"d{i}")
+            lines.append(f"_m.den(d{i})")
+            lines.append(f"n{i} = n{i} / d{i}")
+        results.append(f"n{i}")
+    params = "".join(f", x{k}" for k in range(len(inputs)))
+    body = "\n".join(f"    {line}" for line in lines)
+    return f"def _ev(_m{params}):\n{body}\n    return ({', '.join(results)},)\n"

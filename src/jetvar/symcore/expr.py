@@ -13,6 +13,23 @@ of the kernel (:mod:`jetvar._poly`), and the denominator is normalized to leadin
 * expressions with transcendental atoms fall back to sampled evaluation
   (:meth:`Expr.probably_equal`), reported as probable equality only.
 
+Numeric evaluation has one path: a compiled evaluator
+(:class:`jetvar.symcore.evaluator.Evaluator`) built once per expression set
+over an ordered list of input coordinates. It computes a shared atom table
+and runs the same generated code on Python floats and on numpy arrays.
+:meth:`Expr.eval` delegates to the evaluator of the single expression,
+cached on the expression; numeric callers build evaluators for their sets
+and call them on positional floats or on whole grids. Errors:
+
+* :class:`MissingCoordinateError` when a needed coordinate has no value;
+* :class:`DivisionByZeroError` when a denominator evaluates to zero;
+* :class:`DomainError` for ``ln`` of a value <= 0 or ``sqrt`` of a value < 0;
+* :class:`EvaluationError` when all inputs of a point are finite and a
+  result is not (overflow); non-finite inputs propagate.
+
+On a grid these are checked array-wide, and the error raised is the one a
+point-by-point loop in row-major order would raise first.
+
 All values are immutable after construction and safe to share.
 """
 
@@ -24,8 +41,9 @@ from fractions import Fraction
 
 from .. import _poly as K
 from ..errors import (DivisionByZeroError, DomainError, InputError,
-                      MissingCoordinateError, OrderOverflowError)
+                      OrderOverflowError)
 from .context import ChartContext, Coord, FuncAtom, base, jet, vel
+from .evaluator import Evaluator
 
 _ONE = {K.ONE_MONO: (1, 1)}
 
@@ -39,7 +57,7 @@ def _as_rat(value):
 
 
 class Expr:
-    __slots__ = ("ctx", "num", "den", "_support")
+    __slots__ = ("ctx", "num", "den", "_support", "_compiled")
 
     def __init__(self, ctx: ChartContext, num: dict, den: dict | None = None):
         self.ctx = ctx
@@ -62,6 +80,7 @@ class Expr:
         self.num = num
         self.den = den
         self._support = None
+        self._compiled = None
 
     # -- constructors -------------------------------------------------------
 
@@ -423,53 +442,19 @@ class Expr:
         return Expr.sum(ctx, terms)
 
     def eval(self, point: dict) -> float:
-        """Evaluate at a point mapping coordinates to numbers."""
-        vals = {}
-        for c, v in point.items():
+        """Evaluate at a point mapping coordinates to numbers.
+
+        Every coordinate key of the point is interned and range-checked;
+        the compiled evaluator of this expression is built on first use.
+        """
+        ctx = self.ctx
+        for c in point:
             if isinstance(c, Coord):
-                vals[self.ctx.coord_id(c)] = v
-        cache: dict = {}
-        num = self._poly_eval(self.num, vals, cache)
-        den = self._poly_eval(self.den, vals, cache)
-        if den == 0:
-            raise DivisionByZeroError("denominator evaluated to zero")
-        return num / den
-
-    def _poly_eval(self, p: dict, vals: dict, cache: dict):
-        total = 0.0
-        for mono, (cn, cd) in p.items():
-            term = cn / cd
-            for aid, exp in mono:
-                term *= self._eval_atom(aid, vals, cache) ** exp
-            total += term
-        return total
-
-    def _eval_atom(self, aid: int, vals: dict, cache: dict):
-        if aid in cache:
-            return cache[aid]
-        a = self.ctx.atom(aid)
-        if isinstance(a, Coord):
-            if aid not in vals:
-                raise MissingCoordinateError(f"no value for coordinate {a.text()}")
-            v = float(vals[aid])
-        else:
-            x = a.arg._poly_eval(a.arg.num, vals, cache)
-            xd = a.arg._poly_eval(a.arg.den, vals, cache)
-            if xd == 0:
-                raise DivisionByZeroError("denominator evaluated to zero")
-            x = x / xd
-            if a.name == "ln":
-                if x <= 0:
-                    raise DomainError(f"ln of non-positive value {x}")
-                v = math.log(x)
-            elif a.name == "sqrt":
-                if x < 0:
-                    raise DomainError(f"sqrt of negative value {x}")
-                v = math.sqrt(x)
-            else:
-                v = getattr(math, a.name)(x)
-        cache[aid] = v
-        return v
+                ctx.coord_id(c)
+        ev = self._compiled
+        if ev is None:
+            ev = self._compiled = Evaluator([self], self.coords())
+        return ev(*[point.get(c) for c in ev.inputs])[0]
 
     # -- canonical text --------------------------------------------------------
 

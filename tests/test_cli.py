@@ -150,8 +150,15 @@ def test_unknown_tolerance_rejected():
     ("[domain]\nresolution = 50\n\n[tolerances]\nholonomy = oops\n", ()),
     ("[domain]\nresolution = 50\n", ("--tol", "holonomy=abc")),
     ("[domain]\nresolution = 50\n\n[domain]\nlower = 1\n", ()),
+    ("[domain]\nresolution = 50\n", ("--x0", "abc")),
+    ("[domain]\nresolution = 50\n", ("--x1", "1..2")),
+    ("[domain]\nresolution = 50\n", ("--step", "small")),
+    ("[domain]\nresolution = 50\n", ("--resolution", "2.5")),
+    ("[domain]\nresolution = 50\n", ("--eps", "tiny")),
+    ("[domain]\nresolution = 50\n", ("--resolution", "0")),
 ], ids=["domain-lower", "domain-resolution", "tolerances-block", "tol-option",
-        "duplicate-block"])
+        "duplicate-block", "x0-option", "x1-option", "step-option",
+        "resolution-option", "eps-option", "resolution-zero"])
 def test_malformed_input_is_input_error(tmp_path, blocks, extra):
     f = tmp_path / "bad.prob"
     f.write_text("[problem]\nn = 1\nm = 1\nr = 1\n\n"
@@ -160,6 +167,30 @@ def test_malformed_input_is_input_error(tmp_path, blocks, extra):
     code, data, _ = run_cli("verify-extremal", str(f), *extra)
     assert code == 1
     assert data["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("x1,step,message", [
+    ("1", "1", "--step"),        # one step: two samples admit no derivative check
+    ("1", "nan", "finite"),
+    ("inf", "0.1", "finite"),
+], ids=["one-step", "nan-step", "infinite-x1"])
+def test_hdd_solve_bad_interval_is_input_error(x1, step, message):
+    code, data, _ = run_cli("hdd-solve", HO, "--init", prob_path("ho.init"),
+                            "--x0", "0", "--x1", x1, "--step", step)
+    assert code == 1
+    assert data["error"]["type"] == "InputError"
+    assert message in data["error"]["message"]
+
+
+def test_overflow_is_evaluation_error(tmp_path):
+    f = tmp_path / "steep.prob"
+    f.write_text("[problem]\nn = 1\nm = 1\nr = 1\n\n"
+                 "[lagrangian]\nL = \"1/2*y(1;1)^2\"\n\n"
+                 "[gamma]\ny(1) = \"exp(1000*x(1))\"\n\n"
+                 "[domain]\nresolution = 50\n")
+    code, data, _ = run_cli("verify-extremal", str(f))
+    assert code == 1
+    assert data["error"]["type"] == "EvaluationError"
 
 
 @pytest.mark.parametrize("args", [

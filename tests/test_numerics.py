@@ -163,3 +163,17 @@ def test_domain_validation():
         N.IntegrationDomain((0.0,), (0.0,), 10)
     with pytest.raises(InputError):
         N.IntegrationDomain((0.0,), (1.0,), 1)
+    dom = N.interval(0.0, 1.0, 10)
+    for bad in (0, 1):
+        with pytest.raises(InputError):
+            dom.axes(bad)
+        with pytest.raises(InputError):
+            N.quadrature(Expr.const(ChartContext(1, 1, 1), 1), dom, resolution=bad)
+
+
+def test_residual_grid_ties_resolve_to_first_point():
+    c2 = ChartContext(2, 1, 1)
+    summary = N.residual_grid({"d": parse_expr("x(1) - x(2)", c2)}, {},
+                              N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 3))
+    # |x1 - x2| = 1 at (0, 1) and at (1, 0); product order meets (0, 1) first
+    assert summary.as_dict() == {"d": {"max_abs": 1.0, "argmax": [0.0, 1.0]}}

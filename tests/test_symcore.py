@@ -2,14 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetvar.errors import (DivisionByZeroError, DomainError, IndexRangeError,
-                           InputError, MissingCoordinateError,
+from jetvar.errors import (DivisionByZeroError, DomainError, EvaluationError,
+                           IndexRangeError, InputError, MissingCoordinateError,
                            OrderOverflowError, ParseError)
-from jetvar.symcore import (ChartContext, Expr, base, jet, mom, parse_expr,
-                            vel)
+from jetvar.symcore import (ChartContext, Coord, Evaluator, Expr, base, jet,
+                            mom, parse_expr, vel)
 from conftest import assert_sym_equal, random_polynomial
 
 
@@ -164,6 +165,169 @@ def test_eval_domain_errors(ctx):
         parse_expr("ln(y(1))", ctx).eval({jet(1): -1.0})
     with pytest.raises(DomainError):
         parse_expr("sqrt(y(1))", ctx).eval({jet(1): -1.0})
+
+
+def test_eval_overflow_is_evaluation_error(ctx):
+    # Python raises OverflowError on floats; numpy returns inf on arrays:
+    # both paths report an EvaluationError when the inputs are finite.
+    for text, bad in (("exp(x(1))", 1000.0), ("x(1)^400", 1e10),
+                      ("x(1)*x(1)", 1e200)):
+        e = parse_expr(text, ctx)
+        with pytest.raises(EvaluationError):
+            e.eval({base(1): bad})
+        with pytest.raises(EvaluationError):
+            Evaluator([e], [base(1)]).grid(np.array([1.0, bad, 2.0]))
+    # non-finite inputs propagate
+    assert math.isinf(parse_expr("2*x(1)", ctx).eval({base(1): math.inf}))
+    got = Evaluator([parse_expr("2*x(1)", ctx)], [base(1)]).grid(np.array([1.0, math.inf]))
+    assert got[0][0] == 2.0 and math.isinf(got[0][1])
+
+
+def test_evaluator_set_shares_atoms_and_checks_inputs(ctx):
+    a = parse_expr("sin(x(1))^2 + y(1)", ctx)
+    b = parse_expr("cos(x(1)) - sin(x(1))/y(1)", ctx)
+    ev = Evaluator([a, b], [base(1), jet(1)])
+    assert ev.source.count("_m.sin(") == 1
+    assert ev(0.5, 2.0) == (a.eval({base(1): 0.5, jet(1): 2.0}),
+                            b.eval({base(1): 0.5, jet(1): 2.0}))
+    va, vb = ev.grid(np.linspace(0.0, 1.0, 7), 2.0)
+    assert va.shape == vb.shape == (7,)
+    with pytest.raises(MissingCoordinateError, match=r"y\(1\)"):
+        Evaluator([a], [base(1)])(0.5)
+
+
+def _reference_eval(e: Expr, point: dict) -> float:
+    """Point-by-point walk of num then den, as evaluation worked before it
+    was compiled: ``cn/cd`` times atom powers in monomial order, summed in
+    dict order from 0.0, atoms cached at their first visit."""
+    ctx = e.ctx
+    vals = {ctx.coord_id(c): float(v) for c, v in point.items()}
+    cache = {}
+
+    def poly(p):
+        total = 0.0
+        for mono, (cn, cd) in p.items():
+            term = cn / cd
+            for aid, exp in mono:
+                term *= atom(aid) ** exp
+            total += term
+        return total
+
+    def atom(aid):
+        if aid in cache:
+            return cache[aid]
+        a = ctx.atom(aid)
+        if isinstance(a, Coord):
+            if aid not in vals:
+                raise MissingCoordinateError(f"no value for coordinate {a.text()}")
+            v = vals[aid]
+        else:
+            x = poly(a.arg.num)
+            xd = poly(a.arg.den)
+            if xd == 0:
+                raise DivisionByZeroError("denominator evaluated to zero")
+            x = x / xd
+            if a.name == "ln":
+                if x <= 0:
+                    raise DomainError(f"ln of non-positive value {x}")
+                v = math.log(x)
+            elif a.name == "sqrt":
+                if x < 0:
+                    raise DomainError(f"sqrt of negative value {x}")
+                v = math.sqrt(x)
+            else:
+                v = getattr(math, a.name)(x)
+        cache[aid] = v
+        return v
+
+    num = poly(e.num)
+    den = poly(e.den)
+    if den == 0:
+        raise DivisionByZeroError("denominator evaluated to zero")
+    return num / den
+
+
+_EVAL_COORDS = (base(1), base(2), jet(1))
+
+
+def _random_transcendental(ctx, rng, depth):
+    """Sum of monomials in coordinates, quotients and function atoms whose
+    arguments keep values moderate (no overflow, denominators >= 1); at
+    depth 0 only coordinates and sin/cos of a coordinate."""
+    coords = [Expr.coord(ctx, c) for c in _EVAL_COORDS]
+    kinds = ["coord", "coord", "sin", "cos", "exp", "ln", "sqrt", "quot"]
+    total = Expr.const(ctx, Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+    for _ in range(rng.randint(1, 3 if depth else 2)):
+        term = Expr.const(ctx, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                        rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.choice(kinds if depth else ["coord", "coord", "nested"])
+            if kind == "coord":
+                f = rng.choice(coords)
+            elif kind == "nested":  # a function atom inside an argument
+                f = Expr.func(ctx, rng.choice(["sin", "cos"]), rng.choice(coords))
+            else:
+                u = _random_transcendental(ctx, rng, depth - 1)
+                bounded = u / (1 + u * u)
+                f = {"sin": lambda: Expr.func(ctx, "sin", u),
+                     "cos": lambda: Expr.func(ctx, "cos", bounded),
+                     "exp": lambda: Expr.func(ctx, "exp", bounded),
+                     "ln": lambda: Expr.func(ctx, "ln", 1 + u * u),
+                     "sqrt": lambda: Expr.func(ctx, "sqrt", 1 + u * u),
+                     "quot": lambda: bounded}[kind]()
+            term = term * f ** rng.randint(1, 2)
+        total = total + term
+    return total
+
+
+def _first_error(fn):
+    try:
+        fn()
+    except (DivisionByZeroError, DomainError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["ln", "sqrt", "quot"]))
+def test_compiled_evaluation_matches_pointwise_walk(seed, poison):
+    ctx = ChartContext(2, 1, 1)
+    rng = random.Random(seed)
+    e = _random_transcendental(ctx, rng, depth=1)
+    shape = (3, 4)
+    grid = [np.array([rng.uniform(-2.0, 2.0) for _ in range(12)]).reshape(shape)
+            for _ in _EVAL_COORDS]
+    points = [{c: float(g[idx]) for c, g in zip(_EVAL_COORDS, grid)}
+              for idx in np.ndindex(shape)]
+
+    # floats: bit-identical to the reference walk
+    scalar = [e.eval(pt) for pt in points]
+    assert scalar == [_reference_eval(e, pt) for pt in points]
+
+    # arrays: elementwise equal to the float path up to last-digit rounding
+    values = Evaluator([e], _EVAL_COORDS).grid(*grid)[0]
+    assert values.shape == shape
+    for got, want in zip(values.ravel(), scalar):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+    # a grid with bad points raises what a row-major point loop raises first
+    y = Expr.coord(ctx, jet(1))
+    bad = e + {"ln": lambda: Expr.func(ctx, "ln", y),
+               "sqrt": lambda: Expr.func(ctx, "sqrt", y),
+               "quot": lambda: 1 / y}[poison]()
+    ys = np.abs(grid[2]) + 0.25
+    for k in rng.sample(range(12), rng.randint(1, 3)):
+        ys.flat[k] = 0.0 if poison != "sqrt" else -rng.uniform(0.1, 2.0)
+    bad_grid = grid[:2] + [ys]
+    loop_error = None
+    for idx in np.ndindex(shape):
+        pt = {c: float(g[idx]) for c, g in zip(_EVAL_COORDS, bad_grid)}
+        loop_error = _first_error(lambda: _reference_eval(bad, pt))
+        if loop_error:
+            break
+    assert loop_error is not None
+    assert _first_error(lambda: Evaluator([bad], _EVAL_COORDS).grid(*bad_grid)) == loop_error
 
 
 def test_division_by_zero_expression(ctx):
