@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import re
 import sys
 import time
@@ -63,7 +64,6 @@ DEFAULT_TOLERANCES = {
     "compatibility": 1e-9,
     "rank_rel": 1e-10,
     "definiteness_pivot": 1e-12,
-    "probable_equal": 1e-9,
 }
 
 
@@ -220,6 +220,8 @@ def read_point_file(path: str, ctx: ChartContext) -> dict:
                 point[c] = float(val)
             except ValueError:
                 point[c] = float(parse_expr(val, ctx).as_fraction())
+            if not math.isfinite(point[c]):
+                raise InputError(f"{path}:{lineno}: {c.text()} = {val} is not finite")
     return point
 
 
@@ -454,7 +456,7 @@ def cmd_verify_extremal(pf: ProblemFile, args) -> Report:
     residual = FL.extremal_residual_via_field(pf.problem, gamma, dom, resolution=25)
     tol = pf.tolerances["extremal_residual"]
     rep.result("euler_lagrange_residual", residual)
-    rep.result("action", FL.action(pf.problem, gamma, dom))
+    rep.result("action", V.action_value(pf.problem, gamma, dom))
     rep.check("extremal", residual <= tol, {"max": residual, "tolerance": tol})
     return rep
 

@@ -25,10 +25,7 @@ from .forms import DiffForm
 from .legendre import hessian_definiteness
 from .numerics import IntegrationDomain, Section
 from .symcore import ChartContext, Evaluator, Expr, base, jet
-from .varcalc import (LagrangianProblem, LepageanForm, action_value,
-                      euler_lagrange)
-
-action = action_value
+from .varcalc import LagrangianProblem, LepageanForm, euler_lagrange
 
 
 @dataclass
@@ -92,13 +89,8 @@ def geodesic_check(w: SlopeField, lep: LepageanForm) -> GeodesicReport:
     wd = pull_through(forms.ext_d(lep.realize()), w)
     if wd.is_zero():
         return GeodesicReport(wd, "zero")
-    exact = True
-    for c in wd.terms.values():
-        if c.has_transcendental():
-            exact = False
-        elif not c.is_zero():
-            return GeodesicReport(wd, "nonzero")
-    if exact:
+    # Terms never hold a zero coefficient, so a rational term is a nonzero one.
+    if not all(c.has_transcendental() for c in wd.terms.values()):
         return GeodesicReport(wd, "nonzero")
     if all(c.probably_zero() for c in wd.terms.values()):
         return GeodesicReport(wd, "probable-zero")
@@ -213,15 +205,6 @@ def compatibility_residual(w: SlopeField, gamma: Section,
 
 
 @dataclass
-class GridSpec:
-    """Sampling box around the field for the excess certificate."""
-
-    lower_radius: float = 0.5    # spread of the jets of order < r
-    top_radius: float = 1.0      # spread of the top jets
-    points: int = 3              # samples per perturbed axis
-
-
-@dataclass
 class CertificateCondition:
     name: str
     passed: bool
@@ -244,7 +227,6 @@ class CertificateReport:
 
 def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeField,
                         gamma0: Section, domain: IntegrationDomain,
-                        grid: GridSpec | None = None,
                         compat_tol: float = 1e-9) -> CertificateReport:
     """Sample the minimality conditions around a field-compatible section.
 
@@ -255,7 +237,6 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     excess at the field (weak-minimum route).
     """
     ctx = prob.ctx
-    grid = grid or GridSpec()
     report = CertificateReport()
 
     compat = compatibility_residual(w, gamma0, domain, resolution=5)
@@ -272,7 +253,7 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
                "horizontal density equals excess function")
 
     lower_pro = numerics.jet_prolong_section(gamma0, ctx.r - 1)
-    offs = np.linspace(-1.0, 1.0, grid.points)
+    offs = np.linspace(-1.0, 1.0, 3)  # samples per perturbed axis
 
     def spread(idx, count):
         # distinct deterministic scale per coordinate, in (1/2, 1]
@@ -298,10 +279,11 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
 
     # Sampled neighbourhood: per grid point, offsets of the lower jets, then
     # per lower sample, offsets of the field slopes there.
-    axes, grids = domain.mesh(grid.points + 2)
+    # Radii: 0.5 for the jets of order < r, 1.0 for the top jets.
+    axes, grids = domain.mesh(offs.size + 2)
     xg = [g[..., None] for g in grids]
-    lower_vals = perturbed(lower_ev.grid(*grids), lower, grid.lower_radius)
-    top_vals = perturbed(top_ev.grid(*xg, *lower_vals), tops, grid.top_radius)
+    lower_vals = perturbed(lower_ev.grid(*grids), lower, 0.5)
+    top_vals = perturbed(top_ev.grid(*xg, *lower_vals), tops, 1.0)
     vals = excess_ev.grid(*(g[..., None] for g in xg),
                           *(v[..., None] for v in lower_vals), *top_vals)[0].ravel()
     min_excess = float("inf")

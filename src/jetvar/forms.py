@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeError, InputError
-from .symcore import ChartContext, Coord, Expr, base, jet
-from .symcore.context import _KIND_ORDER
+from .symcore import ChartContext, Coord, Expr, base, jet, vel
 
 
 @dataclass(frozen=True)
@@ -34,11 +33,7 @@ class Cov:
         c = self.coord
         if self.kind == "w":
             return (4, c.sigma, len(c.J), c.J)
-        if c.kind == "x":
-            return (0, c.i)
-        if c.kind == "v":
-            return (_KIND_ORDER["v"], c.sigma, len(c.J), c.J, c.i)
-        return (_KIND_ORDER[c.kind], c.sigma, len(c.J), c.J)
+        return c.sort_key()
 
     def text(self) -> str:
         if self.kind == "w":
@@ -89,10 +84,6 @@ class DiffForm:
         if terms:
             for covs, coeff in terms.items():
                 self._accumulate(covs, coeff)
-
-    @classmethod
-    def zero(cls, ctx, degree: int) -> "DiffForm":
-        return cls(ctx, degree)
 
     @classmethod
     def scalar(cls, ctx, e: Expr) -> "DiffForm":
@@ -287,32 +278,34 @@ class ContactDecomposition:
         return out
 
 
-def _expand_contact(a: DiffForm) -> DiffForm:
-    ctx = a.ctx
-    out = DiffForm(ctx, a.degree)
-    for covs, coeff in a.terms.items():
-        options = []
+def _substitute(a: DiffForm, image) -> DiffForm:
+    """Replace each covector by a 1-form and expand the wedge products.
+
+    ``image(cov)`` gives the 1-form (degree-1 :class:`DiffForm`) replacing a
+    covector, or None to keep it; it is asked once per covector.
+    """
+    images = {}
+    out = DiffForm(a.ctx, a.degree)
+    for covs, c in a.terms.items():
+        combos = [((), c)]
         for cov in covs:
-            if cov.kind == "w":
-                c = cov.coord
-                opt = [(d_(c), Expr.const(ctx, 1))]
-                opt += [(d_(base(l)), -Expr.coord(ctx, jet(c.sigma, c.J + (l,))))
-                        for l in range(1, ctx.n + 1)]
-                options.append(opt)
+            if cov not in images:
+                images[cov] = image(cov)
+            img = images[cov]
+            if img is None:
+                combos = [(picked + (cov,), e) for picked, e in combos]
             else:
-                options.append([(cov, Expr.const(ctx, 1))])
-        _distribute(out, covs, coeff, options)
+                combos = [(picked + icovs, e * ie) for picked, e in combos
+                          for icovs, ie in img.terms.items()]
+        for picked, e in combos:
+            out._accumulate(picked, e)
     return out
 
 
-def _distribute(out: DiffForm, covs, coeff: Expr, options) -> None:
-    """Expand a wedge of 1-form sums into the accumulator."""
-    combos = [((), coeff)]
-    for opt in options:
-        combos = [(picked + (cov,), c * e) for picked, c in combos
-                  for cov, e in opt if not e.is_zero()]
-    for picked, c in combos:
-        out._accumulate(picked, c)
+def _expand_contact(a: DiffForm) -> DiffForm:
+    """om^s_J -> dy^s_J - y^s_{J+l} dx^l."""
+    return _substitute(a, lambda cov: (omega_contact(a.ctx, cov.coord.sigma, cov.coord.J)
+                                       if cov.kind == "w" else None))
 
 
 def contact_decompose(a: DiffForm) -> ContactDecomposition:
@@ -325,23 +318,19 @@ def contact_decompose(a: DiffForm) -> ContactDecomposition:
     bad = a.cov_kinds() - {"x", "y", "w"}
     if bad:
         raise InputError(f"contact decomposition undefined for {sorted(bad)} covectors")
+
+    def split(cov):
+        c = cov.coord
+        if cov.kind == "w" or c.kind == "x":
+            return None
+        terms = {(w_(c.sigma, c.J),): Expr.const(ctx, 1)}
+        for l in range(1, ctx.n + 1):
+            terms[(d_(base(l)),)] = Expr.coord(ctx, jet(c.sigma, c.J + (l,)))
+        return DiffForm(ctx, 1, terms)
+
     buckets = [DiffForm(ctx, a.degree) for _ in range(a.degree + 1)]
-    for covs, coeff in a.terms.items():
-        options = []
-        for cov in covs:
-            if cov.kind == "w" or cov.coord.kind == "x":
-                options.append([(cov, Expr.const(ctx, 1))])
-            else:
-                c = cov.coord
-                opt = [(w_(c.sigma, c.J), Expr.const(ctx, 1))]
-                opt += [(d_(base(l)), Expr.coord(ctx, jet(c.sigma, c.J + (l,))))
-                        for l in range(1, ctx.n + 1)]
-                options.append(opt)
-        expanded = DiffForm(ctx, a.degree)
-        _distribute(expanded, covs, coeff, options)
-        for ecovs, ecoeff in expanded.terms.items():
-            k = sum(1 for cv in ecovs if cv.kind == "w")
-            buckets[k]._accumulate(ecovs, ecoeff)
+    for covs, coeff in _substitute(a, split).terms.items():
+        buckets[sum(1 for cv in covs if cv.kind == "w")]._accumulate(covs, coeff)
     return ContactDecomposition(a, buckets[0], buckets[1:])
 
 
@@ -357,24 +346,20 @@ def prolonged_horizontalization(a: DiffForm) -> DiffForm:
     dy^s_J -> v(s;J|l) dx^l. Used for forms that live on the unprolonged
     space but are evaluated against first-order prolongations.
     """
-    from .symcore import vel
     ctx = a.ctx
-    out = DiffForm(ctx, a.degree)
-    for covs, coeff in a.terms.items():
-        options = []
-        for cov in covs:
-            if cov.kind == "w":
-                raise InputError("expand contact symbols before horizontalizing")
-            c = cov.coord
-            if c.kind == "x":
-                options.append([(cov, Expr.const(ctx, 1))])
-            elif c.kind == "y":
-                options.append([(d_(base(l)), Expr.coord(ctx, vel(c.sigma, c.J, l)))
-                                for l in range(1, ctx.n + 1)])
-            else:
-                raise InputError(f"cannot horizontalize d{c.text()}")
-        _distribute(out, covs, coeff, options)
-    return out
+
+    def image(cov):
+        if cov.kind == "w":
+            raise InputError("expand contact symbols before horizontalizing")
+        c = cov.coord
+        if c.kind == "x":
+            return None
+        if c.kind != "y":
+            raise InputError(f"cannot horizontalize d{c.text()}")
+        return DiffForm(ctx, 1, {(d_(base(l)),): Expr.coord(ctx, vel(c.sigma, c.J, l))
+                                 for l in range(1, ctx.n + 1)})
+
+    return _substitute(a, image)
 
 
 def pullback(a: DiffForm, subst: dict) -> DiffForm:
@@ -390,24 +375,18 @@ def pullback(a: DiffForm, subst: dict) -> DiffForm:
         if c.kind == "x":
             raise InputError("base coordinates cannot be substituted")
         clean[c] = e if isinstance(e, Expr) else Expr.const(ctx, e)
-    out = DiffForm(ctx, a.degree)
-    for covs, coeff in a.terms.items():
-        options = []
-        for cov in covs:
-            if cov.kind == "w":
-                raise InputError("pull back the differential-basis realization")
-            img = clean.get(cov.coord)
-            if img is None:
-                options.append([(cov, Expr.const(ctx, 1))])
-            else:
-                opt = []
-                for c2 in img.coords():
-                    dpart = img.partial(c2)
-                    if not dpart.is_zero():
-                        opt.append((d_(c2), dpart))
-                options.append(opt)
-        _distribute(out, covs, coeff.subs(clean), options)
-    return out
+
+    def image(cov):
+        if cov.kind == "w":
+            raise InputError("pull back the differential-basis realization")
+        img = clean.get(cov.coord)
+        if img is None:
+            return None
+        return DiffForm(ctx, 1, {(d_(c),): img.partial(c) for c in img.coords()})
+
+    substituted = DiffForm(ctx, a.degree,
+                           {covs: c.subs(clean) for covs, c in a.terms.items()})
+    return _substitute(substituted, image)
 
 
 def horizontal_density(a: DiffForm) -> Expr:

@@ -311,6 +311,11 @@ def hdd_residual(data: LegendreChartData, components: dict,
 
 # -- canonical-equation integration (n = 1) --------------------------------------
 
+_MAX_STEPS = 10 ** 6   # RK4 step budget of one trajectory
+_NEWTON_TOL = 1e-12    # max |relation residual| accepted by the Newton recovery
+_NEWTON_MAX = 50       # Newton iterations per start point
+
+
 @dataclass
 class Trajectory:
     xs: np.ndarray
@@ -328,8 +333,7 @@ def _top_coords(ctx: ChartContext):
     return [jet(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(ctx.r, 2 * ctx.r)]
 
 
-def hdd_integrate(source, init: dict, x0: float, x1: float, step: float,
-                  newton_tol: float = 1e-12, newton_max: int = 50) -> Trajectory:
+def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Trajectory:
     """Integrate the canonical first-order system (n = 1) with classical RK4.
 
     ``source`` is either a :class:`LegendreChartData` (symbolic gradient of
@@ -354,6 +358,9 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float,
         raise InputError("x0, x1 and step must be finite")
     if step <= 0 or x1 <= x0:
         raise InputError("need step > 0 and x1 > x0")
+    if (x1 - x0) / step > _MAX_STEPS:
+        raise InputError(f"step {step!r} needs more than {_MAX_STEPS} RK4 steps "
+                         f"on [{x0!r}, {x1!r}]: increase the step (--step)")
 
     ys, ps = _state_coords(ctx)
     state_coords = ys + ps
@@ -370,7 +377,7 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float,
         def f(x, state):
             return np.array(rhs(x, *state.tolist()))
     else:
-        solver = _NewtonRecovery(prob, momenta(prob), newton_tol, newton_max)
+        solver = _NewtonRecovery(prob, momenta(prob))
         f = solver.rhs
         recover = solver.recover
 
@@ -416,13 +423,10 @@ class _NewtonRecovery:
     equations, are compiled once over positional inputs.
     """
 
-    def __init__(self, prob: LagrangianProblem, table: MomentaTable,
-                 tol: float, max_iter: int):
+    def __init__(self, prob: LagrangianProblem, table: MomentaTable):
         ctx = prob.ctx
         r, m = ctx.r, ctx.m
         self.m = m
-        self.tol = tol
-        self.max_iter = max_iter
         ys, ps = _state_coords(ctx)
         self.n_ys = len(ys)
         known = [base(1)] + ys
@@ -466,10 +470,10 @@ class _NewtonRecovery:
 
     def _newton(self, x, rel, jac, known, target, layer):
         m = self.m
-        for _ in range(self.max_iter):
+        for _ in range(_NEWTON_MAX):
             args = known + x.tolist()
             F = np.array(rel(*args)) - target
-            if all(abs(v) <= self.tol for v in F.tolist()):  # False on NaN, like np.max
+            if all(abs(v) <= _NEWTON_TOL for v in F.tolist()):  # False on NaN, like np.max
                 return x
             J = np.array(jac(*args)).reshape(m, m)
             try:
@@ -478,7 +482,7 @@ class _NewtonRecovery:
                 raise NewtonError(f"singular Jacobian at layer {layer}") from exc
             x = x - dx
         raise NewtonError(
-            f"no convergence after {self.max_iter} iterations at layer {layer}")
+            f"no convergence after {_NEWTON_MAX} iterations at layer {layer}")
 
     def recover(self, x: float, *state) -> list:
         """Jets of order r .. 2r-1 at one trajectory sample, per fiber."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ class IntegrationDomain:
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
             raise InputError("domain bounds have mismatched dimensions")
+        if not all(math.isfinite(v) for v in (*self.lower, *self.upper)):
+            raise InputError("domain bounds must be finite")
         if any(a >= b for a, b in zip(self.lower, self.upper)):
             raise InputError("domain needs lower < upper componentwise")
         if self.resolution < 2:

@@ -104,8 +104,7 @@ class ChartContext:
     share between workers under CPython.
     """
 
-    def __init__(self, n: int, m: int, r: int, max_order: int | None = None,
-                 velocity_enabled: bool = True):
+    def __init__(self, n: int, m: int, r: int, max_order: int | None = None):
         if n < 1 or m < 1 or r < 1:
             raise IndexRangeError(f"need n, m, r >= 1, got n={n} m={m} r={r}")
         self.n = n
@@ -114,7 +113,6 @@ class ChartContext:
         self.max_order = max_order if max_order is not None else 2 * r - 1
         if self.max_order < r:
             raise IndexRangeError("max_order must be at least r")
-        self.velocity_enabled = velocity_enabled
         self._atoms: list = []            # id -> Coord | FuncAtom
         self._coord_ids: dict = {}        # Coord -> id
         self._func_ids: dict = {}         # (name, num-sig, den-sig) -> id
@@ -141,8 +139,6 @@ class ChartContext:
                 raise OrderOverflowError(
                     f"jet order {len(c.J)} exceeds max_order {self.max_order}")
         elif c.kind == "v":
-            if not self.velocity_enabled:
-                raise IndexRangeError("velocity coordinates are disabled")
             if not 1 <= c.i <= self.n:
                 raise IndexRangeError(f"velocity direction {c.i} outside 1..{self.n}")
             if len(c.J) > 2 * self.r - 1:

@@ -1,23 +1,22 @@
 """Momenta, Euler-Lagrange expressions and Cartan-type equivalents.
 
-For a Lagrangian density L of order r the conjugate momenta are produced by
-the descending recursion
+Everything here comes from one descending recursion. For a Lagrangian
+density L of order r and a free coefficient table g (see :class:`GSpec`),
 
-    P^K = (1/N(K)) dL/dy^s_K                      for |K| = r,
-    P^K = (1/N(K)) dL/dy^s_K - sum_i d_i P^{K+i}  for |K| < r,
+    P_g^K = (1/N(K)) dL/dy^s_K                                      for |K| = r,
+    P_g^K = (1/N(K)) dL/dy^s_K - sum_i d_i (P_g^{K+i} + g(s;i|K))   for |K| < r,
 
 where N(K) is the multinomial weight of the canonical multi-index K. The
 formal-derivative term must sit *outside* the 1/N(K) weight: moving it
 inside breaks the equivalence with the alternating-sum Euler-Lagrange form
 as soon as n >= 2 (exercised by the weight-placement test).
 
-The canonical n-form equivalent carries the coefficients
-f^{i,J} = N(J) P^{merge(J, i)} on om^s_J ^ om_i; it is horizontal-equivalent
-to L om_0 and the 1-contact part of its exterior derivative collapses onto
-om^s ^ om_0 with the Euler-Lagrange coefficient. A family of equivalents is
-parametrized by free coefficient tables g whose weighted symmetrization
-vanishes; the same descending recursion with g inserted produces their
-coefficient tables.
+With g = 0 the P^K are the conjugate momenta. The equivalent of a table g
+carries the coefficients f^{i,J} = N(J) (P_g^{merge(J, i)} + g(s;i|J)) on
+om^s_J ^ om_i; it is horizontal-equivalent to L om_0 and the 1-contact part
+of its exterior derivative collapses onto om^s ^ om_0 with the
+Euler-Lagrange coefficient. g = 0 gives the canonical equivalent; the
+admissible tables (weighted symmetrization zero) parametrize the family.
 """
 
 from __future__ import annotations
@@ -68,6 +67,12 @@ class MomentaTable:
 
 def momenta(prob: LagrangianProblem) -> MomentaTable:
     """Descending momentum recursion."""
+    return MomentaTable(prob, _recursion(prob, GSpec()))
+
+
+def _recursion(prob: LagrangianProblem, g: GSpec) -> dict:
+    """P_g^K = (1/N(K)) dL/dy^s_K - sum_i d_i (P_g^{K+i} + g(s;i|K)), keyed by
+    (sigma, K) and computed once per K from |K| = r down to 1."""
     ctx = prob.ctx
     r = ctx.r
     entries = {}
@@ -77,9 +82,16 @@ def momenta(prob: LagrangianProblem) -> MomentaTable:
                 e = prob.L.partial(jet(sigma, K)) * Fraction(1, mi.count(K))
                 if k < r:
                     for i in range(1, ctx.n + 1):
-                        e = e - entries[(sigma, mi.merge(K, i))].total_derivative(i)
+                        e = e - _shifted(entries, g, sigma, i, K).total_derivative(i)
                 entries[(sigma, K)] = e
-    return MomentaTable(prob, entries)
+    return entries
+
+
+def _shifted(P: dict, g: GSpec, sigma: int, i: int, J) -> Expr:
+    """P_g^{merge(J,i)} + g(s;i|J)."""
+    e = P[(sigma, mi.merge(J, i))]
+    q = g.entries.get((sigma, i, J))
+    return e if q is None else e + q
 
 
 def euler_lagrange(prob: LagrangianProblem) -> dict:
@@ -187,42 +199,30 @@ class LepageanForm:
         return sorted(self.f.items(), key=lambda kv: (kv[0][0], len(kv[0][2]), kv[0][2], kv[0][1]))
 
 
-def _coefficient_recursion(prob: LagrangianProblem, g: GSpec) -> dict:
-    """Descending recursion for the contact coefficients with g inserted."""
+def _coefficients(prob: LagrangianProblem, g: GSpec) -> dict:
+    """f(s;i|J) = N(J) (P_g^{merge(J,i)} + g(s;i|J)), 0 <= |J| <= r-1."""
     ctx = prob.ctx
-    r = ctx.r
+    P = _recursion(prob, g)
     f: dict = {}
-    for k in range(r, 0, -1):
-        level: dict = {}
+    for k in range(ctx.r, 0, -1):
         for sigma in range(1, ctx.m + 1):
             for J in mi.tuples(ctx.n, k - 1):
-                NJ = mi.count(J)
                 for i in range(1, ctx.n + 1):
-                    K = mi.merge(J, i)
-                    e = prob.L.partial(jet(sigma, K)) * Fraction(1, mi.count(K))
-                    if k < r:
-                        s = Expr.const(ctx, 0)
-                        for l in range(1, ctx.n + 1):
-                            s = s + f[(sigma, l, K)].total_derivative(l)
-                        e = e - s * Fraction(1, mi.count(K))
-                    if k >= 2:
-                        e = e + g.get(sigma, i, J, ctx)
-                    level[(sigma, i, J)] = e * NJ
-        f.update(level)
+                    f[(sigma, i, J)] = _shifted(P, g, sigma, i, J) * mi.count(J)
     return f
 
 
 def poincare_cartan(prob: LagrangianProblem) -> LepageanForm:
     """The canonical equivalent with coefficients N(J) P^{merge(J,i)}."""
-    return LepageanForm(prob, _coefficient_recursion(prob, GSpec()))
+    return LepageanForm(prob, _coefficients(prob, GSpec()))
 
 
 def lepagean_from_g(prob: LagrangianProblem, g: GSpec) -> LepageanForm:
     """Equivalent of the family parametrized by an admissible free table."""
     g.validate(prob)
-    f = _coefficient_recursion(prob, g)
+    f = _coefficients(prob, g)
     if g.entries:
-        base_f = _coefficient_recursion(prob, GSpec())
+        base_f = _coefficients(prob, GSpec())
         correction = {}
         for key, e in f.items():
             q = e - base_f[key]
@@ -296,8 +296,6 @@ def extended_lagrangian(lep: LepageanForm) -> Expr:
     Affine in the velocities; substituting v(s;J|i) -> y^s_{J+i} recovers L.
     """
     ctx = lep.ctx
-    if not ctx.velocity_enabled:
-        raise InputError("velocity coordinates are disabled in this chart")
     terms = [lep.prob.L]
     for (sigma, i, J), e in lep.f.items():
         if e.is_zero():

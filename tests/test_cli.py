@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from jetvar.cli import build_parser, run
 from jetvar.symcore import ChartContext, parse_expr
 from conftest import run_jetvar
 
@@ -156,9 +157,12 @@ def test_unknown_tolerance_rejected():
     ("[domain]\nresolution = 50\n", ("--resolution", "2.5")),
     ("[domain]\nresolution = 50\n", ("--eps", "tiny")),
     ("[domain]\nresolution = 50\n", ("--resolution", "0")),
+    ("[domain]\nupper = nan\nresolution = 50\n", ()),
+    ("[domain]\nlower = -inf\nresolution = 50\n", ()),
 ], ids=["domain-lower", "domain-resolution", "tolerances-block", "tol-option",
         "duplicate-block", "x0-option", "x1-option", "step-option",
-        "resolution-option", "eps-option", "resolution-zero"])
+        "resolution-option", "eps-option", "resolution-zero", "domain-nan",
+        "domain-inf"])
 def test_malformed_input_is_input_error(tmp_path, blocks, extra):
     f = tmp_path / "bad.prob"
     f.write_text("[problem]\nn = 1\nm = 1\nr = 1\n\n"
@@ -173,13 +177,31 @@ def test_malformed_input_is_input_error(tmp_path, blocks, extra):
     ("1", "1", "--step"),        # one step: two samples admit no derivative check
     ("1", "nan", "finite"),
     ("inf", "0.1", "finite"),
-], ids=["one-step", "nan-step", "infinite-x1"])
+    ("1", "1e-300", "--step"),   # 1e300 steps: over the step budget
+    ("1", "5e-324", "--step"),   # the step count overflows to inf
+], ids=["one-step", "nan-step", "infinite-x1", "tiny-step", "subnormal-step"])
 def test_hdd_solve_bad_interval_is_input_error(x1, step, message):
     code, data, _ = run_cli("hdd-solve", HO, "--init", prob_path("ho.init"),
                             "--x0", "0", "--x1", x1, "--step", step)
     assert code == 1
     assert data["error"]["type"] == "InputError"
     assert message in data["error"]["message"]
+
+
+@pytest.mark.parametrize("command,option,text", [
+    ("regularity", "--at", "x(1) = 0\ny(1) = 0\ny(1;1) = nan\ny(1;1,1) = 0\n"),
+    ("regularity", "--at", "x(1) = 0\ny(1) = 0\ny(1;1) = 0\ny(1;1,1) = inf\n"),
+    ("hdd-solve", "--init", "y(1) = nan\nP(1;1) = 1\n"),
+], ids=["point-nan", "point-inf", "init-nan"])
+def test_non_finite_point_is_input_error(tmp_path, command, option, text):
+    f = tmp_path / "values.txt"
+    f.write_text(text)
+    prob = QUARTIC if command == "regularity" else HO
+    code, data, _ = run_cli(command, prob, option, str(f),
+                            "--x0", "0", "--x1", "1", "--step", "0.1")
+    assert code == 1
+    assert data["error"]["type"] == "InputError"
+    assert "not finite" in data["error"]["message"]
 
 
 def test_overflow_is_evaluation_error(tmp_path):
@@ -191,6 +213,20 @@ def test_overflow_is_evaluation_error(tmp_path):
     code, data, _ = run_cli("verify-extremal", str(f))
     assert code == 1
     assert data["error"]["type"] == "EvaluationError"
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "derive")
+
+
+@pytest.mark.parametrize("name", sorted(f[:-len(".prob")] for f in os.listdir(PROBLEMS)
+                                        if f.endswith(".prob")))
+def test_derive_matches_golden_report(name):
+    """``derive`` on every shipped problem reproduces its recorded report text."""
+    data, _ = run(build_parser().parse_args(["derive", prob_path(name + ".prob")]))
+    got = json.dumps({k: data[k] for k in ("results", "checks", "exit_code")},
+                     indent=2, sort_keys=True) + "\n"
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        assert got == fh.read()
 
 
 @pytest.mark.parametrize("args", [

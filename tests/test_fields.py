@@ -245,16 +245,16 @@ def test_hilbert_zero_lagrangian():
 def test_action_examples():
     osc = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
     gamma = N.Section.of_base(osc.ctx, {1: parse_expr("sin(x(1))", osc.ctx)})
-    val = FL.action(osc, gamma, N.interval(0.0, math.pi, 3000))
+    val = V.action_value(osc, gamma, N.interval(0.0, math.pi, 3000))
     assert abs(val) <= 1e-6
 
     unit = problem("1")
     g2 = N.Section.of_base(unit.ctx, {1: Expr.const(unit.ctx, 0)})
-    assert FL.action(unit, g2, N.interval(0.25, 1.75, 100)) == pytest.approx(1.5)
+    assert V.action_value(unit, g2, N.interval(0.25, 1.75, 100)) == pytest.approx(1.5)
 
     free, lep, w = free_particle()
     g3 = N.Section.of_base(free.ctx, {1: parse_expr("x(1)", free.ctx)})
-    assert FL.action(free, g3, N.interval(0.0, 1.0, 2001)) == pytest.approx(0.5, abs=1e-8)
+    assert V.action_value(free, g3, N.interval(0.0, 1.0, 2001)) == pytest.approx(0.5, abs=1e-8)
 
 
 # -- compatibility and extremality -------------------------------------------------------------

@@ -403,6 +403,3 @@ def test_context_validation():
         ChartContext(0, 1, 1)
     with pytest.raises(IndexRangeError):
         ChartContext(1, 1, 2, max_order=1)
-    ctx = ChartContext(1, 1, 1, velocity_enabled=False)
-    with pytest.raises(IndexRangeError):
-        parse_expr("v(1;|1)", ctx)
