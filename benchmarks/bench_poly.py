@@ -1,8 +1,11 @@
-"""Time the polynomial kernel and the numeric evaluation layer in process.
+"""Time the polynomial kernel, quotient derivations and numeric evaluation.
 
-Two symbolic workloads stress the polynomial kernel; two numeric ones
-evaluate compiled expressions at many points (the symbolic setup of those
-is done once, outside the timed region):
+Two symbolic workloads stress the polynomial kernel; ``rational_derive``
+runs the derive pipeline (Euler-Lagrange, canonical equivalent, its defect,
+Hamilton table) on the quotient densities ``y(1;1,1)^2/(1+y(1;1)^2)^2``
+(r = 2) and ``(y(1;1,1)+y(1;2,2))^2/(1+y(1;1)^2+y(1;2)^2)`` (n = 2). Two
+numeric workloads evaluate compiled expressions at many points (the
+symbolic setup of those is done once, outside the timed region):
 
 * ``laplace_action_201``: trapezoid quadrature of the Laplace action
   integrand along a varied section, as in ``first-variation``, on a 201^2
@@ -54,16 +57,31 @@ def poly_stress():
     return acc
 
 
+def derive_pipeline(prob):
+    """What ``jetvar derive`` computes: EL, canonical equivalent, defect,
+    Hamilton table."""
+    el = V.euler_lagrange(prob)
+    lep = V.poincare_cartan(prob)
+    V.lepagean_defect(lep.realize(), prob)
+    V.hamilton_form(lep)
+    return el
+
+
 def derivation_batch():
     rng = random.Random(12345)
     out = []
     for shape in [(1, 1, 2), (2, 1, 2), (2, 2, 2), (1, 1, 3), (2, 1, 3), (2, 2, 3)]:
         ctx = ChartContext(*shape)
-        prob = V.LagrangianProblem(ctx, random_lagrangian(ctx, rng, 5, 3))
-        out.append(V.euler_lagrange(prob))
-        lep = V.poincare_cartan(prob)
-        V.lepagean_defect(lep.realize(), prob)
-        V.hamilton_form(lep)
+        out.append(derive_pipeline(V.LagrangianProblem(ctx, random_lagrangian(ctx, rng, 5, 3))))
+    return out
+
+
+def rational_derive():
+    out = []
+    for n, text in ((1, "y(1;1,1)^2/(1+y(1;1)^2)^2"),
+                    (2, "(y(1;1,1)+y(1;2,2))^2/(1+y(1;1)^2+y(1;2)^2)")):
+        ctx = ChartContext(n, 1, 2)
+        out.append(derive_pipeline(V.LagrangianProblem(ctx, parse_expr(text, ctx))))
     return out
 
 
@@ -100,6 +118,7 @@ def main() -> int:
                     help="best-of-N timing per workload")
     args = ap.parse_args()
     workloads = {"poly_stress": poly_stress, "derivation_batch": derivation_batch,
+                 "rational_derive": rational_derive,
                  "laplace_action_201": laplace_action_201(),
                  "ho_hdd_integrate": ho_hdd_integrate()}
     width = max(len(n) for n in workloads)

@@ -10,8 +10,9 @@ R^n x R^m -> R^n. Coordinates are:
 * ``P(s;J)``          conjugate momentum coordinates, 1 <= |J| <= r
 
 A :class:`ChartContext` validates index ranges, interns every atom (chart
-coordinate or elementary-function subexpression) under a small integer id
-used by the polynomial kernel, and carries the order bound for jets.
+coordinate, elementary-function subexpression or reciprocal ``1/D``) under
+a small integer id used by the polynomial kernel, and carries the order
+bound for jets.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .. import multiindex as mi
 from ..errors import IndexRangeError, OrderOverflowError
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
+_RECIP = "recip"  # atom name of 1/D; not a function of the expression language
 
 _KIND_ORDER = {"x": 0, "y": 1, "v": 2, "P": 3}
 
@@ -79,7 +81,7 @@ def mom(sigma: int, J) -> Coord:
 
 
 class FuncAtom:
-    """An elementary function applied to a canonical expression argument."""
+    """An elementary function or the reciprocal ``recip`` of an expression."""
 
     __slots__ = ("name", "arg")
 
@@ -115,8 +117,9 @@ class ChartContext:
             raise IndexRangeError("max_order must be at least r")
         self._atoms: list = []            # id -> Coord | FuncAtom
         self._coord_ids: dict = {}        # Coord -> id
-        self._func_ids: dict = {}         # (name, num-sig, den-sig) -> id
+        self._func_ids: dict = {}         # (name, arg-sig) -> id
         self._func_coord_support: dict = {}  # FuncAtom id -> frozenset of coord ids
+        self._recip_ids: set = set()      # ids of the reciprocal atoms
 
     # -- intern table ------------------------------------------------------
 
@@ -162,11 +165,9 @@ class ChartContext:
         return aid
 
     def func_id(self, name: str, arg) -> int:
-        if name not in FUNCTIONS:
+        if name not in FUNCTIONS and name != _RECIP:
             raise IndexRangeError(f"unknown function {name!r}")
-        key = (name,
-               tuple(sorted(arg.num.items())),
-               tuple(sorted(arg.den.items())))
+        key = (name, tuple(sorted(arg.num.items())))
         aid = self._func_ids.get(key)
         if aid is not None:
             return aid
@@ -174,6 +175,8 @@ class ChartContext:
         self._atoms.append(FuncAtom(name, arg))
         self._func_ids[key] = aid
         self._func_coord_support[aid] = frozenset(arg.coord_support_ids())
+        if name == _RECIP:
+            self._recip_ids.add(aid)
         return aid
 
     def atom(self, aid: int):
@@ -189,7 +192,8 @@ class ChartContext:
         a = self._atoms[aid]
         if isinstance(a, Coord):
             return (a.sort_key(),)
-        return ((4, FUNCTIONS.index(a.name)), a.arg.sort_signature())
+        rank = len(FUNCTIONS) if a.name == _RECIP else FUNCTIONS.index(a.name)
+        return ((4, rank), a.arg.sort_signature())
 
     # -- coordinate enumeration -------------------------------------------
 

@@ -3,10 +3,10 @@
 An :class:`Evaluator` turns a list of expressions and an ordered list of
 input coordinates into one generated Python function. The function walks a
 single atom table shared by the whole set: every coordinate and every
-``sin``/``cos``/``exp``/``ln``/``sqrt`` atom (also those nested inside
-function arguments) is computed once per call, at the place where the
-expression-by-expression walk of ``num`` then ``den`` first reaches it.
-Each monomial is ``cn/cd`` times its atom powers in monomial order, and each
+``sin``/``cos``/``exp``/``ln``/``sqrt`` or reciprocal (``1.0/D``, behind a
+zero-denominator check) atom, nested ones included, is computed once per
+call, where the expression-by-expression walk first reaches it. Each
+monomial is ``cn/cd`` times its atom powers in monomial order, and each
 polynomial is ``0.0`` plus its monomials in dict order, so results on floats
 are bit-identical to that walk.
 
@@ -23,12 +23,10 @@ import math
 
 import numpy as np
 
-from .. import _poly as K
 from ..errors import (DivisionByZeroError, DomainError, EvaluationError,
                       MissingCoordinateError)
-from .context import Coord
+from .context import _RECIP, Coord
 
-_ONE = {K.ONE_MONO: (1, 1)}
 _CHUNK = 64  # summands per generated line; keeps the compiler's nesting shallow
 _OVERFLOW = "evaluation overflowed to a non-finite value"
 
@@ -48,7 +46,7 @@ class _FloatOps:
     missing = staticmethod(_missing)
 
     @staticmethod
-    def den(v):
+    def recip_arg(v):
         if v == 0:
             raise DivisionByZeroError("denominator evaluated to zero")
 
@@ -76,7 +74,7 @@ class _GridOps:
     def __init__(self):
         self.flags = []
 
-    def den(self, v):
+    def recip_arg(self, v):
         self.flags.append(v == 0)
 
     def ln_arg(self, v):
@@ -170,14 +168,11 @@ def _generate(ctx, exprs, inputs) -> str:
         else:
             arg = f"u{aid}"
             poly(a.arg.num, arg)
-            if a.arg.den != _ONE:
-                poly(a.arg.den, f"w{aid}")
-                lines.append(f"_m.den(w{aid})")
-                lines.append(f"{arg} = {arg} / w{aid}")
-            if a.name in ("ln", "sqrt"):
-                lines.append(f"_m.{a.name}_arg({arg})")
             name = f"f{aid}"
-            lines.append(f"{name} = _m.{'log' if a.name == 'ln' else a.name}({arg})")
+            if a.name in ("ln", "sqrt", _RECIP):
+                lines.append(f"_m.{a.name}_arg({arg})")
+            op = {"ln": "_m.log", _RECIP: "1.0 / "}.get(a.name, f"_m.{a.name}")
+            lines.append(f"{name} = {op}({arg})")
         names[aid] = name
         return name
 
@@ -201,10 +196,6 @@ def _generate(ctx, exprs, inputs) -> str:
     results = []
     for i, e in enumerate(exprs):
         poly(e.num, f"n{i}")
-        if e.den != _ONE:
-            poly(e.den, f"d{i}")
-            lines.append(f"_m.den(d{i})")
-            lines.append(f"n{i} = n{i} / d{i}")
         results.append(f"n{i}")
     params = "".join(f", x{k}" for k in range(len(inputs)))
     body = "\n".join(f"    {line}" for line in lines)

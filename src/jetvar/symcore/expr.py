@@ -1,15 +1,18 @@
 """Canonical expressions over chart coordinates.
 
-An :class:`Expr` is a quotient of two canonical polynomials over interned
-atoms. Atoms are chart coordinates or elementary-function subexpressions
-(``sin``, ``cos``, ``exp``, ``ln``, ``sqrt`` of an Expr). Coefficients are
-exact rationals, sums and products are flattened into the polynomial dicts
-of the kernel (:mod:`jetvar._poly`), and the denominator is normalized to leading coefficient 1
-(a constant denominator is folded away). Consequently:
+An :class:`Expr` is one canonical polynomial over interned atoms: chart
+coordinates, elementary-function subexpressions (``sin``, ``cos``, ``exp``,
+``ln``, ``sqrt`` of an Expr) and reciprocals ``1/D`` of polynomials ``D``
+with leading coefficient 1 and no reciprocal atom. ``N/D^k`` is ``N`` times
+a power of the reciprocal atom of ``D``, and derivatives raise that power
+(``d(1/D) = -(1/D)^2 dD``) instead of multiplying denominators out.
+Coefficients are exact rationals in the kernel's dicts (:mod:`jetvar._poly`).
+Consequently:
 
-* two polynomial expressions are equal iff their dicts are identical;
-* quotients are compared exactly by cross-multiplication
-  (:meth:`Expr.equal_exact`), with no gcd cancellation needed;
+* ``==`` is structural: it compares the stored polynomials;
+* :meth:`Expr.is_zero` and :meth:`Expr.equal_exact` are exact for rational
+  functions: they clear the reciprocal atoms, writing P/Q with P and Q free
+  of them, and test P;
 * expressions with transcendental atoms fall back to sampled evaluation
   (:meth:`Expr.probably_equal`), reported as probable equality only.
 
@@ -42,7 +45,7 @@ from fractions import Fraction
 from .. import _poly as K
 from ..errors import (DivisionByZeroError, DomainError, InputError,
                       OrderOverflowError)
-from .context import ChartContext, Coord, FuncAtom, base, jet, vel
+from .context import _RECIP, ChartContext, Coord, FuncAtom, base, jet, vel
 from .evaluator import Evaluator
 
 _ONE = {K.ONE_MONO: (1, 1)}
@@ -57,28 +60,14 @@ def _as_rat(value):
 
 
 class Expr:
-    __slots__ = ("ctx", "num", "den", "_support", "_compiled")
+    __slots__ = ("ctx", "num", "_support", "_compiled")
 
-    def __init__(self, ctx: ChartContext, num: dict, den: dict | None = None):
+    # Every denominator is 1: perfbench/spans.py still reads e.den in its size counters.
+    den = _ONE
+
+    def __init__(self, ctx: ChartContext, num: dict):
         self.ctx = ctx
-        if den is None or den == _ONE:
-            den = _ONE
-        elif not den:
-            raise DivisionByZeroError("zero denominator in expression")
-        elif K.poly_is_const(den):
-            n, d = den[K.ONE_MONO]
-            num = K.poly_scale(num, d, n)
-            den = _ONE
-        else:
-            if not num:
-                den = _ONE
-            else:
-                lead = den[max(den)]
-                if lead != (1, 1):
-                    num = K.poly_scale(num, lead[1], lead[0])
-                    den = K.poly_scale(den, lead[1], lead[0])
         self.num = num
-        self.den = den
         self._support = None
         self._compiled = None
 
@@ -95,6 +84,8 @@ class Expr:
 
     @classmethod
     def func(cls, ctx, name: str, arg: "Expr") -> "Expr":
+        if name == _RECIP:
+            return arg._inverse()
         if name == "ln" and arg.is_one():
             return cls.const(ctx, 0)
         if name == "sqrt" and arg.is_constant():
@@ -117,13 +108,14 @@ class Expr:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        """Exact for rational functions (reciprocal atoms are cleared)."""
+        return not self.num or (bool(self.ctx._recip_ids) and not self._split()[0])
 
     def is_one(self) -> bool:
-        return self.num == _ONE and self.den == _ONE
+        return self.num == _ONE
 
     def is_constant(self) -> bool:
-        return K.poly_is_const(self.num) and self.den == _ONE
+        return K.poly_is_const(self.num)
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -135,14 +127,15 @@ class Expr:
 
     def is_polynomial(self) -> bool:
         """True when the expression is a polynomial in coordinates alone."""
-        if self.den != _ONE:
-            return False
         return all(self.ctx.is_coord(a) for a in K.poly_support(self.num))
 
     def has_transcendental(self) -> bool:
-        for p in (self.num, self.den):
-            for aid in K.poly_support(p):
-                if not self.ctx.is_coord(aid):
+        """True when a function atom occurs; reciprocals of rational
+        arguments count as rational."""
+        for aid in K.poly_support(self.num):
+            if not self.ctx.is_coord(aid):
+                a = self.ctx.atom(aid)
+                if a.name != _RECIP or a.arg.has_transcendental():
                     return True
         return False
 
@@ -151,12 +144,11 @@ class Expr:
     def coord_support_ids(self) -> frozenset:
         if self._support is None:
             ids = set()
-            for p in (self.num, self.den):
-                for aid in K.poly_support(p):
-                    if self.ctx.is_coord(aid):
-                        ids.add(aid)
-                    else:
-                        ids |= self.ctx.func_coord_support(aid)
+            for aid in K.poly_support(self.num):
+                if self.ctx.is_coord(aid):
+                    ids.add(aid)
+                else:
+                    ids |= self.ctx.func_coord_support(aid)
             self._support = frozenset(ids)
         return self._support
 
@@ -171,7 +163,7 @@ class Expr:
         """Largest total degree in velocity atoms over all monomials.
 
         Defined for expressions where velocities appear only as explicit
-        polynomial atoms (not inside denominators or function arguments).
+        polynomial atoms (not inside reciprocals or function arguments).
         """
         vids = set()
         for a in K.poly_support(self.num):
@@ -181,8 +173,6 @@ class Expr:
             elif any(self.ctx.atom(c).kind == "v"
                      for c in self.ctx.func_coord_support(a)):
                 raise InputError("velocity atoms inside a function argument")
-        if any(c.kind == "v" for c in self.coords()) and self.den != _ONE:
-            raise InputError("velocity atoms in a quotient denominator")
         best = 0
         for mono in self.num:
             d = sum(e for a, e in mono if a in vids)
@@ -195,16 +185,12 @@ class Expr:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _ONE and other.den == _ONE:
-            return Expr(self.ctx, K.poly_add(self.num, other.num))
-        num = K.poly_add(K.poly_mul(self.num, other.den),
-                         K.poly_mul(other.num, self.den))
-        return Expr(self.ctx, num, K.poly_mul(self.den, other.den))
+        return Expr(self.ctx, K.poly_add(self.num, other.num))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(self.ctx, K.poly_neg(self.num), self.den)
+        return Expr(self.ctx, K.poly_neg(self.num))
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -219,10 +205,7 @@ class Expr:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _ONE and other.den == _ONE:
-            return Expr(self.ctx, K.poly_mul(self.num, other.num))
-        return Expr(self.ctx, K.poly_mul(self.num, other.num),
-                    K.poly_mul(self.den, other.den))
+        return Expr(self.ctx, K.poly_mul(self.num, other.num))
 
     __rmul__ = __mul__
 
@@ -230,10 +213,7 @@ class Expr:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise DivisionByZeroError("division by the zero expression")
-        return Expr(self.ctx, K.poly_mul(self.num, other.den),
-                    K.poly_mul(self.den, other.num))
+        return self * other._inverse()
 
     def __rtruediv__(self, other):
         return Expr.const(self.ctx, other) / self
@@ -242,23 +222,58 @@ class Expr:
         if not isinstance(k, int):
             raise TypeError("only integer powers are supported")
         if k >= 0:
-            return Expr(self.ctx, K.poly_pow(self.num, k), K.poly_pow(self.den, k))
-        if self.is_zero():
-            raise DivisionByZeroError("zero raised to a negative power")
-        return Expr(self.ctx, K.poly_pow(self.den, -k), K.poly_pow(self.num, -k))
+            return Expr(self.ctx, K.poly_pow(self.num, k))
+        return self._inverse() ** -k
 
     @staticmethod
     def sum(ctx, terms) -> "Expr":
-        """Fold a sum; fast path for plain polynomial summands."""
+        """Fold a sum of expressions into one polynomial."""
         acc = {}
-        pending = None
         for t in terms:
-            if t.den == _ONE:
-                acc = K.poly_add(acc, t.num)
-            else:
-                pending = t if pending is None else pending + t
-        out = Expr(ctx, acc)
-        return out if pending is None else out + pending
+            acc = K.poly_add(acc, t.num)
+        return Expr(ctx, acc)
+
+    # -- reciprocal atoms ----------------------------------------------------
+
+    def _split(self):
+        """``(P, Q)``, free of reciprocal atoms, with self = P/Q: Q is each
+        reciprocal's argument to its highest exponent in self (1 if none)."""
+        recips = self.ctx._recip_ids
+        top = {}
+        for mono in self.num:
+            for aid, e in mono:
+                if aid in recips and e > top.get(aid, 0):
+                    top[aid] = e
+        if not top:
+            return self.num, _ONE
+        groups = {}  # reciprocal part of a monomial -> polynomial of the rest
+        for mono, c in self.num.items():
+            key = tuple((a, e) for a, e in mono if a in top)
+            groups.setdefault(key, {})[tuple((a, e) for a, e in mono if a not in top)] = c
+        P, Q = {}, _ONE
+        for key, part in groups.items():
+            exps = dict(key)
+            for aid, e in top.items():
+                if e > exps.get(aid, 0):
+                    part = K.poly_mul(part, K.poly_pow(self.ctx.atom(aid).arg.num,
+                                                       e - exps.get(aid, 0)))
+            P = K.poly_add(P, part)
+        for aid, e in top.items():
+            Q = K.poly_mul(Q, K.poly_pow(self.ctx.atom(aid).arg.num, e))
+        return P, Q
+
+    def _inverse(self) -> "Expr":
+        """1/self = Q/P as Q/c times the reciprocal atom of P/c, where c is
+        the leading coefficient of P (a constant P needs no atom)."""
+        P, Q = self._split()
+        if not P:
+            raise DivisionByZeroError("division by the zero expression")
+        n, d = P[max(P)]
+        Q = K.poly_scale(Q, d, n)
+        if K.poly_is_const(P):
+            return Expr(self.ctx, Q)
+        arg = Expr(self.ctx, K.poly_scale(P, d, n))
+        return Expr(self.ctx, K.poly_mul(K.poly_atom(self.ctx.func_id(_RECIP, arg)), Q))
 
     # -- equality ------------------------------------------------------------
 
@@ -268,23 +283,19 @@ class Expr:
                 other = Expr.const(self.ctx, other)
             else:
                 return NotImplemented
-        return (self.ctx is other.ctx and self.num == other.num
-                and self.den == other.den)
+        return self.ctx is other.ctx and self.num == other.num
 
     __hash__ = None
 
     def equal_exact(self, other) -> bool:
-        """Exact equality of quotients via cross-multiplication.
+        """Exact equality: the difference is zero once reciprocal atoms
+        are cleared.
 
         Sound whenever both sides are defined; complete for rational
         functions of the coordinates (no trigonometric identities).
         """
         other = self._lift(other)
-        if self.den == _ONE and other.den == _ONE:
-            return self.num == other.num
-        cross = K.poly_sub(K.poly_mul(self.num, other.den),
-                           K.poly_mul(other.num, self.den))
-        return not cross
+        return self.num == other.num or (self - other).is_zero()
 
     def probably_equal(self, other) -> bool:
         """Sampled equality at 8 random rational points (probabilistic).
@@ -324,24 +335,18 @@ class Expr:
     # -- calculus ------------------------------------------------------------
 
     def partial(self, c: Coord) -> "Expr":
-        """Partial derivative treating every atom as independent."""
-        cid = self.ctx.coord_id(c)
-        dnum = self._poly_partial(self.num, cid)
-        if self.den == _ONE:
-            return dnum
-        dden = self._poly_partial(self.den, cid)
-        den_e = Expr(self.ctx, self.den)
-        return (dnum * den_e - Expr(self.ctx, self.num) * dden) / (den_e * den_e)
-
-    def _poly_partial(self, p: dict, cid: int) -> "Expr":
+        """Partial derivative treating every atom as independent; function
+        and reciprocal atoms contribute through the chain rule."""
         ctx = self.ctx
+        cid = ctx.coord_id(c)
+        p = self.num
         out = Expr(ctx, K.poly_diff(p, cid))
         for aid in sorted(K.poly_support(p)):
             if ctx.is_coord(aid) or cid not in ctx.func_coord_support(aid):
                 continue
             fa = ctx.atom(aid)
             chain = Expr(ctx, K.poly_diff(p, aid)) * _func_derivative(ctx, aid, fa)
-            out = out + chain * fa.arg.partial(ctx.atom(cid))
+            out = out + chain * fa.arg.partial(c)
         return out
 
     def total_derivative(self, i: int) -> "Expr":
@@ -413,16 +418,8 @@ class Expr:
             idmap[ctx.coord_id(c)] = e
         if not (self.coord_support_ids() & idmap.keys()):
             return self
-        num = self._poly_subs(self.num, idmap)
-        if self.den == _ONE:
-            return num
-        den = self._poly_subs(self.den, idmap)
-        return num / den
-
-    def _poly_subs(self, p: dict, idmap: dict) -> "Expr":
-        ctx = self.ctx
         terms = []
-        for mono, coeff in p.items():
+        for mono, coeff in self.num.items():
             term = Expr(ctx, K.poly_const(*coeff))
             for aid, exp in mono:
                 if aid in idmap:
@@ -458,19 +455,18 @@ class Expr:
     # -- canonical text --------------------------------------------------------
 
     def sort_signature(self):
-        def poly_sig(p):
-            items = []
-            for mono, coeff in p.items():
-                tm = tuple(sorted((self.ctx.atom_sort_key(a), e) for a, e in mono))
-                items.append((tm, coeff))
-            return tuple(sorted(items))
-        return (poly_sig(self.num), poly_sig(self.den))
+        items = []
+        for mono, coeff in self.num.items():
+            tm = tuple(sorted((self.ctx.atom_sort_key(a), e) for a, e in mono))
+            items.append((tm, coeff))
+        return tuple(sorted(items))
 
-    def _poly_text(self, p: dict) -> str:
-        if not p:
+    def __str__(self):
+        """Canonical text; the reciprocal atom of D to the power k is (D)^-k."""
+        if not self.num:
             return "0"
         rendered = []
-        for mono, coeff in p.items():
+        for mono, coeff in self.num.items():
             tm = tuple(sorted((self.ctx.atom_sort_key(a), e, a) for a, e in mono))
             deg = sum(e for a, e in mono)
             rendered.append((-deg, tm, coeff, mono))
@@ -480,8 +476,10 @@ class Expr:
             factors = []
             for _, exp, aid in tm:
                 a = self.ctx.atom(aid)
-                t = a.text() if isinstance(a, Coord) else f"{a.name}({a.arg})"
-                factors.append(t if exp == 1 else f"{t}^{exp}")
+                if isinstance(a, FuncAtom) and a.name == _RECIP:
+                    factors.append(f"({a.arg})^-{exp}")
+                else:
+                    factors.append(a.text() if exp == 1 else f"{a.text()}^{exp}")
             mag = abs(cn)
             body = "*".join(factors)
             if not factors:
@@ -496,17 +494,14 @@ class Expr:
             text += f" {sign} {body}"
         return text
 
-    def __str__(self):
-        if self.den == _ONE:
-            return self._poly_text(self.num)
-        return f"({self._poly_text(self.num)})/({self._poly_text(self.den)})"
-
     def __repr__(self):
         return f"Expr({self})"
 
 
 def _func_derivative(ctx, aid: int, fa: FuncAtom) -> Expr:
     """Derivative of the atom with respect to its argument."""
+    if fa.name == _RECIP:
+        return Expr(ctx, K.poly_neg(K.poly_atom(aid, 2)))
     if fa.name == "sin":
         return Expr.func(ctx, "cos", fa.arg)
     if fa.name == "cos":

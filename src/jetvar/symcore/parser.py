@@ -14,8 +14,9 @@ Grammar (whitespace insignificant, indices positive decimal integers)::
                 | 'P(' s ';' j (',' j)* ')'
 
 Rationals are written with the division operator (``1/2``); decimal
-literals are converted to exact fractions. Jet indices may be written in
-any order and are sorted into the canonical representative.
+literals are converted to exact fractions. ``a/b^k`` is read as ``a*b^-k``,
+so ``N/(D)^k`` holds one reciprocal atom of ``D``. Jet indices may be
+written in any order and are sorted into the canonical representative.
 """
 
 from __future__ import annotations
@@ -115,26 +116,23 @@ class _Parser:
     def term(self) -> Expr:
         e = self.factor()
         while self.peek().kind in "*/":
-            if self.next().kind == "*":
-                e = e * self.factor()
-            else:
-                e = e / self.factor()
+            e = e * self.factor(1 if self.next().kind == "*" else -1)
         return e
 
-    def factor(self) -> Expr:
+    def factor(self, sign: int = 1) -> Expr:
+        """A factor raised to ``sign`` times its exponent."""
         if self.peek().kind == "-":
             self.next()
-            return -self.factor()
+            return -self.factor(sign)
         e = self.primary()
+        k = 1
         if self.peek().kind == "^":
             self.next()
-            sign = 1
             if self.peek().kind == "-":
                 self.next()
-                sign = -1
-            t = self.expect("int")
-            e = e ** (sign * t.value)
-        return e
+                sign = -sign
+            k = self.expect("int").value
+        return e if sign * k == 1 else e ** (sign * k)
 
     def primary(self) -> Expr:
         t = self.next()

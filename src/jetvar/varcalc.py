@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import forms
 from . import multiindex as mi
@@ -49,6 +50,12 @@ class LagrangianProblem:
                 raise InputError(
                     f"Lagrangian of order {c.order} exceeds declared order {self.ctx.r}")
 
+    @cached_property
+    def _momenta(self) -> dict:
+        """The g = 0 recursion, run once per problem: momenta, Euler-Lagrange
+        expressions and the canonical equivalent all read it."""
+        return _recursion(self, GSpec())
+
 
 @dataclass
 class MomentaTable:
@@ -67,7 +74,7 @@ class MomentaTable:
 
 def momenta(prob: LagrangianProblem) -> MomentaTable:
     """Descending momentum recursion."""
-    return MomentaTable(prob, _recursion(prob, GSpec()))
+    return MomentaTable(prob, prob._momenta)
 
 
 def _recursion(prob: LagrangianProblem, g: GSpec) -> dict:
@@ -118,10 +125,10 @@ class GSpec:
     N(J) g^(s; i | J) = 0.
     """
 
-    entries: dict = field(default_factory=dict)  # (sigma, i, J) -> Expr
+    entries: dict = field(default_factory=dict)  # (sigma, i, canonical J) -> Expr
 
     def get(self, sigma, i, J, ctx) -> Expr:
-        e = self.entries.get((sigma, i, tuple(sorted(J))))
+        e = self.entries.get((sigma, i, J))
         return e if e is not None else Expr.const(ctx, 0)
 
     def validate(self, prob: LagrangianProblem) -> None:
@@ -202,7 +209,7 @@ class LepageanForm:
 def _coefficients(prob: LagrangianProblem, g: GSpec) -> dict:
     """f(s;i|J) = N(J) (P_g^{merge(J,i)} + g(s;i|J)), 0 <= |J| <= r-1."""
     ctx = prob.ctx
-    P = _recursion(prob, g)
+    P = _recursion(prob, g) if g.entries else prob._momenta
     f: dict = {}
     for k in range(ctx.r, 0, -1):
         for sigma in range(1, ctx.m + 1):

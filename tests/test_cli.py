@@ -260,9 +260,11 @@ def test_report_expressions_reparse():
 
 def test_out_file_and_text_format(tmp_path):
     out = tmp_path / "report.json"
+    out.write_text("x" * 100000)  # a longer old file is cut, not left behind
     code, _, _ = run_cli("derive", HO, "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["exit_code"] == 0
+    assert run_cli("derive", HO, "--out", os.devnull)[0] == 0
     proc = run_jetvar("derive", HO, "--format", "text")
     assert proc.returncode == 0
     assert "momenta" in proc.stdout
@@ -275,6 +277,43 @@ def test_derive_with_free_coefficient_table():
     assert "coefficient_corrections" in data["results"]
     assert data["results"]["coefficient_corrections"]["q(1;1|2)"] == "y(1)"
     assert data["results"]["coefficient_corrections"]["q(1;2|1)"] == "-y(1)"
+
+
+G_R3 = ("[problem]\nn = 2\nm = 1\nr = 3\n\n"
+        "[lagrangian]\nL = \"1/2*(y(1;1,1,1)^2 + y(1;2,2,2)^2)\"\n\n[g]\n")
+
+
+def test_g_keys_accept_any_index_order(tmp_path):
+    f = tmp_path / "g.prob"
+    reports = []
+    for key in ("g(1;1|2,1)", "g(1;1|1,2)"):
+        # admissible: N(1,2) g(1;1|1,2) + N(1,1) g(1;2|1,1) = 0
+        f.write_text(G_R3 + f"{key} = \"y(1)\"\ng(1;2|1,1) = \"-2*y(1)\"\n")
+        data, code = run(build_parser().parse_args(["derive", str(f)]))
+        assert code == 0
+        assert data["results"]["coefficient_corrections"]
+        reports.append(strip_timing(data))
+    assert reports[0] == reports[1]
+    f.write_text(G_R3 + "g(1;1|2,1) = \"y(1)\"\ng(1;1|1,2) = \"y(1)\"\n")
+    data, code = run(build_parser().parse_args(["derive", str(f)]))
+    assert code == 1 and "duplicate [g] entry" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("command,text", [
+    ("derive", "[problem]\nn = 2\nm = 1\nr = 2\n\n[lagrangian]\n"
+               "L = \"(y(1;1,1)+y(1;2,2))^2/(1+y(1;1)^2+y(1;2)^2)\"\n"),
+    ("first-variation", "[problem]\nn = 1\nm = 1\nr = 1\n\n[lagrangian]\n"
+                        "L = \"y(1;1)^2/(1+y(1)^2) + exp(x(1))*y(1)\"\n\n"
+                        "[gamma]\ny(1) = \"cos(x(1))/(2+x(1))\"\n\n"
+                        "[variation]\ny(1) = \"1 + x(1)^2\"\n\n"
+                        "[domain]\nlower = 0\nupper = 2\nresolution = 301\n"),
+], ids=["derive-n2", "first-variation"])
+def test_quotient_problems_finish_with_checks_passing(tmp_path, command, text):
+    f = tmp_path / "quotient.prob"
+    f.write_text(text)
+    data, code = run(build_parser().parse_args([command, str(f)]))
+    assert code == 0
+    assert data["checks"] and all(c["pass"] for c in data["checks"].values())
 
 
 def test_regularity_reports_indefinite_hessian():

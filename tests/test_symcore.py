@@ -67,8 +67,10 @@ def test_roundtrip_canonical_text(ctx):
     for _ in range(25):
         e = random_polynomial(ctx, rng, atoms)
         assert parse_expr(str(e), ctx) == e
-    q = parse_expr("(y(1)+1)/(y(1;1)-2)", ctx)
-    assert parse_expr(str(q), ctx).equal_exact(q)
+    for text in ("(y(1)+1)/(y(1;1)-2)", "sin(y(1)/(1+y(1)^2))/(3+x(1))^2",
+                 "sqrt(1+y(1;1)^2)^-5", "1/(2*y(1)+4)"):
+        q = parse_expr(text, ctx)
+        assert parse_expr(str(q), ctx) == q
     t = parse_expr("sin(y(1))^2*cos(x(1)) - sqrt(y(1;1))", ctx)
     assert parse_expr(str(t), ctx) == t
 
@@ -197,9 +199,10 @@ def test_evaluator_set_shares_atoms_and_checks_inputs(ctx):
 
 
 def _reference_eval(e: Expr, point: dict) -> float:
-    """Point-by-point walk of num then den, as evaluation worked before it
+    """Point-by-point walk of the polynomial, as evaluation worked before it
     was compiled: ``cn/cd`` times atom powers in monomial order, summed in
-    dict order from 0.0, atoms cached at their first visit."""
+    dict order from 0.0, atoms cached at their first visit; a reciprocal
+    atom is ``1.0 / arg``."""
     ctx = e.ctx
     vals = {ctx.coord_id(c): float(v) for c, v in point.items()}
     cache = {}
@@ -223,11 +226,11 @@ def _reference_eval(e: Expr, point: dict) -> float:
             v = vals[aid]
         else:
             x = poly(a.arg.num)
-            xd = poly(a.arg.den)
-            if xd == 0:
-                raise DivisionByZeroError("denominator evaluated to zero")
-            x = x / xd
-            if a.name == "ln":
+            if a.name == "recip":
+                if x == 0:
+                    raise DivisionByZeroError("denominator evaluated to zero")
+                v = 1.0 / x
+            elif a.name == "ln":
                 if x <= 0:
                     raise DomainError(f"ln of non-positive value {x}")
                 v = math.log(x)
@@ -240,11 +243,7 @@ def _reference_eval(e: Expr, point: dict) -> float:
         cache[aid] = v
         return v
 
-    num = poly(e.num)
-    den = poly(e.den)
-    if den == 0:
-        raise DivisionByZeroError("denominator evaluated to zero")
-    return num / den
+    return poly(e.num)
 
 
 _EVAL_COORDS = (base(1), base(2), jet(1))
@@ -382,6 +381,13 @@ def test_quotient_equality_cross_multiplication(ctx):
     # both reduce to y+1 off the poles, but with different stored factors
     assert a.equal_exact(b)
     assert not a == b  # stored representations differ (no cancellation)
+
+
+def test_zero_test_is_exact_across_reciprocal_atoms(ctx):
+    e = parse_expr("1/(1+y(1)) + 1/(1-y(1)) - 2/(1-y(1)^2)", ctx)
+    assert len(e.num) == 3  # three different reciprocal atoms, not cancelled
+    assert e.is_zero()
+    assert not (e + parse_expr("1/(1+y(1))", ctx)).is_zero()
 
 
 def test_probable_equality_for_transcendental(ctx):

@@ -72,6 +72,22 @@ def test_el_equals_alternating_sum_oracle(corpus):
             assert got[s] == want[s]
 
 
+def test_rational_density_el_stays_reduced():
+    # each derivative raises the power of one reciprocal atom of 1 + y'^2
+    prob = problem("y(1;1,1)^2/(1+y(1;1)^2)^2", r=2)
+    ctx = prob.ctx
+    el = V.euler_lagrange(prob)[1]
+    assert len(el.num) == 4
+    recips = {a for mono in el.num for a, _ in mono if not ctx.is_coord(a)}
+    assert [str(ctx.atom(a).arg) for a in recips] == ["y(1;1)^2 + 1"]
+    reduced = parse_expr(
+        "(20*y(1;1)^2*y(1;1,1)^3 - 16*y(1;1)*y(1;1,1)*y(1;1,1,1)"
+        " - 16*y(1;1)^3*y(1;1,1)*y(1;1,1,1) - 4*y(1;1,1)^3 + 2*y(1;1,1,1,1)"
+        " + 4*y(1;1)^2*y(1;1,1,1,1) + 2*y(1;1)^4*y(1;1,1,1,1))/(1+y(1;1)^2)^4", ctx)
+    assert el.equal_exact(reduced)
+    assert el.equal_exact(alternating_sum_euler_lagrange(prob)[1])
+
+
 def test_misplaced_recursion_weight_breaks_el():
     # dividing the formal-derivative term by N(K) as well gives a different,
     # wrong Euler-Lagrange expression once repeated-index momenta matter
