@@ -457,10 +457,10 @@ def cmd_verify_extremal(pf: ProblemFile, args) -> Report:
     rep = Report("verify-extremal", pf)
     gamma = pf.gamma()
     dom = pf.domain(args.resolution)
-    residual = FL.extremal_residual_via_field(pf.problem, gamma, dom, resolution=25)
+    residual = FL.extremal_residual_via_field(pf.problem, gamma, pf.domain(25))
     tol = pf.tolerances["extremal_residual"]
     rep.result("euler_lagrange_residual", residual)
-    rep.result("action", V.action_value(pf.problem, gamma, dom))
+    rep.result("action", N.action_value(pf.problem, gamma, dom))
     rep.check("extremal", residual <= tol, {"max": residual, "tolerance": tol})
     return rep
 
@@ -476,7 +476,7 @@ def cmd_first_variation(pf: ProblemFile, args) -> Report:
             raise InputError("[variation] keys must be y(s) entries")
         xi[c.sigma] = parse_expr(_unquote(val), pf.ctx)
     lep = V.poincare_cartan(pf.problem)
-    fv = V.first_variation_check(pf.problem, lep, xi, gamma,
+    fv = N.first_variation_check(pf.problem, lep, xi, gamma,
                                  pf.domain(args.resolution), eps=args.eps)
     rep.result("lhs", fv.lhs)
     rep.result("interior", fv.interior)
@@ -584,8 +584,13 @@ def _error_report(args, code: int, exc: Exception) -> dict:
     }
 
 
+_PARSER = None  # built on the first call of main, then reused by in-process callers
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
+    args = _PARSER.parse_args(argv)
     data, code = run(args)
     text = (json.dumps(data, indent=2, sort_keys=True)
             if args.format == "json" else _render_text(data))

@@ -13,7 +13,7 @@ minimality; the certificates here sample it and say so explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -177,20 +177,18 @@ def weierstrass(prob: LagrangianProblem, lep: LepageanForm, w: SlopeField) -> We
 
 
 def hilbert_integral(w: SlopeField, lep: LepageanForm, gamma: Section,
-                     domain: IntegrationDomain,
-                     resolution: int | None = None) -> float:
+                     domain: IntegrationDomain) -> float:
     """Quadrature of the field-pulled equivalent along the prolonged section."""
     ctx = lep.ctx
     wr = pull_through(lep.realize(), w)
     pro = numerics.jet_prolong_section(gamma, max(ctx.r - 1, 0))
     density = forms.horizontal_density(
         forms.horizontalization(numerics.pullback_along(wr, pro)))
-    return numerics.quadrature(density, domain, resolution)
+    return numerics.quadrature(density, domain)
 
 
 def compatibility_residual(w: SlopeField, gamma: Section,
-                           domain: IntegrationDomain,
-                           resolution: int | None = None) -> float:
+                           domain: IntegrationDomain) -> float:
     """Max |w^s_A o j^{r-1}gamma - d_A gamma^s| over the grid, |A| = r."""
     ctx = w.ctx
     pro = numerics.jet_prolong_section(gamma, ctx.r)
@@ -199,8 +197,8 @@ def compatibility_residual(w: SlopeField, gamma: Section,
     for sigma in range(1, ctx.m + 1):
         for A in mi.tuples(ctx.n, ctx.r):
             pairs += [w.components[(sigma, A)].subs(sub), pro.component(sigma, A)]
-    _, grids = domain.mesh(resolution)
-    vals = Evaluator(pairs, numerics.base_coords(domain.dim)).grid(*grids)
+    _, grids = domain.mesh()
+    vals = numerics.grid(Evaluator(pairs, numerics.base_coords(domain.dim)), *grids)
     return numerics.max_abs(*(f - j for f, j in zip(vals[::2], vals[1::2])))
 
 
@@ -220,10 +218,6 @@ class CertificateReport:
     def add(self, name: str, passed: bool, detail: str) -> None:
         self.conditions.append(CertificateCondition(name, passed, detail))
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
 
 def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeField,
                         gamma0: Section, domain: IntegrationDomain,
@@ -239,7 +233,7 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     ctx = prob.ctx
     report = CertificateReport()
 
-    compat = compatibility_residual(w, gamma0, domain, resolution=5)
+    compat = compatibility_residual(w, gamma0, replace(domain, resolution=5))
     if compat > compat_tol:
         raise InputError(
             f"section incompatible with the field: residual {compat:.3e} > {compat_tol}")
@@ -282,10 +276,10 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     # Radii: 0.5 for the jets of order < r, 1.0 for the top jets.
     axes, grids = domain.mesh(offs.size + 2)
     xg = [g[..., None] for g in grids]
-    lower_vals = perturbed(lower_ev.grid(*grids), lower, 0.5)
-    top_vals = perturbed(top_ev.grid(*xg, *lower_vals), tops, 1.0)
-    vals = excess_ev.grid(*(g[..., None] for g in xg),
-                          *(v[..., None] for v in lower_vals), *top_vals)[0].ravel()
+    lower_vals = perturbed(numerics.grid(lower_ev, *grids), lower, 0.5)
+    top_vals = perturbed(numerics.grid(top_ev, *xg, *lower_vals), tops, 1.0)
+    vals = numerics.grid(excess_ev, *(g[..., None] for g in xg),
+                         *(v[..., None] for v in lower_vals), *top_vals)[0].ravel()
     min_excess = float("inf")
     argmin = None
     if (vals < np.inf).any():
@@ -308,8 +302,8 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     pd_ok = True
     pd_detail = []
     axes, grids = domain.mesh(3)
-    lower_vals = lower_ev.grid(*grids)
-    top_vals = top_ev.grid(*grids, *lower_vals)
+    lower_vals = numerics.grid(lower_ev, *grids)
+    top_vals = numerics.grid(top_ev, *grids, *lower_vals)
     for idx in np.ndindex(grids[0].shape):
         pt = {x: ax[i] for x, ax, i in zip(xs, axes, idx)}
         pt.update((c, float(v[idx])) for c, v in zip(lower + tops, lower_vals + top_vals))
@@ -322,13 +316,12 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
 
 
 def extremal_residual_via_field(prob: LagrangianProblem, gamma: Section,
-                                domain: IntegrationDomain,
-                                resolution: int | None = None) -> float:
+                                domain: IntegrationDomain) -> float:
     """Max Euler-Lagrange residual of a section at sampled base points."""
     ctx = prob.ctx
     el = euler_lagrange(prob)
     sub = numerics.jet_prolong_section(gamma, 2 * ctx.r).subs_map()
     closed = [e.subs(sub) for e in el.values()]
-    _, grids = domain.mesh(resolution)
+    _, grids = domain.mesh()
     return numerics.max_abs(
-        *Evaluator(closed, numerics.base_coords(domain.dim)).grid(*grids))
+        *numerics.grid(Evaluator(closed, numerics.base_coords(domain.dim)), *grids))

@@ -102,8 +102,8 @@ class DiffForm:
             coeff = -coeff
         prev = self.terms.get(sorted_covs)
         total = coeff if prev is None else prev + coeff
-        if total.is_zero():
-            self.terms.pop(sorted_covs, None)
+        if prev is not None and total.is_zero():  # coeff itself was tested above
+            del self.terms[sorted_covs]
         else:
             self.terms[sorted_covs] = total
 

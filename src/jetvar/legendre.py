@@ -290,8 +290,7 @@ def _canonical_equations(ctx: ChartContext, H: Expr) -> dict:
 
 
 def hdd_residual(data: LegendreChartData, components: dict,
-                 domain: IntegrationDomain,
-                 resolution: int | None = None) -> ResidualSummary:
+                 domain: IntegrationDomain) -> ResidualSummary:
     """Max residual of each canonical equation along closed-form components.
 
     ``components`` maps every chart fiber coordinate (jets of order < r and
@@ -306,7 +305,7 @@ def hdd_residual(data: LegendreChartData, components: dict,
                     raise InputError(f"missing component for {comp.text()}")
                 res = res + components[comp].partial(base(i)) * coeff
             exprs[f"{group}:{eq.label}"] = res
-    return numerics.residual_grid(exprs, {}, domain, resolution)
+    return numerics.residual_grid(exprs, {}, domain)
 
 
 # -- canonical-equation integration (n = 1) --------------------------------------
@@ -341,7 +340,8 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
     recovered per stage by a Newton solve on the top momentum relations).
     Trajectories carry the state columns plus the reconstructed jets of
     order r .. 2r-1. Both right-hand sides take the positional state
-    (x, ys, ps) through evaluators compiled once.
+    (x, ys, ps) as Python floats through evaluators compiled once; arrays
+    are built only for the finished columns.
     """
     if isinstance(source, LegendreChartData):
         prob = source.prob
@@ -370,37 +370,33 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
 
     if chart is not None:
         inputs = [base(1)] + state_coords
-        rhs = Evaluator(_symbolic_rhs(ctx, chart), inputs)
+        f = Evaluator(_symbolic_rhs(ctx, chart), inputs)
         recover = Evaluator([chart.inverse[(c.sigma, c.J)] for c in _top_coords(ctx)],
                             inputs)
-
-        def f(x, state):
-            return np.array(rhs(x, *state.tolist()))
     else:
         solver = _NewtonRecovery(prob, momenta(prob))
         f = solver.rhs
         recover = solver.recover
 
-    xs = [x0]
-    states = [np.array([float(init[c]) for c in state_coords])]
-    x = x0
-    state = states[0]
+    # Equal steps, never above the requested one: the derivative checks
+    # need a uniform grid for their five-point stencil.
     nsteps = max(1, int(math.ceil((x1 - x0) / step - 1e-12)))
+    xs = [x0]
+    states = [[float(init[c]) for c in state_coords]]
+    x = x0
     for _ in range(nsteps):
-        h = min(step, x1 - x)
-        state = numerics.rk4_step(f, x, state, h)
+        h = min((x1 - x0) / nsteps, x1 - x)
+        states.append(numerics.rk4_step(f, x, states[-1], h))
         x += h
         xs.append(x)
-        states.append(state)
         if x >= x1 - 1e-15:
             break
 
-    xs = np.array(xs)
+    top = np.array([recover(xv, *row) for xv, row in zip(xs, states)])
     arr = np.array(states)
-    top = np.array([recover(xv, *row) for xv, row in zip(xs.tolist(), arr.tolist())])
     columns = {c: arr[:, i] for i, c in enumerate(state_coords)}
     columns.update((c, top[:, i]) for i, c in enumerate(_top_coords(ctx)))
-    return Trajectory(xs, columns)
+    return Trajectory(np.array(xs), columns)
 
 
 def _symbolic_rhs(ctx: ChartContext, chart: LegendreChartData):
@@ -452,15 +448,16 @@ class _NewtonRecovery:
         # per (s, k): the state jet of order k+1, or None for an order-r jet
         self.y_next = [ys.index(jet(s, (1,) * (k + 1))) if k + 1 < r else None
                        for s in range(1, m + 1) for k in range(r)]
-        self.guess = [np.zeros(m) for _ in range(r)]
+        self.guess = [[0.0] * m for _ in range(r)]
 
-    def _solve_layer(self, k: int, known: list, state) -> np.ndarray:
+    def _solve_layer(self, k: int, known: list, state) -> list:
         layer, rel, jac, targets = self.layers[k]
-        target = np.array([state[i] for i in targets])
+        target = [state[i] for i in targets]
         last_error = None
         for restart in (0.0, 1.0, -1.0, 0.5, -0.5):
+            start = [g + restart for g in self.guess[k]]
             try:
-                x = self._newton(self.guess[k] + restart, rel, jac, known, target, layer)
+                x = self._newton(start, rel, jac, known, target, layer)
             except NewtonError as exc:
                 last_error = exc
                 continue
@@ -471,16 +468,16 @@ class _NewtonRecovery:
     def _newton(self, x, rel, jac, known, target, layer):
         m = self.m
         for _ in range(_NEWTON_MAX):
-            args = known + x.tolist()
-            F = np.array(rel(*args)) - target
-            if all(abs(v) <= _NEWTON_TOL for v in F.tolist()):  # False on NaN, like np.max
+            args = known + x
+            F = [v - t for v, t in zip(rel(*args), target)]
+            if all(abs(v) <= _NEWTON_TOL for v in F):  # False on NaN
                 return x
             J = np.array(jac(*args)).reshape(m, m)
             try:
                 dx = np.linalg.solve(J, F)
             except np.linalg.LinAlgError as exc:
                 raise NewtonError(f"singular Jacobian at layer {layer}") from exc
-            x = x - dx
+            x = [a - b for a, b in zip(x, dx.tolist())]
         raise NewtonError(
             f"no convergence after {_NEWTON_MAX} iterations at layer {layer}")
 
@@ -491,17 +488,17 @@ class _NewtonRecovery:
         for k in range(len(self.layers)):
             u = self._solve_layer(k, known, state)
             solved.append(u)
-            known = known + u.tolist()
+            known = known + u
         return [u[s] for s in range(self.m) for u in solved]
 
-    def rhs(self, x: float, state: np.ndarray) -> np.ndarray:
-        ys = state[:self.n_ys].tolist()
+    def rhs(self, x: float, *state) -> list:
+        ys = state[:self.n_ys]
         u = self._solve_layer(0, [x, *ys], state)  # the order-r jets
         r = len(self.layers)
         out = [u[n // r] if i is None else state[i] for n, i in enumerate(self.y_next)]
-        dL = self.dL(x, *ys, *u.tolist())
+        dL = self.dL(x, *ys, *u)
         out += [v - (0.0 if i is None else state[i]) for v, i in zip(dL, self.p_prev)]
-        return np.array(out)
+        return out
 
 
 # -- a-posteriori trajectory checks ----------------------------------------------
@@ -554,11 +551,6 @@ def interior_max(col: np.ndarray, interior: slice) -> float:
     return float(np.max(col[interior])) if len(col) else 0.0
 
 
-def holonomy_residual(traj: Trajectory, prob: LagrangianProblem) -> float:
-    """Max |d/dx of a jet column minus the next column| on the interior."""
-    return interior_max(*holonomy_residual_column(traj, prob))
-
-
 def euler_lagrange_residual_column(traj: Trajectory, prob: LagrangianProblem):
     """Pointwise |dL/dy o trajectory - d/dx of the first momentum column|."""
     ctx = prob.ctx
@@ -566,13 +558,9 @@ def euler_lagrange_residual_column(traj: Trajectory, prob: LagrangianProblem):
     col = np.zeros_like(xs)
     interior = slice(1, -1)
     dLdy = [prob.L.partial(jet(s, ())) for s in range(1, ctx.m + 1)]
-    vals = Evaluator(dLdy, [base(1), *traj.columns]).grid(xs, *traj.columns.values())
+    ev = Evaluator(dLdy, [base(1), *traj.columns])
+    vals = numerics.grid(ev, xs, *traj.columns.values())
     for s, v in zip(range(1, ctx.m + 1), vals):
         d, interior = _grid_derivative(xs, traj.columns[mom(s, (1,))])
         col = np.maximum(col, np.abs(v - d))
     return col, interior
-
-
-def euler_lagrange_residual_along(traj: Trajectory, prob: LagrangianProblem) -> float:
-    """Max |dL/dy o trajectory - d/dx of the first momentum column|."""
-    return interior_max(*euler_lagrange_residual_column(traj, prob))

@@ -1,16 +1,26 @@
-"""Shared numeric services: section prolongation, grids, quadrature, RK4."""
+"""Numeric services: sections, grids, quadrature, residual maxima, RK4.
+
+This is where arrays live. :func:`grid` runs an evaluator's generated code
+on numpy arrays; quadrature, residual grids and the variational checks built
+on them (action, first variation, the canonical-table residual) evaluate
+whole grids at once. RK4 steps work on sequences of Python floats, because
+the states are a few numbers and a step evaluates them one point at a time.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, MissingCoordinateError
-from .symcore import ChartContext, Evaluator, Expr, base, jet
+from .errors import EvaluationError, InputError, MissingCoordinateError
+from .symcore import ChartContext, Evaluator, Expr, base, jet, vel
 from . import forms
 from . import multiindex as mi
+from .varcalc import (HamiltonFormTable, LagrangianProblem, LepageanForm,
+                      prolong_vector_field)
 
 
 @dataclass(frozen=True)
@@ -117,21 +127,71 @@ def base_coords(n: int) -> list:
     return [base(i + 1) for i in range(n)]
 
 
-def quadrature(integrand: Expr, domain: IntegrationDomain,
-               resolution: int | None = None) -> float:
+class _GridOps:
+    """Array namespace of the generated code: checks record a mask."""
+
+    sin = np.sin
+    cos = np.cos
+    exp = np.exp
+    log = np.log
+    sqrt = np.sqrt
+
+    def __init__(self):
+        self.flags = []
+
+    def recip_arg(self, v):
+        self.flags.append(v == 0)
+
+    def ln_arg(self, v):
+        self.flags.append(v <= 0)
+
+    def sqrt_arg(self, v):
+        self.flags.append(v < 0)
+
+
+def grid(ev: Evaluator, *arrays) -> list:
+    """Values of all of ``ev``'s expressions on broadcast arrays, one array each.
+
+    A grid with a failing point re-runs the float path at the first flagged
+    point in row-major order, so the exception type and message are those
+    of a point-by-point loop.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+    shape = arrays[0].shape if arrays else ()
+    ops = _GridOps()
+    with np.errstate(all="ignore"):
+        out = [v if isinstance(v, np.ndarray) and v.shape == shape
+               else np.full(shape, v, dtype=float)
+               for v in ev.fn(ops, *arrays)]
+    bad = np.zeros(shape, dtype=bool)
+    for flag in ops.flags:
+        bad |= flag
+    finite_in = np.ones(shape, dtype=bool)
+    for a in arrays:
+        finite_in &= np.isfinite(a)
+    for v in out:
+        bad |= finite_in & ~np.isfinite(v)
+    if bad.any():
+        idx = int(np.flatnonzero(bad)[0])
+        point = [float(a.flat[idx]) for a in arrays]
+        ev(*point)  # raises the error of a point-by-point loop
+        raise EvaluationError(f"evaluation failed at {point}")
+    return out
+
+
+def quadrature(integrand: Expr, domain: IntegrationDomain) -> float:
     """Tensor-product trapezoid rule over the box."""
     for c in integrand.coords():
         if c.kind != "x":
             raise InputError(f"integrand must be a base function, found {c.text()}")
-    axes, grids = domain.mesh(resolution)
-    vals = Evaluator([integrand], base_coords(domain.dim)).grid(*grids)[0]
+    axes, grids = domain.mesh()
+    vals = grid(Evaluator([integrand], base_coords(domain.dim)), *grids)[0]
     for axis, ax in enumerate(axes):
         vals = np.trapezoid(vals, ax, axis=0)
     return float(vals)
 
 
-def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain,
-                        resolution: int | None = None) -> float:
+def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> float:
     """Integral over the oriented boundary of the box (n <= 2).
 
     For n = 1 the form is a 0-form and the integral is the endpoint
@@ -149,10 +209,10 @@ def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain,
     f1 = Evaluator([form.coefficient((forms.d_(base(1)),))], [base(1), base(2)])
     f2 = Evaluator([form.coefficient((forms.d_(base(2)),))], [base(1), base(2)])
     (a1, a2), (b1, b2) = domain.lower, domain.upper
-    xs, ys = domain.axes(resolution)
+    xs, ys = domain.axes()
 
     def line(f, x1, x2, ts):
-        return float(np.trapezoid(f.grid(x1, x2)[0], ts))
+        return float(np.trapezoid(grid(f, x1, x2)[0], ts))
 
     total = line(f1, xs, a2, xs)       # bottom, +x1
     total += line(f2, b1, ys, ys)      # right, +x2
@@ -176,8 +236,7 @@ class ResidualSummary:
                 for k, (v, p) in self.entries.items()}
 
 
-def residual_grid(exprs: dict, binding: dict, domain: IntegrationDomain,
-                  resolution: int | None = None) -> ResidualSummary:
+def residual_grid(exprs: dict, binding: dict, domain: IntegrationDomain) -> ResidualSummary:
     """Close the expressions over base functions and take grid maxima.
 
     ``binding`` maps every non-base coordinate of the expressions to an
@@ -191,9 +250,9 @@ def residual_grid(exprs: dict, binding: dict, domain: IntegrationDomain,
                 raise MissingCoordinateError(
                     f"binding does not close coordinate {c.text()}")
         closed[name] = ce
-    axes, grids = domain.mesh(resolution)
+    axes, grids = domain.mesh()
     names = list(closed)
-    values = Evaluator(closed.values(), base_coords(domain.dim)).grid(*grids)
+    values = grid(Evaluator(closed.values(), base_coords(domain.dim)), *grids)
     summary = ResidualSummary()
     for name, v in zip(names, values):
         idx = _first_max_index(np.abs(v).ravel())
@@ -218,10 +277,103 @@ def max_abs(*values) -> float:
                       for v in values), default=0.0))
 
 
-def rk4_step(f, x: float, state: np.ndarray, h: float) -> np.ndarray:
-    """One classical fourth-order step of state' = f(x, state)."""
-    k1 = f(x, state)
-    k2 = f(x + h / 2, state + (h / 2) * k1)
-    k3 = f(x + h / 2, state + (h / 2) * k2)
-    k4 = f(x + h, state + h * k3)
-    return state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+def rk4_step(f, x: float, state, h: float) -> list:
+    """One classical fourth-order step of state' = f(x, *state) on floats."""
+    k1 = f(x, *state)
+    k2 = f(x + h / 2, *[s + (h / 2) * k for s, k in zip(state, k1)])
+    k3 = f(x + h / 2, *[s + (h / 2) * k for s, k in zip(state, k2)])
+    k4 = f(x + h, *[s + h * k for s, k in zip(state, k3)])
+    return [s + (h / 6) * (a + 2 * b + 2 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+
+
+# -- variational checks on grids ---------------------------------------------------
+
+def section_prolongation_binding(delta: Section) -> dict:
+    """Coordinate binding for evaluation along the prolongation of a section.
+
+    Jet coordinates bind to the section components, velocity coordinates to
+    their base-direction partials.
+    """
+    ctx = delta.ctx
+    binding = {}
+    for (sigma, J), comp in delta.components.items():
+        binding[jet(sigma, J)] = comp
+        for p in range(1, ctx.n + 1):
+            binding[vel(sigma, J, p)] = comp.partial(base(p))
+    return binding
+
+
+def hamilton_extremal_residual(table: HamiltonFormTable, delta: Section,
+                               domain: IntegrationDomain) -> ResidualSummary:
+    """Max |entry| along the prolonged section over sample points."""
+    binding = section_prolongation_binding(delta)
+    exprs = {key: e for key, e in table.entries.items()}
+    return residual_grid(exprs, binding, domain)
+
+
+def action_value(prob: LagrangianProblem, gamma: Section,
+                 domain: IntegrationDomain) -> float:
+    """Quadrature of the Lagrangian density along the prolonged section."""
+    pro = jet_prolong_section(gamma, prob.ctx.r)
+    integrand = prob.L.subs(pro.subs_map())
+    return quadrature(integrand, domain)
+
+
+@dataclass
+class FirstVariation:
+    """Both sides of the first variation identity."""
+
+    lhs: float
+    interior: float
+    boundary: float
+
+    @property
+    def rhs(self) -> float:
+        return self.interior + self.boundary
+
+
+def first_variation_check(prob: LagrangianProblem, lep: LepageanForm, xi: dict,
+                          gamma: Section, domain: IntegrationDomain,
+                          eps: float = 1e-5) -> FirstVariation:
+    """Compare the variation of the action with interior + boundary terms.
+
+    The left side is a central finite difference in the variation parameter
+    along the straight path gamma + t (xi o gamma); only the generator
+    enters a first variation, so the straight path gives the same derivative
+    as any flow with that generator. The right side contracts the exterior
+    derivative of the equivalent (interior term) and the equivalent itself
+    (boundary term) with the prolonged field along the prolonged section.
+    """
+    ctx = prob.ctx
+    ctx.ensure_max_order(2 * ctx.r)
+    order = 2 * ctx.r - 1
+    gamma_sub = gamma.subs_map()
+    direction = {}
+    for sigma, e in xi.items():
+        if not isinstance(e, Expr):
+            e = Expr.const(ctx, e)
+        direction[sigma] = e.subs(gamma_sub)
+
+    def flowed(t: float) -> Section:
+        frac = Fraction(t).limit_denominator(10 ** 12)
+        return Section(ctx, {
+            (sigma, ()): gamma.component(sigma, ()) + direction[sigma] * frac
+            for sigma in direction
+        })
+
+    lhs = (action_value(prob, flowed(eps), domain)
+           - action_value(prob, flowed(-eps), domain)) / (2 * eps)
+
+    rho = lep.realize()
+    xi_pro = prolong_vector_field(ctx, xi, order)
+    vec = {jet(sigma, J): e for (sigma, J), e in xi_pro.items()}
+    gamma_pro = jet_prolong_section(gamma, order)
+
+    inner = forms.interior_product(vec, forms.ext_d(rho))
+    inner_density = forms.horizontal_density(pullback_along(inner, gamma_pro))
+    interior = quadrature(inner_density, domain)
+
+    boundary_form = pullback_along(forms.interior_product(vec, rho), gamma_pro)
+    boundary = boundary_quadrature(boundary_form, domain)
+    return FirstVariation(lhs, interior, boundary)

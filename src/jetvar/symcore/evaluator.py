@@ -1,4 +1,4 @@
-"""Compiled numeric evaluation of expression sets.
+"""Compiled numeric evaluation of expression sets on floats.
 
 An :class:`Evaluator` turns a list of expressions and an ordered list of
 input coordinates into one generated Python function. The function walks a
@@ -10,18 +10,16 @@ monomial is ``cn/cd`` times its atom powers in monomial order, and each
 polynomial is ``0.0`` plus its monomials in dict order, so results on floats
 are bit-identical to that walk.
 
-The same generated function runs on Python floats (``__call__``, ``math``
-functions, checks that raise at once) and on numpy arrays (:meth:`grid`,
-numpy functions, checks that record a mask). A grid with a failing point
-re-runs the float path at the first flagged point in row-major order, so
-the exception type and message are those of a point-by-point loop.
+The generated function :attr:`Evaluator.fn` takes its math namespace as
+first argument. Calling the evaluator runs it on Python floats with the
+``math`` functions and checks that raise at once; the array path over the
+same function lives in :func:`jetvar.numerics.grid`, so this module needs
+no numeric library.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from ..errors import (DivisionByZeroError, DomainError, EvaluationError,
                       MissingCoordinateError)
@@ -43,7 +41,6 @@ class _FloatOps:
     exp = math.exp
     log = math.log
     sqrt = math.sqrt
-    missing = staticmethod(_missing)
 
     @staticmethod
     def recip_arg(v):
@@ -61,29 +58,6 @@ class _FloatOps:
             raise DomainError(f"sqrt of negative value {v}")
 
 
-class _GridOps:
-    """Array namespace of the generated code: checks record a mask."""
-
-    sin = np.sin
-    cos = np.cos
-    exp = np.exp
-    log = np.log
-    sqrt = np.sqrt
-    missing = staticmethod(_missing)
-
-    def __init__(self):
-        self.flags = []
-
-    def recip_arg(self, v):
-        self.flags.append(v == 0)
-
-    def ln_arg(self, v):
-        self.flags.append(v <= 0)
-
-    def sqrt_arg(self, v):
-        self.flags.append(v < 0)
-
-
 class Evaluator:
     """Evaluate ``exprs`` at values of ``inputs``, given positionally.
 
@@ -93,25 +67,25 @@ class Evaluator:
     :class:`MissingCoordinateError` where the walk first needs it.
     """
 
-    __slots__ = ("inputs", "source", "_fn")
+    __slots__ = ("inputs", "source", "fn")
 
     def __init__(self, exprs, inputs):
         exprs = list(exprs)
         self.inputs = tuple(inputs)
         if not exprs:
             self.source = ""
-            self._fn = lambda _m, *xs: ()
+            self.fn = lambda _m, *xs: ()
             return
         self.source = _generate(exprs[0].ctx, exprs, self.inputs)
-        namespace: dict = {}
+        namespace = {"_missing": _missing}
         exec(compile(self.source, "<jetvar evaluator>", "exec"), namespace)
-        self._fn = namespace["_ev"]
+        self.fn = namespace["_ev"]
 
     def __call__(self, *values) -> tuple:
         """Values of all expressions at one point of Python numbers."""
         xs = [None if v is None else float(v) for v in values]
         try:
-            out = self._fn(_FloatOps, *xs)
+            out = self.fn(_FloatOps, *xs)
         except (OverflowError, ValueError) as exc:
             raise EvaluationError(_OVERFLOW) from exc
         for v in out:
@@ -119,30 +93,6 @@ class Evaluator:
                 if all(x is not None and math.isfinite(x) for x in xs):
                     raise EvaluationError(_OVERFLOW)
                 break
-        return out
-
-    def grid(self, *arrays) -> list:
-        """Values of all expressions on broadcast arrays, one array each."""
-        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
-        shape = arrays[0].shape if arrays else ()
-        ops = _GridOps()
-        with np.errstate(all="ignore"):
-            out = [v if isinstance(v, np.ndarray) and v.shape == shape
-                   else np.full(shape, v, dtype=float)
-                   for v in self._fn(ops, *arrays)]
-        bad = np.zeros(shape, dtype=bool)
-        for flag in ops.flags:
-            bad |= flag
-        finite_in = np.ones(shape, dtype=bool)
-        for a in arrays:
-            finite_in &= np.isfinite(a)
-        for v in out:
-            bad |= finite_in & ~np.isfinite(v)
-        if bad.any():
-            idx = int(np.flatnonzero(bad)[0])
-            point = [float(a.flat[idx]) for a in arrays]
-            self(*point)  # raises the error of a point-by-point loop
-            raise EvaluationError(f"evaluation failed at {point}")
         return out
 
 
@@ -161,10 +111,10 @@ def _generate(ctx, exprs, inputs) -> str:
             k = slot.get(aid)
             if k is None:
                 name = f"v{aid}"
-                lines.append(f"{name} = _m.missing({a.text()!r})")
+                lines.append(f"{name} = _missing({a.text()!r})")
             else:
                 name = f"x{k}"
-                lines.append(f"if {name} is None: _m.missing({a.text()!r})")
+                lines.append(f"if {name} is None: _missing({a.text()!r})")
         else:
             arg = f"u{aid}"
             poly(a.arg.num, arg)

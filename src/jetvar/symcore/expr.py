@@ -19,10 +19,11 @@ Consequently:
 Numeric evaluation has one path: a compiled evaluator
 (:class:`jetvar.symcore.evaluator.Evaluator`) built once per expression set
 over an ordered list of input coordinates. It computes a shared atom table
-and runs the same generated code on Python floats and on numpy arrays.
-:meth:`Expr.eval` delegates to the evaluator of the single expression,
-cached on the expression; numeric callers build evaluators for their sets
-and call them on positional floats or on whole grids. Errors:
+in generated code that runs on Python floats here and on numpy arrays in
+:func:`jetvar.numerics.grid`. :meth:`Expr.eval` delegates to the evaluator
+of the single expression, cached on the expression; numeric callers build
+evaluators for their sets and call them on positional floats or on whole
+grids. Errors:
 
 * :class:`MissingCoordinateError` when a needed coordinate has no value;
 * :class:`DivisionByZeroError` when a denominator evaluates to zero;
@@ -158,26 +159,6 @@ class Expr:
     def max_jet_order(self) -> int:
         orders = [c.order for c in self.coords() if c.kind == "y"]
         return max(orders, default=0)
-
-    def velocity_degree(self) -> int:
-        """Largest total degree in velocity atoms over all monomials.
-
-        Defined for expressions where velocities appear only as explicit
-        polynomial atoms (not inside reciprocals or function arguments).
-        """
-        vids = set()
-        for a in K.poly_support(self.num):
-            if self.ctx.is_coord(a):
-                if self.ctx.atom(a).kind == "v":
-                    vids.add(a)
-            elif any(self.ctx.atom(c).kind == "v"
-                     for c in self.ctx.func_coord_support(a)):
-                raise InputError("velocity atoms inside a function argument")
-        best = 0
-        for mono in self.num:
-            d = sum(e for a, e in mono if a in vids)
-            best = max(best, d)
-        return best
 
     # -- arithmetic ----------------------------------------------------------
 

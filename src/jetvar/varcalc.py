@@ -17,6 +17,10 @@ om^s_J ^ om_i; it is horizontal-equivalent to L om_0 and the 1-contact part
 of its exterior derivative collapses onto om^s ^ om_0 with the
 Euler-Lagrange coefficient. g = 0 gives the canonical equivalent; the
 admissible tables (weighted symmetrization zero) parametrize the family.
+
+Everything here is exact and needs no numeric library; the checks that
+evaluate these objects on grids (action, first variation, the residual of
+the canonical table along a section) are in :mod:`jetvar.numerics`.
 """
 
 from __future__ import annotations
@@ -27,11 +31,9 @@ from functools import cached_property
 
 from . import forms
 from . import multiindex as mi
-from . import numerics
 from .errors import (ContactOrderError, DegreeError, InadmissibleGError,
                      InputError, VerticalityError)
 from .forms import DiffForm
-from .numerics import IntegrationDomain, ResidualSummary, Section
 from .symcore import ChartContext, Expr, base, jet, vel
 
 
@@ -351,30 +353,6 @@ def hamilton_form(lep: LepageanForm) -> HamiltonFormTable:
     return HamiltonFormTable(lep, entries, Lt)
 
 
-def section_prolongation_binding(delta: Section) -> dict:
-    """Coordinate binding for evaluation along the prolongation of a section.
-
-    Jet coordinates bind to the section components, velocity coordinates to
-    their base-direction partials.
-    """
-    ctx = delta.ctx
-    binding = {}
-    for (sigma, J), comp in delta.components.items():
-        binding[jet(sigma, J)] = comp
-        for p in range(1, ctx.n + 1):
-            binding[vel(sigma, J, p)] = comp.partial(base(p))
-    return binding
-
-
-def hamilton_extremal_residual(table: HamiltonFormTable, delta: Section,
-                               domain: IntegrationDomain,
-                               resolution: int | None = None) -> ResidualSummary:
-    """Max |entry| along the prolonged section over sample points."""
-    binding = section_prolongation_binding(delta)
-    exprs = {key: e for key, e in table.entries.items()}
-    return numerics.residual_grid(exprs, binding, domain, resolution)
-
-
 def prolong_vector_field(ctx: ChartContext, xi: dict, order: int) -> dict:
     """Components of the jet prolongation of a vertical field.
 
@@ -397,71 +375,3 @@ def prolong_vector_field(ctx: ChartContext, xi: dict, order: int) -> dict:
             for J in mi.tuples(ctx.n, k):
                 comps[(sigma, J)] = comps[(sigma, J[:-1])].total_derivative(J[-1])
     return comps
-
-
-def action_value(prob: LagrangianProblem, gamma: Section,
-                 domain: IntegrationDomain, resolution: int | None = None) -> float:
-    """Quadrature of the Lagrangian density along the prolonged section."""
-    pro = numerics.jet_prolong_section(gamma, prob.ctx.r)
-    integrand = prob.L.subs(pro.subs_map())
-    return numerics.quadrature(integrand, domain, resolution)
-
-
-@dataclass
-class FirstVariation:
-    """Both sides of the first variation identity."""
-
-    lhs: float
-    interior: float
-    boundary: float
-
-    @property
-    def rhs(self) -> float:
-        return self.interior + self.boundary
-
-
-def first_variation_check(prob: LagrangianProblem, lep: LepageanForm, xi: dict,
-                          gamma: Section, domain: IntegrationDomain,
-                          eps: float = 1e-5,
-                          resolution: int | None = None) -> FirstVariation:
-    """Compare the variation of the action with interior + boundary terms.
-
-    The left side is a central finite difference in the variation parameter
-    along the straight path gamma + t (xi o gamma); only the generator
-    enters a first variation, so the straight path gives the same derivative
-    as any flow with that generator. The right side contracts the exterior
-    derivative of the equivalent (interior term) and the equivalent itself
-    (boundary term) with the prolonged field along the prolonged section.
-    """
-    ctx = prob.ctx
-    ctx.ensure_max_order(2 * ctx.r)
-    order = 2 * ctx.r - 1
-    gamma_sub = gamma.subs_map()
-    direction = {}
-    for sigma, e in xi.items():
-        if not isinstance(e, Expr):
-            e = Expr.const(ctx, e)
-        direction[sigma] = e.subs(gamma_sub)
-
-    def flowed(t: float) -> Section:
-        frac = Fraction(t).limit_denominator(10 ** 12)
-        return Section(ctx, {
-            (sigma, ()): gamma.component(sigma, ()) + direction[sigma] * frac
-            for sigma in direction
-        })
-
-    lhs = (action_value(prob, flowed(eps), domain, resolution)
-           - action_value(prob, flowed(-eps), domain, resolution)) / (2 * eps)
-
-    rho = lep.realize()
-    xi_pro = prolong_vector_field(ctx, xi, order)
-    vec = {jet(sigma, J): e for (sigma, J), e in xi_pro.items()}
-    gamma_pro = numerics.jet_prolong_section(gamma, order)
-
-    inner = forms.interior_product(vec, forms.ext_d(rho))
-    inner_density = forms.horizontal_density(numerics.pullback_along(inner, gamma_pro))
-    interior = numerics.quadrature(inner_density, domain, resolution)
-
-    boundary_form = numerics.pullback_along(forms.interior_product(vec, rho), gamma_pro)
-    boundary = numerics.boundary_quadrature(boundary_form, domain, resolution)
-    return FirstVariation(lhs, interior, boundary)

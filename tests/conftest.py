@@ -106,9 +106,13 @@ def assert_sym_equal(a, b, msg=""):
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
-def run_jetvar(*args):
-    """Run ``python -m jetvar.cli`` in a child process on this checkout's package."""
+def run_python(*args):
+    """Run ``python *args`` in a child process on this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "jetvar.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_jetvar(*args):
+    """Run ``python -m jetvar.cli`` in a child process on this checkout's package."""
+    return run_python("-m", "jetvar.cli", *args)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from jetvar.cli import build_parser, run
+from jetvar.cli import DEFAULT_TOLERANCES, build_parser, main, run
 from jetvar.symcore import ChartContext, parse_expr
 from conftest import run_jetvar
 
@@ -186,6 +186,30 @@ def test_hdd_solve_bad_interval_is_input_error(x1, step, message):
     assert code == 1
     assert data["error"]["type"] == "InputError"
     assert message in data["error"]["message"]
+
+
+@pytest.mark.parametrize("prob,init,step", [
+    (HO, "ho.init", "0.003"),
+    (QUARTIC, "cubic_r2.init", "0.003"),
+    (QUARTIC, "cubic_r2.init", "0.007"),
+], ids=["ho-0.003", "quartic-0.003", "quartic-0.007"])
+def test_hdd_solve_step_not_dividing_the_interval(tmp_path, prob, init, step):
+    # 334 (143) equal steps instead of a short last one, which made the grid
+    # non-uniform and the derivative checks fall back to second order
+    out = tmp_path / "report.json"
+    assert main(["hdd-solve", prob, "--init", prob_path(init), "--x0", "0", "--x1", "1",
+                 "--step", step, "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert checks["holonomy"]["pass"] and checks["euler_lagrange_along"]["pass"]
+
+
+def test_in_process_calls_share_no_options(tmp_path):
+    # main builds its parser once per process; one call's options must not leak
+    out = tmp_path / "report.json"
+    assert main(["derive", HO, "--tol", "holonomy=1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerances"]["holonomy"] == 1.0
+    assert main(["derive", HO, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerances"] == DEFAULT_TOLERANCES
 
 
 @pytest.mark.parametrize("command,option,text", [

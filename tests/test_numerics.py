@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from jetvar import forms as F
@@ -119,8 +118,8 @@ def test_residual_grid_examples(ctx):
 
 
 def test_rk4_exponential():
-    f = lambda x, s: s
-    state = np.array([1.0])
+    f = lambda x, s: [s]
+    state = [1.0]
     x, h = 0.0, 1e-3
     for _ in range(1000):
         state = N.rk4_step(f, x, state, h)
@@ -129,14 +128,14 @@ def test_rk4_exponential():
 
 
 def test_rk4_fixed_point():
-    f = lambda x, s: np.zeros_like(s)
-    state = np.array([2.0, -1.0])
-    assert np.array_equal(N.rk4_step(f, 0.0, state, 0.1), state)
+    f = lambda x, *s: [0.0] * len(s)
+    state = [2.0, -1.0]
+    assert N.rk4_step(f, 0.0, state, 0.1) == state
 
 
 def test_rk4_energy_drift():
-    f = lambda x, s: np.array([s[1], -s[0]])
-    state = np.array([0.0, 1.0])
+    f = lambda x, y, p: [p, -y]
+    state = [0.0, 1.0]
     x, h = 0.0, 1e-3
     steps = int(round(2 * math.pi / h))
     for _ in range(steps):
@@ -167,8 +166,6 @@ def test_domain_validation():
     for bad in (0, 1):
         with pytest.raises(InputError):
             dom.axes(bad)
-        with pytest.raises(InputError):
-            N.quadrature(Expr.const(ChartContext(1, 1, 1), 1), dom, resolution=bad)
 
 
 def test_residual_grid_ties_resolve_to_first_point():

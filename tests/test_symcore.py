@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetvar import numerics as N
 from jetvar.errors import (DivisionByZeroError, DomainError, EvaluationError,
                            IndexRangeError, InputError, MissingCoordinateError,
                            OrderOverflowError, ParseError)
 from jetvar.symcore import (ChartContext, Coord, Evaluator, Expr, base, jet,
                             mom, parse_expr, vel)
-from conftest import assert_sym_equal, random_polynomial
+from conftest import assert_sym_equal, random_polynomial, run_python
 
 
 @pytest.fixture
@@ -178,10 +179,11 @@ def test_eval_overflow_is_evaluation_error(ctx):
         with pytest.raises(EvaluationError):
             e.eval({base(1): bad})
         with pytest.raises(EvaluationError):
-            Evaluator([e], [base(1)]).grid(np.array([1.0, bad, 2.0]))
+            N.grid(Evaluator([e], [base(1)]), np.array([1.0, bad, 2.0]))
     # non-finite inputs propagate
     assert math.isinf(parse_expr("2*x(1)", ctx).eval({base(1): math.inf}))
-    got = Evaluator([parse_expr("2*x(1)", ctx)], [base(1)]).grid(np.array([1.0, math.inf]))
+    got = N.grid(Evaluator([parse_expr("2*x(1)", ctx)], [base(1)]),
+                 np.array([1.0, math.inf]))
     assert got[0][0] == 2.0 and math.isinf(got[0][1])
 
 
@@ -192,7 +194,7 @@ def test_evaluator_set_shares_atoms_and_checks_inputs(ctx):
     assert ev.source.count("_m.sin(") == 1
     assert ev(0.5, 2.0) == (a.eval({base(1): 0.5, jet(1): 2.0}),
                             b.eval({base(1): 0.5, jet(1): 2.0}))
-    va, vb = ev.grid(np.linspace(0.0, 1.0, 7), 2.0)
+    va, vb = N.grid(ev, np.linspace(0.0, 1.0, 7), 2.0)
     assert va.shape == vb.shape == (7,)
     with pytest.raises(MissingCoordinateError, match=r"y\(1\)"):
         Evaluator([a], [base(1)])(0.5)
@@ -305,7 +307,7 @@ def test_compiled_evaluation_matches_pointwise_walk(seed, poison):
     assert scalar == [_reference_eval(e, pt) for pt in points]
 
     # arrays: elementwise equal to the float path up to last-digit rounding
-    values = Evaluator([e], _EVAL_COORDS).grid(*grid)[0]
+    values = N.grid(Evaluator([e], _EVAL_COORDS), *grid)[0]
     assert values.shape == shape
     for got, want in zip(values.ravel(), scalar):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
@@ -326,7 +328,8 @@ def test_compiled_evaluation_matches_pointwise_walk(seed, poison):
         if loop_error:
             break
     assert loop_error is not None
-    assert _first_error(lambda: Evaluator([bad], _EVAL_COORDS).grid(*bad_grid)) == loop_error
+    bad_ev = Evaluator([bad], _EVAL_COORDS)
+    assert _first_error(lambda: N.grid(bad_ev, *bad_grid)) == loop_error
 
 
 def test_division_by_zero_expression(ctx):
@@ -409,3 +412,11 @@ def test_context_validation():
         ChartContext(0, 1, 1)
     with pytest.raises(IndexRangeError):
         ChartContext(1, 1, 2, max_order=1)
+
+
+def test_symbolic_layers_import_no_numpy():
+    # Arrays live in the numeric modules only; the exact engine loads none.
+    proc = run_python("-c", "import sys, jetvar, jetvar.symcore, jetvar.forms, jetvar.varcalc;"
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
