@@ -253,6 +253,51 @@ def test_derive_matches_golden_report(name):
         assert got == fh.read()
 
 
+HDD_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "hdd")
+ANHARMONIC = "1/2*y(1;1)^2 + 1/12*y(1;1)^4 - 1/2*y(1)^2"
+
+
+def problem_file(tmp_path, m, r, L, name="p.prob"):
+    f = tmp_path / name
+    f.write_text(f"[problem]\nn = 1\nm = {m}\nr = {r}\n\n[lagrangian]\nL = \"{L}\"\n")
+    return str(f)
+
+
+def init_file(tmp_path, text, name="p.init"):
+    f = tmp_path / name
+    f.write_text(text)
+    return str(f)
+
+
+# name -> (m, r, L or a shipped problem, init text or a shipped init file, step)
+HDD_CASES = {
+    "ho_chart": (1, 1, HO, "ho.init", "2.5e-4"),
+    "quartic_r2_chart": (1, 2, QUARTIC, "cubic_r2.init", "0.003"),
+    "anharmonic_newton": (1, 1, ANHARMONIC, "ho.init", "1.25e-3"),
+    "anharmonic_r2_newton": (
+        1, 2, "1/2*y(1;1,1)^2 + 1/12*y(1;1,1)^4 - 1/2*y(1;1)^2",
+        "y(1) = 0.1\ny(1;1) = 0.2\nP(1;1) = 0.3\nP(1;1,1) = 0.4\n", "0.003"),
+    "coupled_m2_newton": (
+        2, 1, "1/2*(y(1;1)^2 + y(2;1)^2) + 1/12*(y(1;1)^4 + y(2;1)^4)"
+              " + 1/4*y(1;1)^2*y(2;1)^2 - 1/2*(y(1)^2 + y(2)^2)",
+        "y(1) = 0.1\ny(2) = -0.2\nP(1;1) = 0.3\nP(2;1) = 0.5\n", "0.003"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HDD_CASES))
+def test_hdd_solve_matches_golden_report(tmp_path, name):
+    """``hdd-solve`` on chart and Newton paths reproduces its recorded report."""
+    m, r, L, init, step = HDD_CASES[name]
+    prob = L if L.endswith(".prob") else problem_file(tmp_path, m, r, L)
+    init = prob_path(init) if init.endswith(".init") else init_file(tmp_path, init)
+    data, code = run(build_parser().parse_args(
+        ["hdd-solve", prob, "--init", init, "--x0", "0", "--x1", "1", "--step", step]))
+    assert code == 0
+    got = json.dumps(strip_timing(data), indent=2, sort_keys=True) + "\n"
+    with open(os.path.join(HDD_GOLDEN, name + ".json")) as fh:
+        assert got == fh.read()
+
+
 @pytest.mark.parametrize("args", [
     ("derive", HO),
     ("legendre", HO),
