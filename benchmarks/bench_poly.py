@@ -3,15 +3,21 @@
 Two symbolic workloads stress the polynomial kernel; ``rational_derive``
 runs the derive pipeline (Euler-Lagrange, canonical equivalent, its defect,
 Hamilton table) on the quotient densities ``y(1;1,1)^2/(1+y(1;1)^2)^2``
-(r = 2) and ``(y(1;1,1)+y(1;2,2))^2/(1+y(1;1)^2+y(1;2)^2)`` (n = 2). Two
-numeric workloads evaluate compiled expressions at many points (the
-symbolic setup of those is done once, outside the timed region):
+(r = 2) and ``(y(1;1,1)+y(1;2,2))^2/(1+y(1;1)^2+y(1;2)^2)`` (n = 2). Three
+numeric workloads run generated float code at many points (the problem and
+chart setup is done once, outside the timed region):
 
 * ``laplace_action_201``: trapezoid quadrature of the Laplace action
   integrand along a varied section, as in ``first-variation``, on a 201^2
   grid;
 * ``ho_hdd_integrate``: RK4 on the harmonic oscillator's canonical
-  equations over [0, 1] at step 2.5e-4 (4000 steps), with recovery of y'.
+  equations over [0, 1] at step 2.5e-4 (4000 steps), with recovery of y';
+* ``newton_hdd_integrate``: RK4 on the anharmonic density
+  ``1/2*y(1;1)^2 + 1/12*y(1;1)^4 - 1/2*y(1)^2`` over [0, 1] at step
+  1.25e-3 (800 steps); its momentum relation has no closed-form inverse,
+  so every stage and every sample recovers y' by a Newton solve (the
+  momenta and the generated solver are built inside ``hdd_integrate``, so
+  they are timed).
 
 Prints the best-of-N wall time of each workload:
 
@@ -103,6 +109,14 @@ def ho_hdd_integrate():
     return lambda: LG.hdd_integrate(chart, init, 0.0, 1.0, 2.5e-4)
 
 
+def newton_hdd_integrate():
+    ctx = ChartContext(1, 1, 1)
+    prob = V.LagrangianProblem(
+        ctx, parse_expr("1/2*y(1;1)^2 + 1/12*y(1;1)^4 - 1/2*y(1)^2", ctx))
+    init = {jet(1): 0.0, mom(1, (1,)): 1.0}
+    return lambda: LG.hdd_integrate(prob, init, 0.0, 1.0, 1.25e-3)
+
+
 def best_time(fn, repeat):
     best = float("inf")
     for _ in range(repeat):
@@ -120,7 +134,8 @@ def main() -> int:
     workloads = {"poly_stress": poly_stress, "derivation_batch": derivation_batch,
                  "rational_derive": rational_derive,
                  "laplace_action_201": laplace_action_201(),
-                 "ho_hdd_integrate": ho_hdd_integrate()}
+                 "ho_hdd_integrate": ho_hdd_integrate(),
+                 "newton_hdd_integrate": newton_hdd_integrate()}
     width = max(len(n) for n in workloads)
     for name, fn in workloads.items():
         print(f"{name:<{width}}  {best_time(fn, args.repeat):>9.4f}s")

@@ -14,6 +14,11 @@ be inverted symbolically layer by layer, producing the Legendre chart
 equations. The layered inversion is square only when n = 1 or r = 1; for
 n >= 2 with r >= 2 the deeper layers are underdetermined and the symbolic
 chart is refused.
+
+For n = 1, :func:`hdd_integrate` runs classical RK4 as one generated float
+function per step: its stages evaluate the gradient of H inline or, without
+a chart, call a generated Newton loop on the top momentum relations (a
+scalar division for one unknown, LAPACK for more) and evaluate dL/dy inline.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .errors import (DegeneracyError, InputError, JetvarError, NewtonError,
                      UnsupportedSymbolicError)
 from .numerics import IntegrationDomain, ResidualSummary
 from .symcore import ChartContext, Coord, Evaluator, Expr, base, jet, mom
+from .symcore.evaluator import FloatOps, check_line, compile_float, emitter
 from .varcalc import LagrangianProblem, MomentaTable, momenta
 
 
@@ -339,17 +345,11 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
     H drives the flow) or a :class:`LagrangianProblem` (top jets are
     recovered per stage by a Newton solve on the top momentum relations).
     Trajectories carry the state columns plus the reconstructed jets of
-    order r .. 2r-1. Both right-hand sides take the positional state
-    (x, ys, ps) as Python floats through evaluators compiled once; arrays
-    are built only for the finished columns.
+    order r .. 2r-1. Each step is one generated float function.
     """
-    if isinstance(source, LegendreChartData):
-        prob = source.prob
-        chart = source
-    elif isinstance(source, LagrangianProblem):
-        prob = source
-        chart = None
-    else:
+    chart = source if isinstance(source, LegendreChartData) else None
+    prob = source if chart is None else chart.prob
+    if not isinstance(prob, LagrangianProblem):
         raise InputError("source must be chart data or a Lagrangian problem")
     ctx = prob.ctx
     if ctx.n != 1:
@@ -370,135 +370,163 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
 
     if chart is not None:
         inputs = [base(1)] + state_coords
-        f = Evaluator(_symbolic_rhs(ctx, chart), inputs)
-        recover = Evaluator([chart.inverse[(c.sigma, c.J)] for c in _top_coords(ctx)],
-                            inputs)
+        rhs = _symbolic_rhs(ctx, chart)
+        rk4 = _rk4_step(len(state_coords), lambda lines, x, state, tag: emitter(
+            ctx, inputs, [x, *state], lines, tag)(rhs))
+        recover = _sample_map(
+            ctx, [chart.inverse[(c.sigma, c.J)] for c in _top_coords(ctx)], inputs)
     else:
         solver = _NewtonRecovery(prob, momenta(prob))
-        f = solver.rhs
-        recover = solver.recover
+        rk4, recover = solver.step, solver.recover
 
     # Equal steps, never above the requested one: the derivative checks
     # need a uniform grid for their five-point stencil.
     nsteps = max(1, int(math.ceil((x1 - x0) / step - 1e-12)))
     xs = [x0]
-    states = [[float(init[c]) for c in state_coords]]
+    states = [tuple(float(init[c]) for c in state_coords)]
     x = x0
     for _ in range(nsteps):
         h = min((x1 - x0) / nsteps, x1 - x)
-        states.append(numerics.rk4_step(f, x, states[-1], h))
+        states.append(rk4(FloatOps, x, h, *states[-1]))
         x += h
         xs.append(x)
         if x >= x1 - 1e-15:
             break
 
-    top = np.array([recover(xv, *row) for xv, row in zip(xs, states)])
-    arr = np.array(states)
-    columns = {c: arr[:, i] for i, c in enumerate(state_coords)}
-    columns.update((c, top[:, i]) for i, c in enumerate(_top_coords(ctx)))
-    return Trajectory(np.array(xs), columns)
+    arr = np.hstack([np.array(states), np.array(recover(xs, states))])
+    return Trajectory(np.array(xs), dict(zip(state_coords + _top_coords(ctx), arr.T)))
+
+
+def _rk4_step(n: int, stage, **names):
+    """Generated ``_step(_m, x, h, s0, ..)``: the textbook RK4 step's float operations.
+
+    ``stage(lines, x, state, tag)`` appends one right-hand-side evaluation at
+    local names and returns the names of its values. A non-finite new state
+    raises :class:`EvaluationError`."""
+    s = [f"s{i}" for i in range(n)]
+    lines = ["hh = h / 2", "xm = x + hh", "xe = x + h", "h6 = h / 6"]
+    ks = [stage(lines, "x", s, "_1")]
+    for j, (xj, scale) in enumerate((("xm", "hh"), ("xm", "hh"), ("xe", "h")), 2):
+        state = [f"a{i}_{j}" for i in range(n)]
+        lines += [f"{a} = {si} + {scale} * {k}" for a, si, k in zip(state, s, ks[-1])]
+        ks.append(stage(lines, xj, state, f"_{j}"))
+    new = [f"r{i}" for i in range(n)]
+    lines += [f"{r} = {si} + h6 * ({a} + 2 * {b} + 2 * {c} + {d})"
+              for r, si, a, b, c, d in zip(new, s, *ks)]
+    lines += [check_line(new, s), f"return ({', '.join(new)},)"]
+    return compile_float("_step", ["x", "h", *s], lines, **names)
+
+
+def _sample_map(ctx: ChartContext, exprs, inputs):
+    """``map(xs, states)``: ``exprs`` at every sample by one generated loop,
+    as an :class:`Evaluator` called per sample (x, *state) gives them."""
+    names = [f"i{k}" for k in range(len(inputs))]
+    body = []
+    body.append(f"out.append(({', '.join(emitter(ctx, inputs, names, body)(exprs))},))")
+    loop = compile_float("_map", ["xs", "states"], [
+        "out = []", f"for {names[0]}, ({', '.join(names[1:])},) in zip(xs, states):",
+        *(f"    {line}" for line in body), "return out"])
+    return lambda xs, states: loop(FloatOps, xs, states)
 
 
 def _symbolic_rhs(ctx: ChartContext, chart: LegendreChartData):
-    exprs = []
-    for s in range(1, ctx.m + 1):
-        for k in range(ctx.r):
-            exprs.append(chart.H.partial(mom(s, (1,) * (k + 1))))
-    for s in range(1, ctx.m + 1):
-        for k in range(1, ctx.r + 1):
-            exprs.append(-chart.H.partial(jet(s, (1,) * (k - 1))))
-    return exprs
+    """y(s;J)' = dH/dP(s;J,1) and P(s;K)' = -dH/dy(s;K minus one index), in state order."""
+    ys, ps = _state_coords(ctx)
+    return ([chart.H.partial(mom(c.sigma, c.J + (1,))) for c in ys]
+            + [-chart.H.partial(jet(c.sigma, c.J[1:])) for c in ps])
 
 
 class _NewtonRecovery:
     """Stage-wise recovery of jets above order r-1 from the momentum relations.
 
     Layer l solves the m relations P(s;1^(r-l)) = state momentum for the jets
-    of order r+l, given x, the state jets and the lower layers' solutions.
-    Each layer's relations and Jacobian, and the dL/dy set of the momentum
-    equations, are compiled once over positional inputs.
+    of order r+l, given x, the state jets and the lower layers' solutions, by
+    a generated Newton loop. Each stage of :attr:`step` calls the layer-0
+    solve, then evaluates the momentum equations' dL/dy inline.
     """
 
     def __init__(self, prob: LagrangianProblem, table: MomentaTable):
         ctx = prob.ctx
         r, m = ctx.r, ctx.m
-        self.m = m
         ys, ps = _state_coords(ctx)
-        self.n_ys = len(ys)
+        self.n_ys = n_ys = len(ys)
         known = [base(1)] + ys
-        self.layers = []
+        self.loops, self.targets = [], []
         for layer in range(r):
             unknowns = [jet(s, (1,) * (r + layer)) for s in range(1, m + 1)]
             relations = [table[(s, (1,) * (r - layer))] for s in range(1, m + 1)]
             jac = [e.partial(c) for e in relations for c in unknowns]
-            targets = [len(ys) + ps.index(mom(s, (1,) * (r - layer)))
-                       for s in range(1, m + 1)]
-            inputs = known + unknowns
-            self.layers.append((layer, Evaluator(relations, inputs),
-                                Evaluator(jac, inputs), targets))
-            known = inputs
-        order_r = [jet(s, (1,) * r) for s in range(1, m + 1)]
-        # dL/dy(s;1^(k-1)) for the momentum equations, one per (s, k)
-        self.dL = Evaluator([prob.L.partial(jet(s, (1,) * (k - 1)))
-                             for s in range(1, m + 1) for k in range(1, r + 1)],
-                            [base(1)] + ys + order_r)
-        # per (s, k): the momentum subtracted in that equation (none for k = 1)
-        self.p_prev = [len(ys) + ps.index(mom(s, (1,) * (k - 1))) if k > 1 else None
-                       for s in range(1, m + 1) for k in range(1, r + 1)]
-        # per (s, k): the state jet of order k+1, or None for an order-r jet
-        self.y_next = [ys.index(jet(s, (1,) * (k + 1))) if k + 1 < r else None
-                       for s in range(1, m + 1) for k in range(r)]
-        self.guess = [[0.0] * m for _ in range(r)]
+            known = known + unknowns
+            self.loops.append(_newton_loop(ctx, layer, known, relations, jac))
+            self.targets.append([len(ys) + ps.index(mom(s, (1,) * (r - layer)))
+                                 for s in range(1, m + 1)])
+        self.guess = [(0.0,) * m for _ in range(r)]
+        dL_inputs = [base(1)] + ys + [jet(s, (1,) * r) for s in range(1, m + 1)]
+        dL = [prob.L.partial(jet(c.sigma, c.J[1:])) for c in ps]
 
-    def _solve_layer(self, k: int, known: list, state) -> list:
-        layer, rel, jac, targets = self.layers[k]
-        target = [state[i] for i in targets]
+        def stage(lines, x, state, tag):
+            # y(s;1^k)' is y(s;1^(k+1)): the next state jet or the solved one;
+            # P(s;1^k)' = dL/dy(s;1^(k-1)) - P(s;1^(k-1)), without P for k = 1
+            u = [f"z{s}{tag}" for s in range(m)]
+            args = [x, *state[:n_ys]]
+            target = ", ".join(state[i] for i in self.targets[0])
+            lines.append(f"{', '.join(u)}, = _solve(0, ({', '.join(args)},), ({target},))")
+            vals = emitter(ctx, dL_inputs, args + u, lines, tag)(dL)
+            lines += [f"d{i}{tag} = {v} - {state[n_ys + i - 1]}"
+                      for i, v in enumerate(vals) if i % r]
+            return ([state[i + 1] if (i + 1) % r else u[i // r] for i in range(n_ys)]
+                    + [f"d{i}{tag}" if i % r else v for i, v in enumerate(vals)])
+
+        self.step = _rk4_step(n_ys + len(ps), stage, _solve=self._solve_layer)
+
+    def _solve_layer(self, k: int, known: tuple, target: tuple) -> tuple:
         last_error = None
         for restart in (0.0, 1.0, -1.0, 0.5, -0.5):
-            start = [g + restart for g in self.guess[k]]
             try:
-                x = self._newton(start, rel, jac, known, target, layer)
+                start = (g + restart for g in self.guess[k])
+                self.guess[k] = self.loops[k](FloatOps, *known, *start, *target)
+                return self.guess[k]
             except NewtonError as exc:
                 last_error = exc
-                continue
-            self.guess[k] = x
-            return x
         raise last_error
 
-    def _newton(self, x, rel, jac, known, target, layer):
-        m = self.m
-        for _ in range(_NEWTON_MAX):
-            args = known + x
-            F = [v - t for v, t in zip(rel(*args), target)]
-            if all(abs(v) <= _NEWTON_TOL for v in F):  # False on NaN
-                return x
-            J = np.array(jac(*args)).reshape(m, m)
-            try:
-                dx = np.linalg.solve(J, F)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonError(f"singular Jacobian at layer {layer}") from exc
-            x = [a - b for a, b in zip(x, dx.tolist())]
-        raise NewtonError(
-            f"no convergence after {_NEWTON_MAX} iterations at layer {layer}")
-
-    def recover(self, x: float, *state) -> list:
-        """Jets of order r .. 2r-1 at one trajectory sample, per fiber."""
-        known = [x, *state[:self.n_ys]]
-        solved = []
-        for k in range(len(self.layers)):
-            u = self._solve_layer(k, known, state)
-            solved.append(u)
-            known = known + u
-        return [u[s] for s in range(self.m) for u in solved]
-
-    def rhs(self, x: float, *state) -> list:
-        ys = state[:self.n_ys]
-        u = self._solve_layer(0, [x, *ys], state)  # the order-r jets
-        r = len(self.layers)
-        out = [u[n // r] if i is None else state[i] for n, i in enumerate(self.y_next)]
-        dL = self.dL(x, *ys, *u)
-        out += [v - (0.0 if i is None else state[i]) for v, i in zip(dL, self.p_prev)]
+    def recover(self, xs, states) -> list:
+        """Jets of order r .. 2r-1 at every trajectory sample, per fiber."""
+        out = []
+        for x, state in zip(xs, states):
+            known, solved = (x, *state[:self.n_ys]), []
+            for k, targets in enumerate(self.targets):
+                solved.append(self._solve_layer(k, known, tuple(state[i] for i in targets)))
+                known += solved[-1]
+            out.append([v for per_fiber in zip(*solved) for v in per_fiber])
         return out
+
+
+def _newton_loop(ctx, layer: int, inputs, relations, jac):
+    """Generated ``_newton(_m, w.., z.., t..)``: from known values w and start z,
+    iterate until every |relation - t| <= _NEWTON_TOL (never on NaN); return z.
+    Relations and Jacobian share one atom table; one unknown steps by division."""
+    m = len(relations)
+    w = [f"w{i}" for i in range(len(inputs) - m)]
+    z, t, F, d = ([f"{c}{i}" for i in range(m)] for c in "ztFd")
+    body = []
+    emit = emitter(ctx, inputs, w + z, body)
+    body += [f"{f} = {v} - {ti}" for f, v, ti in zip(F, emit(relations), t)]
+    body.append(f"if {' and '.join(f'abs({f}) <= {_NEWTON_TOL!r}' for f in F)}: "
+                f"return ({', '.join(z)},)")
+    J = emit(jac)
+    singular = f"raise _NewtonError('singular Jacobian at layer {layer}')"
+    if m == 1:
+        body += [f"if {J[0]} == 0: {singular}", f"z0 = z0 - F0 / {J[0]}"]
+    else:
+        rows = ", ".join(f"({', '.join(J[i * m:(i + 1) * m])})" for i in range(m))
+        body += [f"try: {', '.join(d)}, = _lapack(({rows}), ({', '.join(F)})).tolist()",
+                 f"except _LinAlgError as exc: {singular} from exc",
+                 *(f"{zi} = {zi} - {di}" for zi, di in zip(z, d))]
+    return compile_float("_newton", w + z + t, [
+        f"for _ in range({_NEWTON_MAX}):", *(f"    {line}" for line in body),
+        f"raise _NewtonError('no convergence after {_NEWTON_MAX} iterations at layer {layer}')"],
+        _NewtonError=NewtonError, _lapack=np.linalg.solve, _LinAlgError=np.linalg.LinAlgError)
 
 
 # -- a-posteriori trajectory checks ----------------------------------------------

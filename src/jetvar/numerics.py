@@ -1,10 +1,10 @@
-"""Numeric services: sections, grids, quadrature, residual maxima, RK4.
+"""Numeric services: sections, grids, quadrature, residual maxima.
 
 This is where arrays live. :func:`grid` runs an evaluator's generated code
 on numpy arrays; quadrature, residual grids and the variational checks built
 on them (action, first variation, the canonical-table residual) evaluate
-whole grids at once. RK4 steps work on sequences of Python floats, because
-the states are a few numbers and a step evaluates them one point at a time.
+whole grids at once. Trajectories are integrated on Python floats by the
+generated RK4 steps of :mod:`jetvar.legendre`.
 """
 
 from __future__ import annotations
@@ -275,16 +275,6 @@ def max_abs(*values) -> float:
     """Largest absolute entry over arrays, ignoring NaN; 0.0 when empty."""
     return float(max((np.fmax.reduce(np.abs(v), axis=None, initial=0.0)
                       for v in values), default=0.0))
-
-
-def rk4_step(f, x: float, state, h: float) -> list:
-    """One classical fourth-order step of state' = f(x, *state) on floats."""
-    k1 = f(x, *state)
-    k2 = f(x + h / 2, *[s + (h / 2) * k for s, k in zip(state, k1)])
-    k3 = f(x + h / 2, *[s + (h / 2) * k for s, k in zip(state, k2)])
-    k4 = f(x + h, *[s + h * k for s, k in zip(state, k3)])
-    return [s + (h / 6) * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
 
 
 # -- variational checks on grids ---------------------------------------------------

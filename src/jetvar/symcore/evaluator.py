@@ -14,7 +14,9 @@ The generated function :attr:`Evaluator.fn` takes its math namespace as
 first argument. Calling the evaluator runs it on Python floats with the
 ``math`` functions and checks that raise at once; the array path over the
 same function lives in :func:`jetvar.numerics.grid`, so this module needs
-no numeric library.
+no numeric library. Larger float functions, such as the RK4 steps of
+:mod:`jetvar.legendre`, are built from the same :func:`emitter` lines, each
+evaluation followed by the float path's finiteness check.
 """
 
 from __future__ import annotations
@@ -33,7 +35,13 @@ def _missing(text: str):
     raise MissingCoordinateError(f"no value for coordinate {text}")
 
 
-class _FloatOps:
+def _nonfinite(*inputs):
+    """Raise as the float path does for a non-finite value, if ``inputs`` are finite."""
+    if all(math.isfinite(x) for x in inputs):
+        raise EvaluationError(_OVERFLOW)
+
+
+class FloatOps:
     """Float namespace of the generated code: checks raise immediately."""
 
     sin = math.sin
@@ -76,31 +84,37 @@ class Evaluator:
             self.source = ""
             self.fn = lambda _m, *xs: ()
             return
-        self.source = _generate(exprs[0].ctx, exprs, self.inputs)
-        namespace = {"_missing": _missing}
-        exec(compile(self.source, "<jetvar evaluator>", "exec"), namespace)
-        self.fn = namespace["_ev"]
+        params = [f"x{k}" for k in range(len(self.inputs))]
+        lines: list = []
+        emit = emitter(exprs[0].ctx, self.inputs, params, lines, nullable=True)
+        lines.append(f"return ({', '.join(emit(exprs))},)")
+        self.source, self.fn = _compile("_ev", params, lines)
 
     def __call__(self, *values) -> tuple:
         """Values of all expressions at one point of Python numbers."""
         xs = [None if v is None else float(v) for v in values]
         try:
-            out = self.fn(_FloatOps, *xs)
+            out = self.fn(FloatOps, *xs)
         except (OverflowError, ValueError) as exc:
             raise EvaluationError(_OVERFLOW) from exc
-        for v in out:
-            if not math.isfinite(v):
-                if all(x is not None and math.isfinite(x) for x in xs):
-                    raise EvaluationError(_OVERFLOW)
-                break
+        if not all(map(math.isfinite, out)) and None not in xs:
+            _nonfinite(*xs)
         return out
 
 
-def _generate(ctx, exprs, inputs) -> str:
-    """Source of ``_ev(_m, x0, x1, ...)`` returning a tuple of values."""
-    slot = {ctx.coord_id(c): k for k, c in enumerate(inputs)}
+def emitter(ctx, inputs, sources, lines: list, tag: str = "", nullable: bool = False):
+    """``emit(exprs)``: append the lines computing ``exprs`` to ``lines``, return their names.
+
+    One emitter is one atom table: each atom is computed once, where the
+    first emitted expression reaches it, and later ``emit`` calls reuse it.
+    Input coordinate ``k`` is the local name ``sources[k]``. ``nullable``
+    sources (an :class:`Evaluator`'s, whose callers check values) may be
+    ``None`` and are checked where first read; otherwise each ``emit`` ends
+    with :func:`check_line`. Names the emitter makes end in ``tag``.
+    """
+    source = {ctx.coord_id(c): s for c, s in zip(inputs, sources)}
     names: dict = {}
-    lines: list = []
+    results: list = []
 
     def atom(aid: int) -> str:
         name = names.get(aid)
@@ -108,17 +122,16 @@ def _generate(ctx, exprs, inputs) -> str:
             return name
         a = ctx.atom(aid)
         if isinstance(a, Coord):
-            k = slot.get(aid)
-            if k is None:
-                name = f"v{aid}"
+            name = source.get(aid)
+            if name is None:
+                name = f"v{aid}{tag}"
                 lines.append(f"{name} = _missing({a.text()!r})")
-            else:
-                name = f"x{k}"
+            elif nullable:
                 lines.append(f"if {name} is None: _missing({a.text()!r})")
         else:
-            arg = f"u{aid}"
+            arg = f"u{aid}{tag}"
             poly(a.arg.num, arg)
-            name = f"f{aid}"
+            name = f"f{aid}{tag}"
             if a.name in ("ln", "sqrt", _RECIP):
                 lines.append(f"_m.{a.name}_arg({arg})")
             op = {"ln": "_m.log", _RECIP: "1.0 / "}.get(a.name, f"_m.{a.name}")
@@ -143,10 +156,39 @@ def _generate(ctx, exprs, inputs) -> str:
             head = "0.0" if start == 0 else target
             lines.append(f"{target} = {head} + " + " + ".join(terms[start:start + _CHUNK]))
 
-    results = []
-    for i, e in enumerate(exprs):
-        poly(e.num, f"n{i}")
-        results.append(f"n{i}")
-    params = "".join(f", x{k}" for k in range(len(inputs)))
-    body = "\n".join(f"    {line}" for line in lines)
-    return f"def _ev(_m{params}):\n{body}\n    return ({', '.join(results)},)\n"
+    def emit(exprs) -> list:
+        start = len(results)
+        for e in exprs:
+            results.append(f"n{len(results)}{tag}")
+            poly(e.num, results[-1])
+        if not nullable:
+            lines.append(check_line(results[start:], sources))
+        return results[start:]
+    return emit
+
+
+def check_line(names, inputs) -> str:
+    """A line raising as the float path does if a value in ``names`` is not
+    finite; ``v - v`` is ``0.0`` exactly when ``v`` is finite."""
+    test = " + ".join(f"({n} - {n})" for n in names)
+    return f"if {test} != 0.0: _nonfinite({', '.join(inputs)})"
+
+
+def compile_float(name: str, params, body, **names):
+    """``def name(_m, *params)`` with ``body``, called with :class:`FloatOps` as
+    ``_m`` and ``names`` as extra globals. ``OverflowError`` and ``ValueError``
+    become the :class:`EvaluationError` an :class:`Evaluator` raises."""
+    return _compile(name, params, [
+        "try:", *(f"    {line}" for line in body),
+        "except (OverflowError, ValueError) as exc:",
+        "    raise _EvaluationError(_OVERFLOW) from exc"], _nonfinite=_nonfinite,
+        _EvaluationError=EvaluationError, _OVERFLOW=_OVERFLOW, **names)[1]
+
+
+def _compile(name: str, params, body, **names):
+    """Source and function of ``def name(_m, *params)`` with ``body``."""
+    source = (f"def {name}(_m{''.join(f', {p}' for p in params)}):\n"
+              + "".join(f"    {line}\n" for line in body))
+    namespace = {"_missing": _missing, **names}
+    exec(compile(source, "<jetvar evaluator>", "exec"), namespace)
+    return source, namespace[name]

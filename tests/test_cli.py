@@ -298,6 +298,45 @@ def test_hdd_solve_matches_golden_report(tmp_path, name):
         assert got == fh.read()
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("y0", ["709.0", "710.0"])
+def test_hdd_solve_overflow_is_evaluation_error(tmp_path, y0):
+    # At 709 every stage value is finite and the RK4 combination overflows
+    # P(1;1) to -inf; at 710 exp(y) itself overflows in the first stage.
+    prob = problem_file(tmp_path, 1, 1, "1/2*y(1;1)^2 - exp(y(1))")
+    init = init_file(tmp_path, f"y(1) = {y0}\nP(1;1) = 0.0\n")
+    proc = run_jetvar("hdd-solve", prob, "--init", init,
+                      "--x0", "0", "--x1", "1", "--step", "0.1")
+    assert proc.returncode == 1
+    data = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert data["error"]["type"] == "EvaluationError"
+
+
+def test_hdd_solve_newton_without_root_is_newton_error(tmp_path):
+    # P = y'^2 = -1 has no real root: every start fails
+    prob = problem_file(tmp_path, 1, 1, "1/3*y(1;1)^3")
+    init = init_file(tmp_path, "y(1) = 0.0\nP(1;1) = -1.0\n")
+    data, code = run(build_parser().parse_args(
+        ["hdd-solve", prob, "--init", init, "--x0", "0", "--x1", "1", "--step", "0.01"]))
+    assert code == 1
+    assert data["error"] == {"type": "NewtonError",
+                             "message": "no convergence after 50 iterations at layer 0"}
+
+
+def test_hdd_solve_newton_restarts_after_singular_jacobian(tmp_path):
+    # P = y'^2 = 1: the first start y' = 0 has a zero Jacobian, the restart
+    # at 1 converges, and y' = 1 along the whole trajectory
+    prob = problem_file(tmp_path, 1, 1, "1/3*y(1;1)^3")
+    init = init_file(tmp_path, "y(1) = 0.0\nP(1;1) = 1.0\n")
+    data, code = run(build_parser().parse_args(
+        ["hdd-solve", prob, "--init", init, "--x0", "0", "--x1", "1", "--step", "0.01"]))
+    assert code == 0 and data["results"]["path"] == "newton"
+    assert abs(data["results"]["final"]["y(1)"] - 1.0) <= 1e-9
+
+
 @pytest.mark.parametrize("args", [
     ("derive", HO),
     ("legendre", HO),

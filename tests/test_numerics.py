@@ -3,9 +3,11 @@ import math
 import pytest
 
 from jetvar import forms as F
+from jetvar import legendre as LG
 from jetvar import numerics as N
+from jetvar import varcalc as V
 from jetvar.errors import InputError, MissingCoordinateError
-from jetvar.symcore import ChartContext, Expr, base, parse_expr
+from jetvar.symcore import ChartContext, Expr, base, jet, mom, parse_expr
 
 
 @pytest.fixture
@@ -117,32 +119,55 @@ def test_residual_grid_examples(ctx):
                         N.interval(0.0, 1.0, 5))
 
 
+def _chart(text):
+    ctx = ChartContext(1, 1, 1)
+    return LG.legendre_chart(V.LagrangianProblem(ctx, parse_expr(text, ctx)))
+
+
 def test_rk4_exponential():
-    f = lambda x, s: [s]
-    state = [1.0]
-    x, h = 0.0, 1e-3
-    for _ in range(1000):
-        state = N.rk4_step(f, x, state, h)
-        x += h
-    assert abs(state[0] - math.e) <= 1e-10
+    # y'' = y from y = y' = 1: y = e^x
+    data = _chart("1/2*y(1;1)^2 + 1/2*y(1)^2")
+    traj = LG.hdd_integrate(data, {jet(1): 1.0, mom(1, (1,)): 1.0}, 0.0, 1.0, 1e-3)
+    assert abs(traj.columns[jet(1)][-1] - math.e) <= 1e-10
 
 
 def test_rk4_fixed_point():
-    f = lambda x, *s: [0.0] * len(s)
-    state = [2.0, -1.0]
-    assert N.rk4_step(f, 0.0, state, 0.1) == state
+    # a state where the right-hand side vanishes stays bit-exact
+    ho = _chart("1/2*y(1;1)^2 - 1/2*y(1)^2")
+    traj = LG.hdd_integrate(ho, {jet(1): 0.0, mom(1, (1,)): 0.0}, 0.0, 1.0, 0.1)
+    assert all(v == 0.0 for c in (jet(1), mom(1, (1,))) for v in traj.columns[c])
+    free = _chart("1/2*y(1;1)^2")
+    traj = LG.hdd_integrate(free, {jet(1): 2.0, mom(1, (1,)): 0.0}, 0.0, 1.0, 0.1)
+    assert all(v == 2.0 for v in traj.columns[jet(1)])
+    assert all(v == 0.0 for v in traj.columns[mom(1, (1,))])
 
 
 def test_rk4_energy_drift():
-    f = lambda x, y, p: [p, -y]
-    state = [0.0, 1.0]
-    x, h = 0.0, 1e-3
-    steps = int(round(2 * math.pi / h))
-    for _ in range(steps):
-        state = N.rk4_step(f, x, state, h)
-        x += h
-    energy = 0.5 * (state[0] ** 2 + state[1] ** 2)
+    data = _chart("1/2*y(1;1)^2 - 1/2*y(1)^2")
+    traj = LG.hdd_integrate(data, {jet(1): 0.0, mom(1, (1,)): 1.0},
+                            0.0, 2 * math.pi, 1e-3)
+    energy = 0.5 * (traj.columns[jet(1)][-1] ** 2 + traj.columns[mom(1, (1,))][-1] ** 2)
     assert abs(energy - 0.5) <= 1e-9
+
+
+def test_rk4_step_is_classical_rk4():
+    # one generated step, against the textbook step on the same right-hand
+    # side (H = P^2/2 + y^2/2 - x y: y' = P, P' = x - y), bit for bit
+    data = _chart("1/2*y(1;1)^2 - 1/2*y(1)^2 + x(1)*y(1)")
+
+    def f(x, y, p):
+        return [p, x - y]
+
+    x, h, state = 0.25, 0.35 - 0.25, [0.3, -0.7]
+    k1 = f(x, *state)
+    k2 = f(x + h / 2, *[s + h / 2 * k for s, k in zip(state, k1)])
+    k3 = f(x + h / 2, *[s + h / 2 * k for s, k in zip(state, k2)])
+    k4 = f(x + h, *[s + h * k for s, k in zip(state, k3)])
+    want = [s + h / 6 * (a + 2 * b + 2 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    traj = LG.hdd_integrate(data, {jet(1): 0.3, mom(1, (1,)): -0.7}, 0.25, 0.35, 0.1)
+    assert len(traj.xs) == 2
+    assert [traj.columns[jet(1)][1], traj.columns[mom(1, (1,))][1]] == want
 
 
 def test_prolongation_commutes_with_total_derivative(ctx):
