@@ -116,38 +116,37 @@ class ProblemFile:
         if not self.has(block):
             raise InputError(f"this command needs a [{block}] block")
 
-    def gamma(self) -> N.Section:
-        self.require("gamma")
+    def _coord_block(self, block: str, allowed, what: str) -> dict:
+        """``{Coord: Expr}`` of a required block whose keys all pass ``allowed``."""
+        self.require(block)
         comps = {}
-        for key, val in self.cp["gamma"].items():
+        for key, val in self.cp[block].items():
             c = _parse_coord(key, self.ctx)
-            if c.kind != "y" or c.order != 0:
-                raise InputError(f"[gamma] keys must be y(s) entries, got {key}")
-            comps[(c.sigma, ())] = parse_expr(_unquote(val), self.ctx)
+            if not allowed(c):
+                raise InputError(f"[{block}] keys must be {what}, got {key}")
+            comps[c] = parse_expr(_unquote(val), self.ctx)
+        return comps
+
+    def sigma_block(self, block: str) -> dict:
+        """``{s: Expr}`` of a block keyed by y(s) entries."""
+        comps = self._coord_block(block, lambda c: c.kind == "y" and c.order == 0,
+                                  "y(s) entries")
+        return {c.sigma: e for c, e in comps.items()}
+
+    def gamma(self) -> N.Section:
+        comps = {(s, ()): e for s, e in self.sigma_block("gamma").items()}
         for sigma in range(1, self.ctx.m + 1):
             if (sigma, ()) not in comps:
                 raise InputError(f"[gamma] misses component y({sigma})")
         return N.Section(self.ctx, comps)
 
     def delta_components(self) -> dict:
-        self.require("delta")
-        comps = {}
-        for key, val in self.cp["delta"].items():
-            c = _parse_coord(key, self.ctx)
-            if c.kind not in ("y", "P"):
-                raise InputError(f"[delta] keys must be jets or momenta, got {key}")
-            comps[c] = parse_expr(_unquote(val), self.ctx)
-        return comps
+        return self._coord_block("delta", lambda c: c.kind in ("y", "P"),
+                                 "jets or momenta")
 
     def field(self) -> FL.SlopeField:
-        self.require("field")
-        comps = {}
-        for key, val in self.cp["field"].items():
-            c = _parse_coord(key, self.ctx)
-            if c.kind != "y":
-                raise InputError(f"[field] keys must be jet coordinates, got {key}")
-            comps[(c.sigma, c.J)] = parse_expr(_unquote(val), self.ctx)
-        return FL.SlopeField(self.ctx, comps)
+        comps = self._coord_block("field", lambda c: c.kind == "y", "jet coordinates")
+        return FL.SlopeField(self.ctx, {(c.sigma, c.J): e for c, e in comps.items()})
 
     def gspec(self) -> V.GSpec:
         if not self.has("g"):
@@ -468,13 +467,7 @@ def cmd_verify_extremal(pf: ProblemFile, args) -> Report:
 def cmd_first_variation(pf: ProblemFile, args) -> Report:
     rep = Report("first-variation", pf)
     gamma = pf.gamma()
-    pf.require("variation")
-    xi = {}
-    for key, val in pf.cp["variation"].items():
-        c = _parse_coord(key, pf.ctx)
-        if c.kind != "y" or c.order != 0:
-            raise InputError("[variation] keys must be y(s) entries")
-        xi[c.sigma] = parse_expr(_unquote(val), pf.ctx)
+    xi = pf.sigma_block("variation")
     lep = V.poincare_cartan(pf.problem)
     fv = N.first_variation_check(pf.problem, lep, xi, gamma,
                                  pf.domain(args.resolution), eps=args.eps)

@@ -16,9 +16,11 @@ n >= 2 with r >= 2 the deeper layers are underdetermined and the symbolic
 chart is refused.
 
 For n = 1, :func:`hdd_integrate` runs classical RK4 as one generated float
-function per step: its stages evaluate the gradient of H inline or, without
-a chart, call a generated Newton loop on the top momentum relations (a
-scalar division for one unknown, LAPACK for more) and evaluate dL/dy inline.
+function per step and recovers the top jets at every sample by one generated
+loop. With a chart both evaluate expressions inline (the gradient of H, the
+inverse); without one both call a generated Newton solve per layer of the top
+momentum relations, restarts and warm start included, and the stages
+evaluate dL/dy inline.
 """
 
 from __future__ import annotations
@@ -345,7 +347,9 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
     H drives the flow) or a :class:`LagrangianProblem` (top jets are
     recovered per stage by a Newton solve on the top momentum relations).
     Trajectories carry the state columns plus the reconstructed jets of
-    order r .. 2r-1. Each step is one generated float function.
+    order r .. 2r-1. Each step is one generated float function, and so is
+    the recovery at all samples; both paths build them from a stage and a
+    sample emitter.
     """
     chart = source if isinstance(source, LegendreChartData) else None
     prob = source if chart is None else chart.prob
@@ -370,14 +374,13 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
 
     if chart is not None:
         inputs = [base(1)] + state_coords
-        rhs = _symbolic_rhs(ctx, chart)
-        rk4 = _rk4_step(len(state_coords), lambda lines, x, state, tag: emitter(
-            ctx, inputs, [x, *state], lines, tag)(rhs))
-        recover = _sample_map(
-            ctx, [chart.inverse[(c.sigma, c.J)] for c in _top_coords(ctx)], inputs)
+        stage = _emitted(ctx, inputs, _symbolic_rhs(ctx, chart))
+        sample = _emitted(ctx, inputs, [chart.inverse[(c.sigma, c.J)] for c in _top_coords(ctx)])
+        names = {}
     else:
-        solver = _NewtonRecovery(prob, momenta(prob))
-        rk4, recover = solver.step, solver.recover
+        stage, sample, names = _newton_flow(prob, momenta(prob))
+    rk4 = _rk4_step(len(state_coords), stage, **names)
+    recover = _sample_map(len(state_coords), sample, **names)
 
     # Equal steps, never above the requested one: the derivative checks
     # need a uniform grid for their five-point stencil.
@@ -393,7 +396,7 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
         if x >= x1 - 1e-15:
             break
 
-    arr = np.hstack([np.array(states), np.array(recover(xs, states))])
+    arr = np.hstack([np.array(states), np.array(recover(FloatOps, xs, states))])
     return Trajectory(np.array(xs), dict(zip(state_coords + _top_coords(ctx), arr.T)))
 
 
@@ -417,16 +420,20 @@ def _rk4_step(n: int, stage, **names):
     return compile_float("_step", ["x", "h", *s], lines, **names)
 
 
-def _sample_map(ctx: ChartContext, exprs, inputs):
-    """``map(xs, states)``: ``exprs`` at every sample by one generated loop,
-    as an :class:`Evaluator` called per sample (x, *state) gives them."""
-    names = [f"i{k}" for k in range(len(inputs))]
+def _sample_map(n: int, sample, **names):
+    """Generated ``_map(_m, xs, states)``: one loop over the samples, each appended
+    by ``sample(lines, x, state, tag)`` as a stage is for :func:`_rk4_step`."""
+    s = [f"s{i}" for i in range(n)]
     body = []
-    body.append(f"out.append(({', '.join(emitter(ctx, inputs, names, body)(exprs))},))")
-    loop = compile_float("_map", ["xs", "states"], [
-        "out = []", f"for {names[0]}, ({', '.join(names[1:])},) in zip(xs, states):",
-        *(f"    {line}" for line in body), "return out"])
-    return lambda xs, states: loop(FloatOps, xs, states)
+    body.append(f"out.append(({', '.join(sample(body, 'x', s, ''))},))")
+    return compile_float("_map", ["xs", "states"], [
+        "out = []", f"for x, ({', '.join(s)},) in zip(xs, states):",
+        *(f"    {line}" for line in body), "return out"], **names)
+
+
+def _emitted(ctx: ChartContext, inputs, exprs):
+    """Stage or sample: ``exprs`` at (x, *state), as an Evaluator over ``inputs``."""
+    return lambda lines, x, state, tag: emitter(ctx, inputs, [x, *state], lines, tag)(exprs)
 
 
 def _symbolic_rhs(ctx: ChartContext, chart: LegendreChartData):
@@ -436,97 +443,90 @@ def _symbolic_rhs(ctx: ChartContext, chart: LegendreChartData):
             + [-chart.H.partial(jet(c.sigma, c.J[1:])) for c in ps])
 
 
-class _NewtonRecovery:
-    """Stage-wise recovery of jets above order r-1 from the momentum relations.
+def _newton_flow(prob: LagrangianProblem, table: MomentaTable):
+    """``(stage, sample, names)``: emitters that recover the jets above order r-1.
 
     Layer l solves the m relations P(s;1^(r-l)) = state momentum for the jets
     of order r+l, given x, the state jets and the lower layers' solutions, by
-    a generated Newton loop. Each stage of :attr:`step` calls the layer-0
-    solve, then evaluates the momentum equations' dL/dy inline.
+    the generated ``_newton<l>`` in ``names``. Each RK4 stage solves layer 0,
+    then evaluates the momentum equations' dL/dy inline; each sample solves
+    every layer.
     """
+    ctx = prob.ctx
+    r, m = ctx.r, ctx.m
+    ys, ps = _state_coords(ctx)
+    n_ys = len(ys)
+    known = [base(1)] + ys
+    names, targets = {}, []
+    for layer in range(r):
+        unknowns = [jet(s, (1,) * (r + layer)) for s in range(1, m + 1)]
+        relations = [table[(s, (1,) * (r - layer))] for s in range(1, m + 1)]
+        jac = [e.partial(c) for e in relations for c in unknowns]
+        known = known + unknowns
+        names[f"_newton{layer}"] = _newton_loop(ctx, layer, known, relations, jac)
+        targets.append([n_ys + ps.index(mom(s, (1,) * (r - layer))) for s in range(1, m + 1)])
+    dL_inputs = [base(1)] + ys + [jet(s, (1,) * r) for s in range(1, m + 1)]
+    dL = [prob.L.partial(jet(c.sigma, c.J[1:])) for c in ps]
 
-    def __init__(self, prob: LagrangianProblem, table: MomentaTable):
-        ctx = prob.ctx
-        r, m = ctx.r, ctx.m
-        ys, ps = _state_coords(ctx)
-        self.n_ys = n_ys = len(ys)
-        known = [base(1)] + ys
-        self.loops, self.targets = [], []
+    def solve(lines, layer, args, state, tag):
+        z = [f"z{layer}_{s}{tag}" for s in range(m)]
+        inputs = ", ".join(args + [state[i] for i in targets[layer]])
+        lines.append(f"{', '.join(z)}, = _newton{layer}(_m, {inputs})")
+        return z
+
+    def stage(lines, x, state, tag):
+        # y(s;1^k)' is y(s;1^(k+1)): the next state jet or the solved one;
+        # P(s;1^k)' = dL/dy(s;1^(k-1)) - P(s;1^(k-1)), without P for k = 1
+        args = [x, *state[:n_ys]]
+        u = solve(lines, 0, args, state, tag)
+        vals = emitter(ctx, dL_inputs, args + u, lines, tag)(dL)
+        lines += [f"d{i}{tag} = {v} - {state[n_ys + i - 1]}"
+                  for i, v in enumerate(vals) if i % r]
+        return ([state[i + 1] if (i + 1) % r else u[i // r] for i in range(n_ys)]
+                + [f"d{i}{tag}" if i % r else v for i, v in enumerate(vals)])
+
+    def sample(lines, x, state, tag):
+        args, solved = [x, *state[:n_ys]], []
         for layer in range(r):
-            unknowns = [jet(s, (1,) * (r + layer)) for s in range(1, m + 1)]
-            relations = [table[(s, (1,) * (r - layer))] for s in range(1, m + 1)]
-            jac = [e.partial(c) for e in relations for c in unknowns]
-            known = known + unknowns
-            self.loops.append(_newton_loop(ctx, layer, known, relations, jac))
-            self.targets.append([len(ys) + ps.index(mom(s, (1,) * (r - layer)))
-                                 for s in range(1, m + 1)])
-        self.guess = [(0.0,) * m for _ in range(r)]
-        dL_inputs = [base(1)] + ys + [jet(s, (1,) * r) for s in range(1, m + 1)]
-        dL = [prob.L.partial(jet(c.sigma, c.J[1:])) for c in ps]
+            solved.append(solve(lines, layer, args, state, tag))
+            args = args + solved[-1]
+        return [z for per_fiber in zip(*solved) for z in per_fiber]
 
-        def stage(lines, x, state, tag):
-            # y(s;1^k)' is y(s;1^(k+1)): the next state jet or the solved one;
-            # P(s;1^k)' = dL/dy(s;1^(k-1)) - P(s;1^(k-1)), without P for k = 1
-            u = [f"z{s}{tag}" for s in range(m)]
-            args = [x, *state[:n_ys]]
-            target = ", ".join(state[i] for i in self.targets[0])
-            lines.append(f"{', '.join(u)}, = _solve(0, ({', '.join(args)},), ({target},))")
-            vals = emitter(ctx, dL_inputs, args + u, lines, tag)(dL)
-            lines += [f"d{i}{tag} = {v} - {state[n_ys + i - 1]}"
-                      for i, v in enumerate(vals) if i % r]
-            return ([state[i + 1] if (i + 1) % r else u[i // r] for i in range(n_ys)]
-                    + [f"d{i}{tag}" if i % r else v for i, v in enumerate(vals)])
-
-        self.step = _rk4_step(n_ys + len(ps), stage, _solve=self._solve_layer)
-
-    def _solve_layer(self, k: int, known: tuple, target: tuple) -> tuple:
-        last_error = None
-        for restart in (0.0, 1.0, -1.0, 0.5, -0.5):
-            try:
-                start = (g + restart for g in self.guess[k])
-                self.guess[k] = self.loops[k](FloatOps, *known, *start, *target)
-                return self.guess[k]
-            except NewtonError as exc:
-                last_error = exc
-        raise last_error
-
-    def recover(self, xs, states) -> list:
-        """Jets of order r .. 2r-1 at every trajectory sample, per fiber."""
-        out = []
-        for x, state in zip(xs, states):
-            known, solved = (x, *state[:self.n_ys]), []
-            for k, targets in enumerate(self.targets):
-                solved.append(self._solve_layer(k, known, tuple(state[i] for i in targets)))
-                known += solved[-1]
-            out.append([v for per_fiber in zip(*solved) for v in per_fiber])
-        return out
+    return stage, sample, names
 
 
 def _newton_loop(ctx, layer: int, inputs, relations, jac):
-    """Generated ``_newton(_m, w.., z.., t..)``: from known values w and start z,
-    iterate until every |relation - t| <= _NEWTON_TOL (never on NaN); return z.
+    """Generated ``_newton(_m, w.., t..)``: from known values w, iterate z until
+    every |relation - t| <= _NEWTON_TOL (never on NaN); keep z in the global
+    ``_guess``, the next call's warm start, and return it. Each restart offset
+    starts at ``_guess`` plus it; the last start's failure raises NewtonError.
     Relations and Jacobian share one atom table; one unknown steps by division."""
     m = len(relations)
     w = [f"w{i}" for i in range(len(inputs) - m)]
     z, t, F, d = ([f"{c}{i}" for i in range(m)] for c in "ztFd")
+    zs = ", ".join(z)
     body = []
     emit = emitter(ctx, inputs, w + z, body)
     body += [f"{f} = {v} - {ti}" for f, v, ti in zip(F, emit(relations), t)]
     body.append(f"if {' and '.join(f'abs({f}) <= {_NEWTON_TOL!r}' for f in F)}: "
-                f"return ({', '.join(z)},)")
+                f"_guess[:] = ({zs},); return ({zs},)")
     J = emit(jac)
-    singular = f"raise _NewtonError('singular Jacobian at layer {layer}')"
+    singular = f"_failure = 'singular Jacobian at layer {layer}'; break"
     if m == 1:
         body += [f"if {J[0]} == 0: {singular}", f"z0 = z0 - F0 / {J[0]}"]
     else:
         rows = ", ".join(f"({', '.join(J[i * m:(i + 1) * m])})" for i in range(m))
         body += [f"try: {', '.join(d)}, = _lapack(({rows}), ({', '.join(F)})).tolist()",
-                 f"except _LinAlgError as exc: {singular} from exc",
+                 f"except _LinAlgError: {singular}",
                  *(f"{zi} = {zi} - {di}" for zi, di in zip(z, d))]
-    return compile_float("_newton", w + z + t, [
-        f"for _ in range({_NEWTON_MAX}):", *(f"    {line}" for line in body),
-        f"raise _NewtonError('no convergence after {_NEWTON_MAX} iterations at layer {layer}')"],
-        _NewtonError=NewtonError, _lapack=np.linalg.solve, _LinAlgError=np.linalg.LinAlgError)
+    return compile_float("_newton", w + t, [
+        "for _r in (0.0, 1.0, -1.0, 0.5, -0.5):",
+        f"    {zs}, = {', '.join(f'_guess[{i}] + _r' for i in range(m))},",
+        f"    for _ in range({_NEWTON_MAX}):", *(f"        {line}" for line in body),
+        f"    else: _failure = 'no convergence after {_NEWTON_MAX} iterations at layer {layer}'",
+        "raise _NewtonError(_failure)"],
+        _guess=[0.0] * m, _NewtonError=NewtonError,
+        _lapack=np.linalg.solve, _LinAlgError=np.linalg.LinAlgError)
 
 
 # -- a-posteriori trajectory checks ----------------------------------------------

@@ -145,30 +145,36 @@ def test_unknown_tolerance_rejected():
     assert code == 1
 
 
-@pytest.mark.parametrize("blocks,extra", [
-    ("[domain]\nlower = 0, abc\n", ()),
-    ("[domain]\nresolution = sixty\n", ()),
-    ("[domain]\nresolution = 50\n\n[tolerances]\nholonomy = oops\n", ()),
-    ("[domain]\nresolution = 50\n", ("--tol", "holonomy=abc")),
-    ("[domain]\nresolution = 50\n\n[domain]\nlower = 1\n", ()),
-    ("[domain]\nresolution = 50\n", ("--x0", "abc")),
-    ("[domain]\nresolution = 50\n", ("--x1", "1..2")),
-    ("[domain]\nresolution = 50\n", ("--step", "small")),
-    ("[domain]\nresolution = 50\n", ("--resolution", "2.5")),
-    ("[domain]\nresolution = 50\n", ("--eps", "tiny")),
-    ("[domain]\nresolution = 50\n", ("--resolution", "0")),
-    ("[domain]\nupper = nan\nresolution = 50\n", ()),
-    ("[domain]\nlower = -inf\nresolution = 50\n", ()),
+GAMMA = "[gamma]\ny(1) = \"sin(x(1))\"\n\n"
+
+
+@pytest.mark.parametrize("command,blocks,extra", [
+    ("verify-extremal", GAMMA + "[domain]\nlower = 0, abc\n", ()),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = sixty\n", ()),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n\n[tolerances]\nholonomy = oops\n", ()),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--tol", "holonomy=abc")),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n\n[domain]\nlower = 1\n", ()),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--x0", "abc")),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--x1", "1..2")),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--step", "small")),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--resolution", "2.5")),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--eps", "tiny")),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--resolution", "0")),
+    ("verify-extremal", GAMMA + "[domain]\nupper = nan\nresolution = 50\n", ()),
+    ("verify-extremal", GAMMA + "[domain]\nlower = -inf\nresolution = 50\n", ()),
+    ("verify-extremal", "[gamma]\ny(1;1) = \"cos(x(1))\"\n", ()),
+    ("legendre", GAMMA + "[delta]\nx(1) = \"0\"\n", ()),
+    ("field-check", GAMMA + "[field]\nP(1;1) = \"1\"\n", ()),
+    ("first-variation", GAMMA + "[variation]\ny(1;1) = \"1\"\n", ()),
 ], ids=["domain-lower", "domain-resolution", "tolerances-block", "tol-option",
         "duplicate-block", "x0-option", "x1-option", "step-option",
         "resolution-option", "eps-option", "resolution-zero", "domain-nan",
-        "domain-inf"])
-def test_malformed_input_is_input_error(tmp_path, blocks, extra):
+        "domain-inf", "gamma-key", "delta-key", "field-key", "variation-key"])
+def test_malformed_input_is_input_error(tmp_path, command, blocks, extra):
     f = tmp_path / "bad.prob"
     f.write_text("[problem]\nn = 1\nm = 1\nr = 1\n\n"
-                 "[lagrangian]\nL = \"1/2*y(1;1)^2 - 1/2*y(1)^2\"\n\n"
-                 "[gamma]\ny(1) = \"sin(x(1))\"\n\n" + blocks)
-    code, data, _ = run_cli("verify-extremal", str(f), *extra)
+                 "[lagrangian]\nL = \"1/2*y(1;1)^2 - 1/2*y(1)^2\"\n\n" + blocks)
+    code, data, _ = run_cli(command, str(f), *extra)
     assert code == 1
     assert data["error"]["type"] == "InputError"
 
@@ -315,26 +321,37 @@ def test_hdd_solve_overflow_is_evaluation_error(tmp_path, y0):
     assert data["error"]["type"] == "EvaluationError"
 
 
+# m -> L whose momenta P(s;1) = y(s;1)^2 have a singular Jacobian at y(s;1) = 0;
+# m = 1 steps by division, m = 2 through LAPACK
+CUBIC = {1: "1/3*y(1;1)^3", 2: "1/3*y(1;1)^3 + 1/3*y(2;1)^3"}
+
+
+def _cubic_hdd_solve(tmp_path, m, momenta):
+    init = "".join(f"y({s}) = 0.0\n" for s in range(1, m + 1))
+    init += "".join(f"P({s};1) = {p}\n" for s, p in enumerate(momenta, 1))
+    return run(build_parser().parse_args(
+        ["hdd-solve", problem_file(tmp_path, m, 1, CUBIC[m], f"m{m}.prob"),
+         "--init", init_file(tmp_path, init, f"m{m}.init"),
+         "--x0", "0", "--x1", "1", "--step", "0.01"]))
+
+
 def test_hdd_solve_newton_without_root_is_newton_error(tmp_path):
-    # P = y'^2 = -1 has no real root: every start fails
-    prob = problem_file(tmp_path, 1, 1, "1/3*y(1;1)^3")
-    init = init_file(tmp_path, "y(1) = 0.0\nP(1;1) = -1.0\n")
-    data, code = run(build_parser().parse_args(
-        ["hdd-solve", prob, "--init", init, "--x0", "0", "--x1", "1", "--step", "0.01"]))
-    assert code == 1
-    assert data["error"] == {"type": "NewtonError",
-                             "message": "no convergence after 50 iterations at layer 0"}
+    # P(1;1) = y(1;1)^2 = -1 has no real root: every start fails
+    for m, momenta in ((1, [-1.0]), (2, [-1.0, 1.0])):
+        data, code = _cubic_hdd_solve(tmp_path, m, momenta)
+        assert code == 1
+        assert data["error"] == {"type": "NewtonError",
+                                 "message": "no convergence after 50 iterations at layer 0"}
 
 
 def test_hdd_solve_newton_restarts_after_singular_jacobian(tmp_path):
-    # P = y'^2 = 1: the first start y' = 0 has a zero Jacobian, the restart
-    # at 1 converges, and y' = 1 along the whole trajectory
-    prob = problem_file(tmp_path, 1, 1, "1/3*y(1;1)^3")
-    init = init_file(tmp_path, "y(1) = 0.0\nP(1;1) = 1.0\n")
-    data, code = run(build_parser().parse_args(
-        ["hdd-solve", prob, "--init", init, "--x0", "0", "--x1", "1", "--step", "0.01"]))
-    assert code == 0 and data["results"]["path"] == "newton"
-    assert abs(data["results"]["final"]["y(1)"] - 1.0) <= 1e-9
+    # P(s;1) = y(s;1)^2 = 1: the first start y(s;1) = 0 is singular, the
+    # restart at 1 converges, and y(s;1) = 1 along the whole trajectory
+    for m in (1, 2):
+        data, code = _cubic_hdd_solve(tmp_path, m, [1.0] * m)
+        assert code == 0 and data["results"]["path"] == "newton"
+        for s in range(1, m + 1):
+            assert abs(data["results"]["final"][f"y({s})"] - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("args", [

@@ -249,6 +249,19 @@ def test_integrate_newton_path_matches_symbolic(quadratic_corpus):
         assert np.max(np.abs(t1.columns[c] - t2.columns[c])) <= 1e-9
 
 
+def test_integrate_newton_warm_starts_do_not_leak():
+    # P = y'^3/3 - y' has three roots y' for |P| < 2/3 and one for P > 2/3.
+    # From P = 0 the solve starts at y' = 0 and follows the middle root; a
+    # warm start left over from the P = 1 trajectory (y' > 2) would follow
+    # the outer one, so each trajectory's Newton guesses must be its own.
+    prob = problem("1/12*y(1;1)^4 - 1/2*y(1;1)^2 + x(1)*y(1)")
+    first, _, again = (LG.hdd_integrate(prob, {jet(1, ()): 0.0, mom(1, (1,)): p},
+                                        0.0, 1.0, 1e-2) for p in (0.0, 1.0, 0.0))
+    assert list(first.columns) == list(again.columns)
+    for c in first.columns:
+        assert np.array_equal(first.columns[c], again.columns[c])
+
+
 def test_integrate_newton_nonquadratic():
     # quartic kinetic term: momentum relation P = y'^3 is nonlinear
     prob = problem("1/4*y(1;1)^4")
