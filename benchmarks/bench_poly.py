@@ -3,9 +3,12 @@
 Two symbolic workloads stress the polynomial kernel; ``rational_derive``
 runs the derive pipeline (Euler-Lagrange, canonical equivalent, its defect,
 Hamilton table) on the quotient densities ``y(1;1,1)^2/(1+y(1;1)^2)^2``
-(r = 2) and ``(y(1;1,1)+y(1;2,2))^2/(1+y(1;1)^2+y(1;2)^2)`` (n = 2). Three
-numeric workloads run generated float code at many points (the problem and
-chart setup is done once, outside the timed region):
+(r = 2) and ``(y(1;1,1)+y(1;2,2))^2/(1+y(1;1)^2+y(1;2)^2)`` (n = 2), and
+``quotient_stress`` runs it on the n = 2, r = 3 quotient
+``(y(1;1,1,1)+y(1;2,2,2))^2/(1+y(1;1)^2+y(1;2)^2)``, where exact zero tests
+on large quotient expressions dominate. Three numeric workloads run
+generated float code at many points (the problem and chart setup is done
+once, outside the timed region):
 
 * ``laplace_action_201``: trapezoid quadrature of the Laplace action
   integrand along a varied section, as in ``first-variation``, on a 201^2
@@ -91,6 +94,12 @@ def rational_derive():
     return out
 
 
+def quotient_stress():
+    ctx = ChartContext(2, 1, 3)
+    L = parse_expr("(y(1;1,1,1)+y(1;2,2,2))^2/(1+y(1;1)^2+y(1;2)^2)", ctx)
+    return derive_pipeline(V.LagrangianProblem(ctx, L))
+
+
 def laplace_action_201():
     ctx = ChartContext(2, 1, 1)
     prob = V.LagrangianProblem(ctx, parse_expr("1/2*(y(1;1)^2 + y(1;2)^2)", ctx))
@@ -132,7 +141,7 @@ def main() -> int:
                     help="best-of-N timing per workload")
     args = ap.parse_args()
     workloads = {"poly_stress": poly_stress, "derivation_batch": derivation_batch,
-                 "rational_derive": rational_derive,
+                 "rational_derive": rational_derive, "quotient_stress": quotient_stress,
                  "laplace_action_201": laplace_action_201(),
                  "ho_hdd_integrate": ho_hdd_integrate(),
                  "newton_hdd_integrate": newton_hdd_integrate()}

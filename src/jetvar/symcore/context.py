@@ -12,11 +12,15 @@ R^n x R^m -> R^n. Coordinates are:
 A :class:`ChartContext` validates index ranges, interns every atom (chart
 coordinate, elementary-function subexpression or reciprocal ``1/D``) under
 a small integer id used by the polynomial kernel, and carries the order
-bound for jets.
+bound for jets. It also holds the point of the exact zero certificate
+(:meth:`jetvar.symcore.expr.Expr.is_zero`): one residue modulo
+``RESIDUE_PRIME`` per atom, drawn from a fixed seed.
 """
 
 from __future__ import annotations
 
+import random
+import threading
 from dataclasses import dataclass
 
 from .. import multiindex as mi
@@ -24,6 +28,9 @@ from ..errors import IndexRangeError, OrderOverflowError
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 _RECIP = "recip"  # atom name of 1/D; not a function of the expression language
+
+RESIDUE_PRIME = (1 << 61) - 1  # modulus of the zero certificate (a Mersenne prime)
+_RESIDUE_SEED = 61
 
 _KIND_ORDER = {"x": 0, "y": 1, "v": 2, "P": 3}
 
@@ -120,6 +127,9 @@ class ChartContext:
         self._func_ids: dict = {}         # (name, arg-sig) -> id
         self._func_coord_support: dict = {}  # FuncAtom id -> frozenset of coord ids
         self._recip_ids: set = set()      # ids of the reciprocal atoms
+        self._residues: list = []         # id -> residue at the certificate point
+        self._residue_rng = None          # draws the residues, made on first use
+        self._residue_lock = threading.Lock()  # one thread fills _residues at a time
 
     # -- intern table ------------------------------------------------------
 
@@ -187,6 +197,29 @@ class ChartContext:
 
     def func_coord_support(self, aid: int) -> frozenset:
         return self._func_coord_support[aid]
+
+    def residues(self, top: int) -> list:
+        """Atom residues modulo ``RESIDUE_PRIME`` at the certificate point,
+        filled in id order through atom ``top``.
+
+        Coordinates and function atoms are indeterminates: each draws an
+        independent nonzero residue from the fixed seed. A reciprocal atom
+        gets the inverse of its argument's residue (the argument only holds
+        atoms of smaller id, filled before it), or None when that residue is
+        0, so that no expression holding the atom gets a certificate.
+        """
+        res = self._residues
+        if len(res) <= top:
+            with self._residue_lock:
+                if self._residue_rng is None:
+                    self._residue_rng = random.Random(_RESIDUE_SEED)
+                for aid in range(len(res), top + 1):
+                    if aid in self._recip_ids:
+                        r = self._atoms[aid].arg.residue()
+                        res.append(pow(r, -1, RESIDUE_PRIME) if r else None)
+                    else:
+                        res.append(self._residue_rng.randrange(1, RESIDUE_PRIME))
+        return res
 
     def atom_sort_key(self, aid: int):
         a = self._atoms[aid]

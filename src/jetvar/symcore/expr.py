@@ -11,8 +11,12 @@ Consequently:
 
 * ``==`` is structural: it compares the stored polynomials;
 * :meth:`Expr.is_zero` and :meth:`Expr.equal_exact` are exact for rational
-  functions: they clear the reciprocal atoms, writing P/Q with P and Q free
-  of them, and test P;
+  functions. An expression with reciprocal atoms is first evaluated modulo
+  a prime at one fixed point of the context (:meth:`Expr.residue`): a
+  nonzero residue proves it nonzero. Only when that cannot decide (the
+  residue is 0, or a coefficient denominator or a reciprocal's argument is
+  0 there) are the reciprocal atoms cleared, writing P/Q with P and Q free
+  of them, and P tested;
 * expressions with transcendental atoms fall back to sampled evaluation
   (:meth:`Expr.probably_equal`), reported as probable equality only.
 
@@ -46,7 +50,8 @@ from fractions import Fraction
 from .. import _poly as K
 from ..errors import (DivisionByZeroError, DomainError, InputError,
                       OrderOverflowError)
-from .context import _RECIP, ChartContext, Coord, FuncAtom, base, jet, vel
+from .context import (_RECIP, RESIDUE_PRIME, ChartContext, Coord, FuncAtom, base,
+                      jet, vel)
 from .evaluator import Evaluator
 
 _ONE = {K.ONE_MONO: (1, 1)}
@@ -61,7 +66,7 @@ def _as_rat(value):
 
 
 class Expr:
-    __slots__ = ("ctx", "num", "_support", "_compiled")
+    __slots__ = ("ctx", "num", "_support", "_compiled", "_residue")
 
     # Every denominator is 1: perfbench/spans.py still reads e.den in its size counters.
     den = _ONE
@@ -71,6 +76,7 @@ class Expr:
         self.num = num
         self._support = None
         self._compiled = None
+        self._residue = None
 
     # -- constructors -------------------------------------------------------
 
@@ -109,8 +115,18 @@ class Expr:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        """Exact for rational functions (reciprocal atoms are cleared)."""
-        return not self.num or (bool(self.ctx._recip_ids) and not self._split()[0])
+        """Exact for rational functions.
+
+        An expression free of reciprocal atoms is zero only when it has no
+        terms. Otherwise a nonzero :meth:`residue` proves "nonzero"; when the
+        residue is 0 the reciprocal atoms are cleared and P is tested.
+        """
+        if not self.num:
+            return True
+        recips = self.ctx._recip_ids
+        if not recips or not any(a in recips for mono in self.num for a, _ in mono):
+            return False
+        return not self.residue() and not self._split()[0]
 
     def is_one(self) -> bool:
         return self.num == _ONE
@@ -214,6 +230,23 @@ class Expr:
             acc = K.poly_add(acc, t.num)
         return Expr(ctx, acc)
 
+    # -- zero certificate ----------------------------------------------------
+
+    def residue(self) -> int:
+        """self modulo ``RESIDUE_PRIME`` at the context's certificate point,
+        or 0 when that cannot be computed.
+
+        Every atom takes its residue from :meth:`ChartContext.residues`.
+        The residue of P/Q (:meth:`_split`) is that of P over that of Q, so
+        a nonzero residue proves P != 0. A coefficient denominator that is
+        0 modulo the prime, or a reciprocal atom whose argument has residue
+        0, gives 0: no certificate. Cached on the expression.
+        """
+        r = self._residue
+        if r is None:
+            r = self._residue = _residue(self.ctx, self.num)
+        return r
+
     # -- reciprocal atoms ----------------------------------------------------
 
     def _split(self):
@@ -269,8 +302,9 @@ class Expr:
     __hash__ = None
 
     def equal_exact(self, other) -> bool:
-        """Exact equality: the difference is zero once reciprocal atoms
-        are cleared.
+        """Exact equality: the difference is zero by :meth:`is_zero` (a
+        nonzero residue decides "unequal"; otherwise the reciprocal atoms
+        are cleared).
 
         Sound whenever both sides are defined; complete for rational
         functions of the coordinates (no trigonometric identities).
@@ -477,6 +511,31 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({self})"
+
+
+def _residue(ctx, num) -> int:
+    """The residue of the polynomial ``num`` (see :meth:`Expr.residue`)."""
+    p = RESIDUE_PRIME
+    res = ctx._residues
+    if len(res) < len(ctx._atoms):  # atoms were interned since the last fill
+        res = ctx.residues(max((mono[-1][0] for mono in num if mono), default=-1))
+    total = 0
+    fractional = {}  # coefficient denominator other than 1 -> sum of its terms
+    for mono, (n, d) in num.items():
+        for aid, e in mono:
+            r = res[aid]
+            if r is None:
+                return 0
+            n = n * (r if e == 1 else pow(r, e, p)) % p
+        if d == 1:
+            total += n
+        else:
+            fractional[d] = fractional.get(d, 0) + n
+    for d, s in fractional.items():
+        if d % p == 0:
+            return 0
+        total += s * pow(d, -1, p)
+    return total % p
 
 
 def _func_derivative(ctx, aid: int, fa: FuncAtom) -> Expr:

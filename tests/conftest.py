@@ -14,13 +14,15 @@ from jetvar.symcore import ChartContext, Expr, base, jet
 
 
 def random_polynomial(ctx, rng, atoms, n_terms=4, degree=3, allow_const=True):
-    """Random polynomial with small rational coefficients."""
+    """Random polynomial with small rational coefficients in the atoms
+    (coordinates or expressions)."""
     total = Expr.const(ctx, 0)
     for _ in range(n_terms):
         coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
         term = Expr.const(ctx, coeff)
         for _ in range(rng.randint(0 if allow_const else 1, degree)):
-            term = term * Expr.coord(ctx, rng.choice(atoms))
+            a = rng.choice(atoms)
+            term = term * (a if isinstance(a, Expr) else Expr.coord(ctx, a))
         total = total + term
     return total
 

@@ -12,6 +12,7 @@ from jetvar.errors import (DivisionByZeroError, DomainError, EvaluationError,
                            OrderOverflowError, ParseError)
 from jetvar.symcore import (ChartContext, Coord, Evaluator, Expr, base, jet,
                             mom, parse_expr, vel)
+from jetvar.symcore.context import RESIDUE_PRIME
 from conftest import assert_sym_equal, random_polynomial, run_python
 
 
@@ -391,6 +392,53 @@ def test_zero_test_is_exact_across_reciprocal_atoms(ctx):
     assert len(e.num) == 3  # three different reciprocal atoms, not cancelled
     assert e.is_zero()
     assert not (e + parse_expr("1/(1+y(1))", ctx)).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from(["cancel", "perturbed", "random"]))
+def test_zero_certificate_never_lies(seed, kind):
+    # The residue only ever answers "nonzero"; it must agree with clearing
+    # the reciprocal atoms, also when sqrt/exp atoms sit in their arguments.
+    ctx = ChartContext(1, 1, 1)
+    rng = random.Random(seed)
+    x, y, y1 = (Expr.coord(ctx, c) for c in (base(1), jet(1), jet(1, (1,))))
+    atoms = [x, y, y1, Expr.func(ctx, "sqrt", 1 + y1 * y1),
+             Expr.func(ctx, "exp", x - y)]
+
+    def poly(n_terms=2):
+        return random_polynomial(ctx, rng, atoms, n_terms=n_terms, degree=2,
+                                 allow_const=False)
+
+    dens = [1 + poly() for _ in range(rng.randint(1, 3))]
+    if kind == "random":
+        e = Expr.sum(ctx, [poly() / d ** rng.randint(1, 2) for d in dens])
+    else:
+        a, b, c = poly(), rng.choice(dens), rng.choice(dens)
+        e = a / b + a / c - a * (b + c) / (b * c)
+        if kind == "perturbed":
+            e = e + poly(n_terms=1) / rng.choice(dens)
+    assert e.is_zero() == (not e._split()[0])
+    if kind == "cancel":
+        assert e.is_zero()
+
+
+def test_zero_test_falls_through_when_the_residue_cannot_decide(ctx):
+    p = RESIDUE_PRIME
+    y = parse_expr("y(1)", ctx)
+    # a coefficient denominator that is 0 modulo the prime
+    zero = parse_expr(f"(y(1)+1)/({p}*(1+y(1))) - 1/{p}", ctx)
+    nonzero = parse_expr(f"(y(1)+2)/({p}*(1+y(1))) - 1/{p}", ctx)
+    assert any(d == p for _, d in zero.num.values())
+    # a reciprocal atom whose argument has residue 0 at the certificate point
+    c = y.residue()
+    zero_arg = 1 / (y - c) + 1 / (y + c) - 2 * y / (y * y - c * c)
+    nonzero_arg = 1 / (y - c) + parse_expr("x(1)", ctx)
+    assert (y - c).residue() == 0 and len(zero_arg.num) == 3
+    for e, want in ((zero, True), (nonzero, False), (zero_arg, True), (nonzero_arg, False)):
+        assert e.residue() == 0  # no certificate: the answer comes from clearing
+        assert e.is_zero() is want
+        assert e.equal_exact(Expr.const(ctx, 0)) is want
 
 
 def test_probable_equality_for_transcendental(ctx):
