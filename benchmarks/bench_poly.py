@@ -18,9 +18,9 @@ once, outside the timed region):
 * ``newton_hdd_integrate``: RK4 on the anharmonic density
   ``1/2*y(1;1)^2 + 1/12*y(1;1)^4 - 1/2*y(1)^2`` over [0, 1] at step
   1.25e-3 (800 steps); its momentum relation has no closed-form inverse,
-  so every stage and every sample recovers y' by a Newton solve (the
-  momenta and the generated solver are built inside ``hdd_integrate``, so
-  they are timed).
+  so every stage recovers y' by a Newton solve, each sample takes the one
+  of the stage at it, and the last sample has its own (the momenta and the
+  generated solver are built inside ``hdd_integrate``, so they are timed).
 
 Prints the best-of-N wall time of each workload:
 

@@ -32,8 +32,8 @@ Problem files are INI blocks with quoted expression strings::
     resolution = 1000
 
 Point and init files are plain ``coordinate = value`` lines. Exit codes:
-0 success, 1 input validation, 2 a computed check failed, 3 degenerate or
-non-regular problem.
+0 success, 1 input validation (usage errors included), 2 a computed check
+failed, 3 degenerate or non-regular problem.
 """
 
 from __future__ import annotations
@@ -508,8 +508,13 @@ def _render_text(data: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 with a report, not 2
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="jetvar",
         description="derivations and checks for higher-order variational problems")
     p.add_argument("command", choices=sorted(COMMANDS))
@@ -520,32 +525,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override a named tolerance")
     p.add_argument("--at", help="point file for regularity/definiteness")
     p.add_argument("--init", help="initial-data file for hdd-solve")
-    # Numbers are read as text and parsed in run(), so that a malformed
-    # value exits 1 with a report instead of argparse's exit 2.
-    p.add_argument("--x0")
-    p.add_argument("--x1")
-    p.add_argument("--step")
-    p.add_argument("--resolution")
-    p.add_argument("--eps", default="1e-5",
+    p.add_argument("--x0", type=float)
+    p.add_argument("--x1", type=float)
+    p.add_argument("--step", type=float)
+    p.add_argument("--resolution", type=int)
+    p.add_argument("--eps", type=float, default=1e-5,
                    help="variation-parameter step for first-variation")
     return p
 
 
-NUMERIC_OPTIONS = {"x0": float, "x1": float, "step": float, "resolution": int, "eps": float}
-
-
-def _parse_numeric_options(args) -> argparse.Namespace:
-    """A copy of ``args`` with the numeric options parsed from text."""
-    parsed = dict(vars(args))
-    for name, kind in NUMERIC_OPTIONS.items():
-        if isinstance(parsed.get(name), str):
-            parsed[name] = _number(parsed[name], f"--{name}", kind)
-    return argparse.Namespace(**parsed)
-
-
 def run(args) -> tuple[dict, int]:
     try:
-        args = _parse_numeric_options(args)
         pf = ProblemFile(args.file)
         for item in args.tol:
             if "=" not in item:
@@ -583,8 +573,14 @@ _PARSER = None  # built on the first call of main, then reused by in-process cal
 def main(argv=None) -> int:
     global _PARSER
     _PARSER = _PARSER or build_parser()
-    args = _PARSER.parse_args(argv)
-    data, code = run(args)
+    try:
+        args = _PARSER.parse_args(argv)
+    except InputError as exc:
+        _PARSER.print_usage(sys.stderr)
+        args = argparse.Namespace(command=None, format="json", out=None)
+        data, code = _error_report(args, 1, exc), 1
+    else:
+        data, code = run(args)
     text = (json.dumps(data, indent=2, sort_keys=True)
             if args.format == "json" else _render_text(data))
     if args.out:

@@ -16,11 +16,12 @@ n >= 2 with r >= 2 the deeper layers are underdetermined and the symbolic
 chart is refused.
 
 For n = 1, :func:`hdd_integrate` runs classical RK4 as one generated float
-function per step and recovers the top jets at every sample by one generated
-loop. With a chart both evaluate expressions inline (the gradient of H, the
-inverse); without one both call a generated Newton solve per layer of the top
-momentum relations, restarts and warm start included, and the stages
-evaluate dL/dy inline.
+function over all steps. Each sample's top jets are those of the first stage
+of the step taken from it. With a chart the stages evaluate the gradient of
+H and the samples the inverse inline; without one each stage calls a
+generated Newton solve of the first layer of the top momentum relations,
+restarts and warm start included, and evaluates dL/dy inline, and each
+sample solves the other layers.
 """
 
 from __future__ import annotations
@@ -326,6 +327,7 @@ _NEWTON_MAX = 50       # Newton iterations per start point
 @dataclass
 class Trajectory:
     xs: np.ndarray
+    h: float       # the equal RK4 step between samples
     columns: dict  # Coord -> np.ndarray
 
 
@@ -347,9 +349,9 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
     H drives the flow) or a :class:`LagrangianProblem` (top jets are
     recovered per stage by a Newton solve on the top momentum relations).
     Trajectories carry the state columns plus the reconstructed jets of
-    order r .. 2r-1. Each step is one generated float function, and so is
-    the recovery at all samples; both paths build them from a stage and a
-    sample emitter.
+    order r .. 2r-1. The whole run is one generated float function; each
+    sample's jets are those of the first stage of the step taken from it,
+    the ones the integration followed, and only the last sample has its own.
     """
     chart = source if isinstance(source, LegendreChartData) else None
     prob = source if chart is None else chart.prob
@@ -373,84 +375,71 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
             raise InputError(f"initial data missing {c.text()}")
 
     if chart is not None:
-        inputs = [base(1)] + state_coords
-        stage = _emitted(ctx, inputs, _symbolic_rhs(ctx, chart))
-        sample = _emitted(ctx, inputs, [chart.inverse[(c.sigma, c.J)] for c in _top_coords(ctx)])
-        names = {}
+        point, names = _chart_flow(ctx, chart), {}
     else:
-        stage, sample, names = _newton_flow(prob, momenta(prob))
-    rk4 = _rk4_step(len(state_coords), stage, **names)
-    recover = _sample_map(len(state_coords), sample, **names)
-
-    # Equal steps, never above the requested one: the derivative checks
-    # need a uniform grid for their five-point stencil.
-    nsteps = max(1, int(math.ceil((x1 - x0) / step - 1e-12)))
-    xs = [x0]
-    states = [tuple(float(init[c]) for c in state_coords)]
-    x = x0
-    for _ in range(nsteps):
-        h = min((x1 - x0) / nsteps, x1 - x)
-        states.append(rk4(FloatOps, x, h, *states[-1]))
-        x += h
-        xs.append(x)
-        if x >= x1 - 1e-15:
-            break
-
-    arr = np.hstack([np.array(states), np.array(recover(FloatOps, xs, states))])
-    return Trajectory(np.array(xs), dict(zip(state_coords + _top_coords(ctx), arr.T)))
+        point, names = _newton_flow(prob, momenta(prob))
+    run = _trajectory(len(state_coords), point, **names)
+    # Equal steps, never above the requested one; the derivative checks use
+    # this step in their five-point stencil.
+    steps = max(1, int(math.ceil((x1 - x0) / step - 1e-12)))
+    h = (x1 - x0) / steps
+    rows = np.array(run(FloatOps, x0, h, steps, *(float(init[c]) for c in state_coords)))
+    return Trajectory(rows[:, 0], h, dict(zip(state_coords + _top_coords(ctx), rows[:, 1:].T)))
 
 
-def _rk4_step(n: int, stage, **names):
-    """Generated ``_step(_m, x, h, s0, ..)``: the textbook RK4 step's float operations.
+def _trajectory(n: int, point, **names):
+    """Generated ``_run(_m, x, h, steps, s0, ..)``: ``steps`` textbook RK4 steps
+    from x with the state in locals, returning one row (x, state, top jets) per
+    sample.
 
-    ``stage(lines, x, state, tag)`` appends one right-hand-side evaluation at
-    local names and returns the names of its values. A non-finite new state
-    raises :class:`EvaluationError`."""
+    ``point(lines, x, state, tag, rhs, top)`` appends one evaluation at local
+    names and returns the names of the right-hand side's values if ``rhs``,
+    then of the top jets if ``top``. A non-finite new state raises
+    :class:`EvaluationError`."""
     s = [f"s{i}" for i in range(n)]
-    lines = ["hh = h / 2", "xm = x + hh", "xe = x + h", "h6 = h / 6"]
-    ks = [stage(lines, "x", s, "_1")]
+    body = ["xm = x + hh", "xe = x + h"]
+    first = point(body, "x", s, "_1", rhs=True, top=True)
+    body.append(f"rows.append((x, {', '.join(s + first[n:])}))")
+    ks = [first[:n]]
     for j, (xj, scale) in enumerate((("xm", "hh"), ("xm", "hh"), ("xe", "h")), 2):
         state = [f"a{i}_{j}" for i in range(n)]
-        lines += [f"{a} = {si} + {scale} * {k}" for a, si, k in zip(state, s, ks[-1])]
-        ks.append(stage(lines, xj, state, f"_{j}"))
+        body += [f"{a} = {si} + {scale} * {k}" for a, si, k in zip(state, s, ks[-1])]
+        ks.append(point(body, xj, state, f"_{j}", rhs=True, top=False))
     new = [f"r{i}" for i in range(n)]
-    lines += [f"{r} = {si} + h6 * ({a} + 2 * {b} + 2 * {c} + {d})"
-              for r, si, a, b, c, d in zip(new, s, *ks)]
-    lines += [check_line(new, s), f"return ({', '.join(new)},)"]
-    return compile_float("_step", ["x", "h", *s], lines, **names)
+    body += [f"{r} = {si} + h6 * ({a} + 2 * {b} + 2 * {c} + {d})"
+             for r, si, a, b, c, d in zip(new, s, *ks)]
+    body += [check_line(new, s), f"{', '.join(s)}, = {', '.join(new)},", "x = x + h"]
+    last: list = []
+    top = point(last, "x", s, "_f", rhs=False, top=True)
+    return compile_float("_run", ["x", "h", "steps", *s], [
+        "hh = h / 2", "h6 = h / 6", "rows = []", "for _ in range(steps):",
+        *(f"    {line}" for line in body),
+        *last, f"rows.append((x, {', '.join(s + top)}))", "return rows"], **names)
 
 
-def _sample_map(n: int, sample, **names):
-    """Generated ``_map(_m, xs, states)``: one loop over the samples, each appended
-    by ``sample(lines, x, state, tag)`` as a stage is for :func:`_rk4_step`."""
-    s = [f"s{i}" for i in range(n)]
-    body = []
-    body.append(f"out.append(({', '.join(sample(body, 'x', s, ''))},))")
-    return compile_float("_map", ["xs", "states"], [
-        "out = []", f"for x, ({', '.join(s)},) in zip(xs, states):",
-        *(f"    {line}" for line in body), "return out"], **names)
-
-
-def _emitted(ctx: ChartContext, inputs, exprs):
-    """Stage or sample: ``exprs`` at (x, *state), as an Evaluator over ``inputs``."""
-    return lambda lines, x, state, tag: emitter(ctx, inputs, [x, *state], lines, tag)(exprs)
-
-
-def _symbolic_rhs(ctx: ChartContext, chart: LegendreChartData):
-    """y(s;J)' = dH/dP(s;J,1) and P(s;K)' = -dH/dy(s;K minus one index), in state order."""
+def _chart_flow(ctx: ChartContext, chart: LegendreChartData):
+    """``point`` of :func:`_trajectory` on the chart: y(s;J)' = dH/dP(s;J,1) and
+    P(s;K)' = -dH/dy(s;K minus one index) in state order, then the inverse."""
     ys, ps = _state_coords(ctx)
-    return ([chart.H.partial(mom(c.sigma, c.J + (1,))) for c in ys]
+    grad = ([chart.H.partial(mom(c.sigma, c.J + (1,))) for c in ys]
             + [-chart.H.partial(jet(c.sigma, c.J[1:])) for c in ps])
+    inverse = [chart.inverse[(c.sigma, c.J)] for c in _top_coords(ctx)]
+    inputs = [base(1)] + ys + ps
+
+    def point(lines, x, state, tag, rhs, top):
+        emit = emitter(ctx, inputs, [x, *state], lines, tag)
+        return emit((grad if rhs else []) + (inverse if top else []))
+    return point
 
 
 def _newton_flow(prob: LagrangianProblem, table: MomentaTable):
-    """``(stage, sample, names)``: emitters that recover the jets above order r-1.
+    """``(point, names)`` of :func:`_trajectory`: the jets above order r-1 by Newton.
 
     Layer l solves the m relations P(s;1^(r-l)) = state momentum for the jets
     of order r+l, given x, the state jets and the lower layers' solutions, by
-    the generated ``_newton<l>`` in ``names``. Each RK4 stage solves layer 0,
-    then evaluates the momentum equations' dL/dy inline; each sample solves
-    every layer.
+    the generated ``_newton<l>`` in ``names``. Every point solves layer 0; the
+    right-hand side evaluates the momentum equations' dL/dy inline, and the
+    top jets solve the other layers.
     """
     ctx = prob.ctx
     r, m = ctx.r, ctx.m
@@ -474,25 +463,26 @@ def _newton_flow(prob: LagrangianProblem, table: MomentaTable):
         lines.append(f"{', '.join(z)}, = _newton{layer}(_m, {inputs})")
         return z
 
-    def stage(lines, x, state, tag):
-        # y(s;1^k)' is y(s;1^(k+1)): the next state jet or the solved one;
-        # P(s;1^k)' = dL/dy(s;1^(k-1)) - P(s;1^(k-1)), without P for k = 1
-        args = [x, *state[:n_ys]]
-        u = solve(lines, 0, args, state, tag)
-        vals = emitter(ctx, dL_inputs, args + u, lines, tag)(dL)
-        lines += [f"d{i}{tag} = {v} - {state[n_ys + i - 1]}"
-                  for i, v in enumerate(vals) if i % r]
-        return ([state[i + 1] if (i + 1) % r else u[i // r] for i in range(n_ys)]
-                + [f"d{i}{tag}" if i % r else v for i, v in enumerate(vals)])
+    def point(lines, x, state, tag, rhs, top):
+        args, out = [x, *state[:n_ys]], []
+        solved = [solve(lines, 0, args, state, tag)]
+        if rhs:
+            # y(s;1^k)' is y(s;1^(k+1)): the next state jet or the solved one;
+            # P(s;1^k)' = dL/dy(s;1^(k-1)) - P(s;1^(k-1)), without P for k = 1
+            u = solved[0]
+            vals = emitter(ctx, dL_inputs, args + u, lines, tag)(dL)
+            lines += [f"d{i}{tag} = {v} - {state[n_ys + i - 1]}"
+                      for i, v in enumerate(vals) if i % r]
+            out += ([state[i + 1] if (i + 1) % r else u[i // r] for i in range(n_ys)]
+                    + [f"d{i}{tag}" if i % r else v for i, v in enumerate(vals)])
+        if top:
+            for layer in range(1, r):
+                args = args + solved[-1]
+                solved.append(solve(lines, layer, args, state, tag))
+            out += [z for per_fiber in zip(*solved) for z in per_fiber]
+        return out
 
-    def sample(lines, x, state, tag):
-        args, solved = [x, *state[:n_ys]], []
-        for layer in range(r):
-            solved.append(solve(lines, layer, args, state, tag))
-            args = args + solved[-1]
-        return [z for per_fiber in zip(*solved) for z in per_fiber]
-
-    return stage, sample, names
+    return point, names
 
 
 def _newton_loop(ctx, layer: int, inputs, relations, jac):
@@ -531,23 +521,21 @@ def _newton_loop(ctx, layer: int, inputs, relations, jac):
 
 # -- a-posteriori trajectory checks ----------------------------------------------
 
-def _grid_derivative(xs: np.ndarray, col: np.ndarray):
-    """Derivative of sampled data and the index range where it is accurate.
+def _grid_derivative(h: float, col: np.ndarray):
+    """Derivative of data sampled at the step h and the index range where it is accurate.
 
-    Uses the fourth-order five-point stencil on the (uniform) interior so
-    the check does not drown in second-order truncation error; falls back
-    to np.gradient when the grid is too short or non-uniform. Fewer than
-    three samples admit no second-order derivative and raise InputError.
+    Uses the fourth-order five-point stencil on the interior so the check
+    does not drown in second-order truncation error; np.gradient below 7
+    samples. Fewer than three samples admit no second-order derivative and
+    raise InputError.
     """
-    if len(xs) < 3:
-        raise InputError(f"trajectory has {len(xs)} samples; the derivative checks "
+    if len(col) < 3:
+        raise InputError(f"trajectory has {len(col)} samples; the derivative checks "
                          "need at least 3: reduce the step (--step)")
-    h = np.diff(xs)
-    if len(xs) < 7 or np.max(np.abs(h - h[0])) > 1e-9 * max(abs(h[0]), 1e-300):
-        return np.gradient(col, xs, edge_order=2), slice(1, -1)
+    if len(col) < 7:
+        return np.gradient(col, h, edge_order=2), slice(1, -1)
     d = np.empty_like(col)
-    step = h[0]
-    d[2:-2] = (col[:-4] - 8 * col[1:-3] + 8 * col[3:-1] - col[4:]) / (12 * step)
+    d[2:-2] = (col[:-4] - 8 * col[1:-3] + 8 * col[3:-1] - col[4:]) / (12 * h)
     d[:2] = d[2]
     d[-2:] = d[-3]
     return d, slice(2, -2)
@@ -569,7 +557,7 @@ def holonomy_residual_column(traj: Trajectory, prob: LagrangianProblem):
             upper = traj.columns.get(jet(s, (1,) * (k + 1)))
             if lower is None or upper is None:
                 continue
-            d, interior = _grid_derivative(xs, lower)
+            d, interior = _grid_derivative(traj.h, lower)
             col = np.maximum(col, np.abs(d - upper))
     return col, interior
 
@@ -589,6 +577,6 @@ def euler_lagrange_residual_column(traj: Trajectory, prob: LagrangianProblem):
     ev = Evaluator(dLdy, [base(1), *traj.columns])
     vals = numerics.grid(ev, xs, *traj.columns.values())
     for s, v in zip(range(1, ctx.m + 1), vals):
-        d, interior = _grid_derivative(xs, traj.columns[mom(s, (1,))])
+        d, interior = _grid_derivative(traj.h, traj.columns[mom(s, (1,))])
         col = np.maximum(col, np.abs(v - d))
     return col, interior

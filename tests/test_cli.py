@@ -91,6 +91,25 @@ def test_exit_codes_are_exclusive():
     assert run_cli("legendre", prob_path("degenerate.prob"))[0] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["derive", prob_path("laplace.prob"), "--bogus", "1"],
+    ["frobnicate", prob_path("laplace.prob")],
+], ids=["unknown-option", "unknown-command"])
+def test_usage_error_is_input_error(argv, capsys):
+    # argparse's own exit 2 would read as "a computed check failed"
+    code, data, _ = run_cli(*argv)
+    assert code == 1
+    assert data["error"]["type"] == "InputError"
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "InputError"
+
+
+def test_help_exits_0():
+    proc = run_jetvar("--help")
+    assert proc.returncode == 0
+    assert "usage: jetvar" in proc.stdout
+
+
 def test_regularity_point_file():
     code, data, _ = run_cli("regularity", QUARTIC, "--at",
                             prob_path("origin1d_r2.at"))
@@ -200,13 +219,23 @@ def test_hdd_solve_bad_interval_is_input_error(x1, step, message):
     (QUARTIC, "cubic_r2.init", "0.007"),
 ], ids=["ho-0.003", "quartic-0.003", "quartic-0.007"])
 def test_hdd_solve_step_not_dividing_the_interval(tmp_path, prob, init, step):
-    # 334 (143) equal steps instead of a short last one, which made the grid
-    # non-uniform and the derivative checks fall back to second order
+    # 334 (143) equal steps instead of a short last one; the derivative
+    # checks use that step in their five-point stencil
     out = tmp_path / "report.json"
     assert main(["hdd-solve", prob, "--init", prob_path(init), "--x0", "0", "--x1", "1",
                  "--step", step, "--out", str(out)]) == 0
     checks = json.loads(out.read_text())["checks"]
     assert checks["holonomy"]["pass"] and checks["euler_lagrange_along"]["pass"]
+
+
+def test_hdd_solve_far_from_origin():
+    # near 1e6 the sample abscissae are spaced unevenly by rounding; the
+    # checks differentiate with the integration's step, not their spacing
+    code, data, _ = run_cli("hdd-solve", HO, "--init", prob_path("ho.init"),
+                            "--x0", "1000000", "--x1", "1000001", "--step", "0.01")
+    assert code == 0
+    assert data["checks"]["holonomy"]["detail"]["max"] < 1e-8
+    assert data["checks"]["euler_lagrange_along"]["detail"]["max"] < 1e-8
 
 
 def test_in_process_calls_share_no_options(tmp_path):
@@ -302,6 +331,34 @@ def test_hdd_solve_matches_golden_report(tmp_path, name):
     got = json.dumps(strip_timing(data), indent=2, sort_keys=True) + "\n"
     with open(os.path.join(HDD_GOLDEN, name + ".json")) as fh:
         assert got == fh.read()
+
+
+# P(1;1) = y(1;1)^3/3 - y(1;1) has three roots y(1;1) for |P(1;1)| < 2/3. From
+# P(1;1) = 0 the flow P(1;1)' = 13/10 x(1) follows the middle root to
+# -0.867962196538897 at x(1) = 1, where the outer root is 1.994
+FOLD = "1/12*y(1;1)^4 - 1/2*y(1;1)^2 + 13/10*x(1)*y(1)"
+MIDDLE_ROOT = -0.867962196538897
+
+
+def _fold_hdd_solve(tmp_path, step):
+    prob = problem_file(tmp_path, 1, 1, FOLD)
+    init = init_file(tmp_path, "y(1) = 0.0\nP(1;1) = 0.0\n")
+    return run_cli("hdd-solve", prob, "--init", init, "--x0", "0", "--x1", "1",
+                   "--step", step)
+
+
+def test_hdd_solve_samples_the_followed_root(tmp_path):
+    code, data, _ = _fold_hdd_solve(tmp_path, "0.001")
+    assert code == 0
+    assert abs(data["results"]["final"]["y(1;1)"] - MIDDLE_ROOT) <= 1e-9
+
+
+def test_hdd_solve_coarse_step_keeps_the_followed_root(tmp_path):
+    # near the fold (dy(1;1)/dx is about -5 at x = 1) the coarse step's RK4
+    # and stencil error may fail holonomy; the sampled root is still the one
+    # the integration followed
+    _, data, _ = _fold_hdd_solve(tmp_path, "0.01")
+    assert abs(data["results"]["final"]["y(1;1)"] - MIDDLE_ROOT) <= 1e-6
 
 
 def _reject_constant(token):

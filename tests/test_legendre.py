@@ -262,6 +262,27 @@ def test_integrate_newton_warm_starts_do_not_leak():
         assert np.array_equal(first.columns[c], again.columns[c])
 
 
+def test_integrate_newton_solves_layer_zero_once_per_stage(monkeypatch):
+    # 4 stages per step and one more solve at the last sample: every other
+    # sample takes its top jets from the first stage of the step taken from it
+    solves = []
+    build = LG._newton_loop
+
+    def counted(ctx, layer, *args):
+        solve = build(ctx, layer, *args)
+
+        def counted_solve(*values):
+            solves.append(layer)
+            return solve(*values)
+        return counted_solve
+
+    monkeypatch.setattr(LG, "_newton_loop", counted)
+    prob = problem("1/2*y(1;1)^2 + 1/12*y(1;1)^4 - 1/2*y(1)^2")
+    traj = LG.hdd_integrate(prob, {jet(1, ()): 0.0, mom(1, (1,)): 1.0}, 0.0, 1.0, 1e-2)
+    assert len(traj.xs) == 101
+    assert solves == [0] * 401
+
+
 def test_integrate_newton_nonquadratic():
     # quartic kinetic term: momentum relation P = y'^3 is nonlinear
     prob = problem("1/4*y(1;1)^4")
