@@ -6,7 +6,11 @@ Hamilton table) on the quotient densities ``y(1;1,1)^2/(1+y(1;1)^2)^2``
 (r = 2) and ``(y(1;1,1)+y(1;2,2))^2/(1+y(1;1)^2+y(1;2)^2)`` (n = 2), and
 ``quotient_stress`` runs it on the n = 2, r = 3 quotient
 ``(y(1;1,1,1)+y(1;2,2,2))^2/(1+y(1;1)^2+y(1;2)^2)``, where exact zero tests
-on large quotient expressions dominate. Three numeric workloads run
+on large quotient expressions dominate. ``quotient_report`` is what
+``jetvar derive`` does on the n = 3, r = 3 quotient
+``(y(1;1,1,1)+y(1;2,2,2)+y(1;3,3,3))^2/(1+y(1;1)^2+y(1;2)^2+y(1;3)^2)``: the
+same pipeline plus the momenta and the extended density, then the canonical
+text of every expression the report prints. Three numeric workloads run
 generated float code at many points (the problem and chart setup is done
 once, outside the timed region):
 
@@ -100,6 +104,22 @@ def quotient_stress():
     return derive_pipeline(V.LagrangianProblem(ctx, L))
 
 
+def quotient_report():
+    ctx = ChartContext(3, 1, 3)
+    L = parse_expr("(y(1;1,1,1)+y(1;2,2,2)+y(1;3,3,3))^2/(1+y(1;1)^2+y(1;2)^2+y(1;3)^2)",
+                   ctx)
+    prob = V.LagrangianProblem(ctx, L)
+    exprs = [e for _, e in V.momenta(prob).items_sorted()]
+    exprs += V.euler_lagrange(prob).values()
+    lep = V.poincare_cartan(prob)
+    exprs += [e for _, e in lep.items_sorted() if not e.is_zero()]
+    defect = V.lepagean_defect(lep.realize(), prob)
+    exprs += [defect.horizontal_mismatch, *defect.contact_defect.values()]
+    exprs.append(V.extended_lagrangian(lep))
+    exprs += [e for _, e in V.hamilton_form(lep).items_sorted()]
+    return [str(e) for e in exprs]
+
+
 def laplace_action_201():
     ctx = ChartContext(2, 1, 1)
     prob = V.LagrangianProblem(ctx, parse_expr("1/2*(y(1;1)^2 + y(1;2)^2)", ctx))
@@ -142,6 +162,7 @@ def main() -> int:
     args = ap.parse_args()
     workloads = {"poly_stress": poly_stress, "derivation_batch": derivation_batch,
                  "rational_derive": rational_derive, "quotient_stress": quotient_stress,
+                 "quotient_report": quotient_report,
                  "laplace_action_201": laplace_action_201(),
                  "ho_hdd_integrate": ho_hdd_integrate(),
                  "newton_hdd_integrate": newton_hdd_integrate()}

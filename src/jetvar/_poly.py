@@ -165,29 +165,32 @@ def poly_pow(a, k):
     return result
 
 
-def poly_diff(a, aid):
-    """Partial derivative with respect to a single atom id."""
-    out = {}
+def poly_grad(a):
+    """Partial derivatives with respect to every atom, in one pass over the
+    terms: ``{atom id: polynomial}``, keyed by exactly the atoms of ``a``.
+
+    Lowering one atom's exponent maps distinct monomials to distinct
+    monomials, so no two terms of one derivative meet and none cancels;
+    each derivative lists its terms in the order of ``a``.
+    """
+    grad = {}
     for m, c in a.items():
         for pos, (atom, exp) in enumerate(m):
-            if atom != aid:
-                continue
             if exp == 1:
-                nm = m[:pos] + m[pos + 1:]
+                nm, nc = m[:pos] + m[pos + 1:], c
             else:
-                nm = m[:pos] + ((atom, exp - 1),) + m[pos + 1:]
-            nc = rat(c[0] * exp, c[1])
-            prev = out.get(nm)
-            if prev is None:
-                out[nm] = nc
+                nm, nc = m[:pos] + ((atom, exp - 1),) + m[pos + 1:], rat(c[0] * exp, c[1])
+            d = grad.get(atom)
+            if d is None:
+                grad[atom] = {nm: nc}
             else:
-                s = rat_add(prev, nc)
-                if s[0] == 0:
-                    del out[nm]
-                else:
-                    out[nm] = s
-            break
-    return out
+                d[nm] = nc
+    return grad
+
+
+def poly_diff(a, aid):
+    """Partial derivative with respect to a single atom id."""
+    return poly_grad(a).get(aid, {})
 
 
 def poly_support(a):

@@ -15,6 +15,13 @@ a small integer id used by the polynomial kernel, and carries the order
 bound for jets. It also holds the point of the exact zero certificate
 (:meth:`jetvar.symcore.expr.Expr.is_zero`): one residue modulo
 ``RESIDUE_PRIME`` per atom, drawn from a fixed seed.
+
+Atoms are immutable, so the context also keeps, per atom id, its canonical
+text (:meth:`ChartContext.atom_text`) and sort key
+(:meth:`ChartContext.atom_sort_key`), each made on first use. A reciprocal
+or function atom's argument is rendered and sorted once, not again in every
+term that holds the atom. These caches live as long as the context; each
+CLI job builds its own.
 """
 
 from __future__ import annotations
@@ -110,7 +117,9 @@ class ChartContext:
     (:meth:`ensure_max_order`); operations that would create jets above the
     current bound raise :class:`OrderOverflowError`. The intern tables only
     grow, so already-built expressions stay valid; contexts are safe to
-    share between workers under CPython.
+    share between workers under CPython. The per-atom text and sort-key
+    caches need no lock: threads that fill the same entry at once store
+    equal values.
     """
 
     def __init__(self, n: int, m: int, r: int, max_order: int | None = None):
@@ -127,6 +136,8 @@ class ChartContext:
         self._func_ids: dict = {}         # (name, arg-sig) -> id
         self._func_coord_support: dict = {}  # FuncAtom id -> frozenset of coord ids
         self._recip_ids: set = set()      # ids of the reciprocal atoms
+        self._sort_keys: dict = {}        # id -> atom_sort_key, made on first use
+        self._texts: dict = {}            # id -> atom_text, made on first use
         self._residues: list = []         # id -> residue at the certificate point
         self._residue_rng = None          # draws the residues, made on first use
         self._residue_lock = threading.Lock()  # one thread fills _residues at a time
@@ -222,11 +233,30 @@ class ChartContext:
         return res
 
     def atom_sort_key(self, aid: int):
-        a = self._atoms[aid]
-        if isinstance(a, Coord):
-            return (a.sort_key(),)
-        rank = len(FUNCTIONS) if a.name == _RECIP else FUNCTIONS.index(a.name)
-        return ((4, rank), a.arg.sort_signature())
+        """Key that orders atoms in canonical text and sort signatures:
+        coordinates by kind and index, then function atoms by name and
+        argument. Made once per atom."""
+        key = self._sort_keys.get(aid)
+        if key is None:
+            a = self._atoms[aid]
+            if isinstance(a, Coord):
+                key = (a.sort_key(),)
+            else:
+                rank = len(FUNCTIONS) if a.name == _RECIP else FUNCTIONS.index(a.name)
+                key = ((4, rank), a.arg.sort_signature())
+            self._sort_keys[aid] = key
+        return key
+
+    def atom_text(self, aid: int) -> str:
+        """Canonical text of an atom: ``y(1;2)``, ``sin(...)``, or ``(D)`` for
+        the reciprocal of D (rendered with a negative exponent). Made once
+        per atom."""
+        text = self._texts.get(aid)
+        if text is None:
+            a = self._atoms[aid]
+            text = f"({a.arg})" if aid in self._recip_ids else a.text()
+            self._texts[aid] = text
+        return text
 
     # -- coordinate enumeration -------------------------------------------
 

@@ -20,6 +20,15 @@ Consequently:
 * expressions with transcendental atoms fall back to sampled evaluation
   (:meth:`Expr.probably_equal`), reported as probable equality only.
 
+Every partial derivative of an expression is read from its gradient: the
+derivatives with respect to all of its atoms, made in one walk over the
+terms (:func:`jetvar._poly.poly_grad`) on the first :meth:`Expr.partial`
+and cached on the expression, so the momenta, the Euler-Lagrange
+expressions, exterior derivatives and the Hamilton table walk each
+expression once however many partials they take. Canonical text
+(:meth:`Expr.__str__`) reads each atom's text and sort key from per-atom
+caches of the context.
+
 Numeric evaluation has one path: a compiled evaluator
 (:class:`jetvar.symcore.evaluator.Evaluator`) built once per expression set
 over an ordered list of input coordinates. It computes a shared atom table
@@ -66,7 +75,7 @@ def _as_rat(value):
 
 
 class Expr:
-    __slots__ = ("ctx", "num", "_support", "_compiled", "_residue")
+    __slots__ = ("ctx", "num", "_support", "_grad", "_compiled", "_residue")
 
     # Every denominator is 1: perfbench/spans.py still reads e.den in its size counters.
     den = _ONE
@@ -75,6 +84,7 @@ class Expr:
         self.ctx = ctx
         self.num = num
         self._support = None
+        self._grad = None
         self._compiled = None
         self._residue = None
 
@@ -351,16 +361,23 @@ class Expr:
 
     def partial(self, c: Coord) -> "Expr":
         """Partial derivative treating every atom as independent; function
-        and reciprocal atoms contribute through the chain rule."""
+        and reciprocal atoms whose argument depends on ``c`` contribute
+        through the chain rule.
+
+        Every partial reads the gradient (:func:`jetvar._poly.poly_grad`),
+        computed in one walk over the terms on the first call and cached.
+        """
         ctx = self.ctx
         cid = ctx.coord_id(c)
-        p = self.num
-        out = Expr(ctx, K.poly_diff(p, cid))
-        for aid in sorted(K.poly_support(p)):
+        grad = self._grad
+        if grad is None:
+            grad = self._grad = K.poly_grad(self.num)
+        out = Expr(ctx, grad.get(cid, {}))
+        for aid in sorted(grad):
             if ctx.is_coord(aid) or cid not in ctx.func_coord_support(aid):
                 continue
             fa = ctx.atom(aid)
-            chain = Expr(ctx, K.poly_diff(p, aid)) * _func_derivative(ctx, aid, fa)
+            chain = Expr(ctx, grad[aid]) * _func_derivative(ctx, aid, fa)
             out = out + chain * fa.arg.partial(c)
         return out
 
@@ -470,31 +487,36 @@ class Expr:
     # -- canonical text --------------------------------------------------------
 
     def sort_signature(self):
+        key = self.ctx.atom_sort_key
         items = []
         for mono, coeff in self.num.items():
-            tm = tuple(sorted((self.ctx.atom_sort_key(a), e) for a, e in mono))
+            tm = tuple(sorted((key(a), e) for a, e in mono))
             items.append((tm, coeff))
         return tuple(sorted(items))
 
     def __str__(self):
-        """Canonical text; the reciprocal atom of D to the power k is (D)^-k."""
+        """Canonical text; the reciprocal atom of D to the power k is (D)^-k.
+
+        Atom texts and sort keys come from the context's per-atom caches."""
         if not self.num:
             return "0"
+        ctx = self.ctx
+        key, atom_text, recips = ctx.atom_sort_key, ctx.atom_text, ctx._recip_ids
         rendered = []
         for mono, coeff in self.num.items():
-            tm = tuple(sorted((self.ctx.atom_sort_key(a), e, a) for a, e in mono))
+            tm = tuple(sorted((key(a), e, a) for a, e in mono))
             deg = sum(e for a, e in mono)
-            rendered.append((-deg, tm, coeff, mono))
-        rendered.sort(key=lambda t: (t[0], t[1]))
+            rendered.append((-deg, tm, coeff))
+        rendered.sort()  # monomials differ in tm, so the coefficient never decides
         parts = []
-        for _, tm, (cn, cd), mono in rendered:
+        for _, tm, (cn, cd) in rendered:
             factors = []
             for _, exp, aid in tm:
-                a = self.ctx.atom(aid)
-                if isinstance(a, FuncAtom) and a.name == _RECIP:
-                    factors.append(f"({a.arg})^-{exp}")
+                text = atom_text(aid)
+                if aid in recips:
+                    factors.append(f"{text}^-{exp}")
                 else:
-                    factors.append(a.text() if exp == 1 else f"{a.text()}^{exp}")
+                    factors.append(text if exp == 1 else f"{text}^{exp}")
             mag = abs(cn)
             body = "*".join(factors)
             if not factors:

@@ -452,6 +452,25 @@ def test_out_file_and_text_format(tmp_path):
     assert "momenta" in proc.stdout
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unusable_out_path_is_input_error(tmp_path, capsys, where):
+    out = str(tmp_path / "missing" / "x.json") if where == "missing-dir" else str(tmp_path)
+    # The path is decided before the command runs: a missing problem file
+    # is never reached, so the report names the output path.
+    for problem in (HO, prob_path("nonexistent.prob")):
+        code, data, stderr = run_cli("derive", problem, "--out", out)
+        assert code == 1, stderr
+        assert data["error"]["type"] == "InputError"
+        assert out in data["error"]["message"]
+        assert "Traceback" not in stderr
+        assert main(["derive", problem, "--out", out]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "derive"
+        assert report["error"]["type"] == "InputError"
+        assert out in report["error"]["message"]
+    assert not (tmp_path / "missing").exists()
+
+
 def test_derive_with_free_coefficient_table():
     code, data, _ = run_cli("derive", prob_path("g_family_r2.prob"))
     assert code == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jetvar import _poly as K
 from jetvar import numerics as N
 from jetvar.errors import (DivisionByZeroError, DomainError, EvaluationError,
                            IndexRangeError, InputError, MissingCoordinateError,
@@ -13,6 +14,7 @@ from jetvar.errors import (DivisionByZeroError, DomainError, EvaluationError,
 from jetvar.symcore import (ChartContext, Coord, Evaluator, Expr, base, jet,
                             mom, parse_expr, vel)
 from jetvar.symcore.context import RESIDUE_PRIME
+from jetvar.symcore.expr import _func_derivative
 from conftest import assert_sym_equal, random_polynomial, run_python
 
 
@@ -124,8 +126,14 @@ def test_formal_derivatives_commute():
     ctx = ChartContext(2, 2, 2, max_order=4)
     rng = random.Random(11)
     atoms = [base(1), base(2), jet(1), jet(2, (1,)), jet(1, (1, 2))]
-    for _ in range(15):
-        e = random_polynomial(ctx, rng, atoms)
+    inputs = [random_polynomial(ctx, rng, atoms) for _ in range(15)]
+    for _ in range(3):  # quotients and function atoms, nested ones included
+        p, q = (random_polynomial(ctx, rng, atoms) for _ in range(2))
+        inputs += [p / (1 + q * q), Expr.func(ctx, "sin", p) * q,
+                   Expr.func(ctx, "exp", p) / (1 + q * q),
+                   Expr.func(ctx, "sqrt", 1 + p * p),
+                   Expr.func(ctx, "cos", p / (1 + q * q)) + Expr.func(ctx, "ln", 1 + q * q)]
+    for e in inputs:
         d12 = e.total_derivative(1).total_derivative(2)
         d21 = e.total_derivative(2).total_derivative(1)
         assert d12 == d21
@@ -377,6 +385,101 @@ def test_partial_matches_finite_differences(ctx):
             fd = (e.eval(up) - e.eval(dn)) / (2 * h)
             sym = e.partial(a).eval(point)
             assert abs(fd - sym) <= 1e-6 * max(1.0, abs(sym))
+
+
+def _diff_one_atom(p, aid):
+    """Derivative by one atom in its own walk over the terms: the kernel's
+    ``poly_diff`` before the gradient."""
+    out = {}
+    for m, c in p.items():
+        for pos, (atom, exp) in enumerate(m):
+            if atom != aid:
+                continue
+            nm = m[:pos] + (((atom, exp - 1),) if exp > 1 else ()) + m[pos + 1:]
+            s = K.rat_add(out.get(nm, (0, 1)), K.rat(c[0] * exp, c[1]))
+            if s[0] == 0:
+                del out[nm]
+            else:
+                out[nm] = s
+            break
+    return out
+
+
+def _two_walk_partial(e, c):
+    """Reference partial: a support walk, then one derivative walk per atom."""
+    ctx = e.ctx
+    cid = ctx.coord_id(c)
+    out = Expr(ctx, _diff_one_atom(e.num, cid))
+    for aid in sorted(K.poly_support(e.num)):
+        if ctx.is_coord(aid) or cid not in ctx.func_coord_support(aid):
+            continue
+        fa = ctx.atom(aid)
+        chain = Expr(ctx, _diff_one_atom(e.num, aid)) * _func_derivative(ctx, aid, fa)
+        out = out + chain * _two_walk_partial(fa.arg, c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_gradient_partials_match_two_walk_reference(seed):
+    ctx = ChartContext(2, 1, 1)
+    rng = random.Random(seed)
+    e = _random_transcendental(ctx, rng, depth=1)
+    # the kernel: one entry per atom, each the one-atom derivative, in the
+    # same term order (numeric evaluation sums terms in dict order)
+    grad = K.poly_grad(e.num)
+    assert set(grad) == K.poly_support(e.num)
+    for aid, d in grad.items():
+        assert list(d.items()) == list(_diff_one_atom(e.num, aid).items())
+    for c in (*_EVAL_COORDS, jet(1, (1,))):
+        want = _two_walk_partial(e, c)
+        for got in (e.partial(c), e.partial(c)):  # the second reads the cache
+            assert list(got.num.items()) == list(want.num.items())
+
+
+def _nested_reciprocals(ctx, rng, depth):
+    """Random expression whose reciprocal atoms sit inside the arguments of
+    function and reciprocal atoms, ``depth`` levels deep."""
+    coords = [Expr.coord(ctx, c) for c in _EVAL_COORDS]
+    e = random_polynomial(ctx, rng, coords, n_terms=2, degree=2)
+    for _ in range(depth):
+        inner = 1 + e * e
+        wrapped = {"sqrt": lambda: Expr.func(ctx, "sqrt", inner),
+                   "exp": lambda: Expr.func(ctx, "exp", e),
+                   "sin": lambda: Expr.func(ctx, "sin", e),
+                   "recip": lambda: 1 / inner}[rng.choice(["sqrt", "exp", "sin", "recip"])]()
+        p, q = (random_polynomial(ctx, rng, coords, n_terms=2, degree=1) for _ in range(2))
+        e = p + q / (1 + wrapped)
+    return e
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(1, 3))
+def test_canonical_text_roundtrip_with_nested_reciprocals(seed, depth):
+    ctx = ChartContext(2, 1, 1)
+    e = _nested_reciprocals(ctx, random.Random(seed), depth)
+    text = str(e)
+    assert parse_expr(text, ctx) == e
+    assert str(parse_expr(text, ctx)) == text
+    # The same construction in a fresh context whose atom ids are shifted
+    # (atoms used nowhere else are interned first) renders the same text:
+    # atom texts and sort keys are cached per context and id, and neither
+    # context's cache reaches the other.
+    fresh = ChartContext(2, 1, 1)
+    Expr.func(fresh, "cos", Expr.coord(fresh, jet(1, (1,))))
+    assert str(_nested_reciprocals(fresh, random.Random(seed), depth)) == text
+    assert str(e) == text
+
+
+def test_canonical_text_of_nested_reciprocal_example():
+    text = "1/(1+sqrt(1+1/(1+y(1)^2)))"
+    ctx = ChartContext(1, 1, 1)
+    e = parse_expr(text, ctx)
+    assert str(e) == "(sqrt((y(1)^2 + 1)^-1 + 1) + 1)^-1"
+    assert parse_expr(str(e), ctx) == e
+    fresh = ChartContext(1, 1, 1)
+    Expr.coord(fresh, base(1))
+    assert str(parse_expr(text, fresh)) == str(e)
 
 
 def test_quotient_equality_cross_multiplication(ctx):
