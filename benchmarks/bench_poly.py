@@ -10,9 +10,12 @@ on large quotient expressions dominate. ``quotient_report`` is what
 ``jetvar derive`` does on the n = 3, r = 3 quotient
 ``(y(1;1,1,1)+y(1;2,2,2)+y(1;3,3,3))^2/(1+y(1;1)^2+y(1;2)^2+y(1;3)^2)``: the
 same pipeline plus the momenta and the extended density, then the canonical
-text of every expression the report prints. Three numeric workloads run
-generated float code at many points (the problem and chart setup is done
-once, outside the timed region):
+text of every expression the report prints. ``defect_stress`` is the check
+of the canonical equivalent of that quotient alone: ``realize`` and
+``lepagean_defect`` (the equivalent's coefficients are computed once,
+outside the timed region). Three numeric workloads run generated float
+code at many points (the problem and chart setup is done once, outside the
+timed region):
 
 * ``laplace_action_201``: trapezoid quadrature of the Laplace action
   integrand along a varied section, as in ``first-variation``, on a 201^2
@@ -104,11 +107,12 @@ def quotient_stress():
     return derive_pipeline(V.LagrangianProblem(ctx, L))
 
 
+N3R3_QUOTIENT = "(y(1;1,1,1)+y(1;2,2,2)+y(1;3,3,3))^2/(1+y(1;1)^2+y(1;2)^2+y(1;3)^2)"
+
+
 def quotient_report():
     ctx = ChartContext(3, 1, 3)
-    L = parse_expr("(y(1;1,1,1)+y(1;2,2,2)+y(1;3,3,3))^2/(1+y(1;1)^2+y(1;2)^2+y(1;3)^2)",
-                   ctx)
-    prob = V.LagrangianProblem(ctx, L)
+    prob = V.LagrangianProblem(ctx, parse_expr(N3R3_QUOTIENT, ctx))
     exprs = [e for _, e in V.momenta(prob).items_sorted()]
     exprs += V.euler_lagrange(prob).values()
     lep = V.poincare_cartan(prob)
@@ -118,6 +122,13 @@ def quotient_report():
     exprs.append(V.extended_lagrangian(lep))
     exprs += [e for _, e in V.hamilton_form(lep).items_sorted()]
     return [str(e) for e in exprs]
+
+
+def defect_stress():
+    ctx = ChartContext(3, 1, 3)
+    prob = V.LagrangianProblem(ctx, parse_expr(N3R3_QUOTIENT, ctx))
+    f = V.poincare_cartan(prob).f
+    return lambda: V.lepagean_defect(V.LepageanForm(prob, f).realize(), prob)
 
 
 def laplace_action_201():
@@ -162,7 +173,7 @@ def main() -> int:
     args = ap.parse_args()
     workloads = {"poly_stress": poly_stress, "derivation_batch": derivation_batch,
                  "rational_derive": rational_derive, "quotient_stress": quotient_stress,
-                 "quotient_report": quotient_report,
+                 "quotient_report": quotient_report, "defect_stress": defect_stress(),
                  "laplace_action_201": laplace_action_201(),
                  "ho_hdd_integrate": ho_hdd_integrate(),
                  "newton_hdd_integrate": newton_hdd_integrate()}

@@ -309,8 +309,9 @@ def cmd_derive(pf: ProblemFile, args) -> Report:
                    for s, e in el.items())
     rep.check("euler_lagrange_consistent", el_match,
               "1-contact density equals the recursion route")
-    rep.result("extended_lagrangian", str(V.extended_lagrangian(lep)))
-    rep.result("hamilton_table", _hamilton_dict(V.hamilton_form(lep)))
+    hamilton = V.hamilton_form(lep)
+    rep.result("extended_lagrangian", str(hamilton.extended))
+    rep.result("hamilton_table", _hamilton_dict(hamilton))
     return rep
 
 

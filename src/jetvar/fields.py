@@ -129,7 +129,7 @@ def _radial_homotopy(a: DiffForm) -> DiffForm:
     from . import _poly as K
     ctx = a.ctx
     p = a.degree
-    out = DiffForm(ctx, p - 1)
+    pairs = []
     for covs, coeff in a.terms.items():
         if not coeff.is_polynomial():
             raise UnsupportedSymbolicError(
@@ -139,8 +139,8 @@ def _radial_homotopy(a: DiffForm) -> DiffForm:
             factor = Expr.coord(ctx, cov.coord) * scaled
             if s % 2:
                 factor = -factor
-            out._accumulate(covs[:s] + covs[s + 1:], factor)
-    return out
+            pairs.append((covs[:s] + covs[s + 1:], factor))
+    return forms._collect(ctx, p - 1, pairs)
 
 
 @dataclass

@@ -5,35 +5,60 @@ of covector symbols to coefficients. Covector symbols are differentials
 ``d<coordinate>`` or contact symbols ``om(s;J)``; the total order is: dx by
 base index, then jet differentials by (sigma, order, index tuple), then
 velocity and momentum differentials, then contact symbols. Antisymmetry is
-normalized at insertion, so zero coefficients and repeated factors never
-survive.
+normalized on construction, so zero coefficients and repeated factors never
+survive. A covector computes its sort key and hash once.
+
+Every operation (construction, sums, scaling, wedge, exterior derivative,
+interior product, substitution) builds its result in one pass through one
+collector, :func:`_collect`. It takes the (covectors, coefficient) products
+in the order the operation makes them and sorts each product's factors once:
+a repeated factor drops the product, an odd permutation negates it. It sums
+the polynomials of one key in place, in the order given, drops a key whose
+sum empties, and tests each final coefficient for zero once. A key hit k
+times thus costs k additions, not k copies of the running sum, and each
+coefficient lists its terms as adding the products one at a time would, so
+float evaluation, which sums terms in that order, gives the same numbers.
 
 The contact decomposition is a change of 1-form basis: each jet
 differential splits as dy^s_J = om^s_J + y^s_{J+l} dx^l, and collecting
 terms by the number of contact factors gives the horizontal part and the
-k-contact parts. Re-expanding reproduces the input exactly.
+k-contact parts. Re-expanding reproduces the input exactly. When one part
+is needed, :func:`contact_part` stops expanding a product once it holds
+more contact factors than that part has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
+from ._poly import poly_neg, rat_add
 from .errors import DegreeError, InputError
 from .symcore import ChartContext, Coord, Expr, base, jet, vel
 
 
-@dataclass(frozen=True)
 class Cov:
-    """A covector symbol: kind "d" (coordinate differential) or "w" (contact)."""
+    """A covector symbol: kind "d" (coordinate differential) or "w" (contact).
 
-    kind: str
-    coord: Coord
+    The sort key tells covectors apart, so it serves as the identity; it and
+    the hash are computed once, at construction."""
+
+    __slots__ = ("kind", "coord", "key", "_hash")
+
+    def __init__(self, kind: str, coord: Coord):
+        self.kind = kind
+        self.coord = coord
+        self.key = (4, coord.sigma, len(coord.J), coord.J) if kind == "w" else coord.sort_key()
+        self._hash = hash(self.key)
 
     def sort_key(self):
-        c = self.coord
-        if self.kind == "w":
-            return (4, c.sigma, len(c.J), c.J)
-        return c.sort_key()
+        return self.key
+
+    def __eq__(self, other):
+        return isinstance(other, Cov) and self.key == other.key
+
+    def __hash__(self):
+        return self._hash
 
     def text(self) -> str:
         if self.kind == "w":
@@ -53,23 +78,79 @@ def w_(sigma: int, J=()) -> Cov:
     return Cov("w", jet(sigma, J))
 
 
-def _sort_covs(covs):
+def _sort_covs(covs: tuple):
     """Sort covector factors, returning (sorted tuple, sign) or (None, 0)."""
-    lst = [(c.sort_key(), c) for c in covs]
+    if len(covs) < 2:
+        return covs, 1
+    lst = list(covs)
     sign = 1
     # insertion sort, counting transpositions
     for i in range(1, len(lst)):
         item = lst[i]
+        key = item.key
         j = i - 1
-        while j >= 0 and lst[j][0] > item[0]:
+        while j >= 0 and lst[j].key > key:
             lst[j + 1] = lst[j]
             j -= 1
             sign = -sign
         lst[j + 1] = item
     for a, b in zip(lst, lst[1:]):
-        if a[0] == b[0]:
+        if a.key == b.key:
             return None, 0
-    return tuple(c for _, c in lst), sign
+    return tuple(lst), sign
+
+
+def _collect(ctx: ChartContext, degree: int, pairs) -> "DiffForm":
+    """The degree-``degree`` form summing the ``(covectors, coefficient)``
+    pairs, built in one pass.
+
+    Each pair's factors are sorted once. The polynomials of one key are
+    summed in place in the order given; a key whose sum empties is dropped
+    (hit again, it starts afresh at the end), and each final coefficient is
+    tested for zero once.
+    """
+    acc = {}  # key -> (coefficient, sign) while hit once, then the running polynomial
+    for covs, e in pairs:
+        num = e.num
+        if not num:
+            continue
+        if len(covs) != degree:
+            raise DegreeError(f"term with {len(covs)} factors in a degree-{degree} form")
+        key, sign = _sort_covs(covs)
+        if key is None:
+            continue
+        total = acc.get(key)
+        if total is None:
+            acc[key] = (e, sign)
+            continue
+        if type(total) is tuple:
+            first, first_sign = total
+            total = acc[key] = dict(first.num) if first_sign > 0 else poly_neg(first.num)
+        for mono, c in num.items():
+            if sign < 0:
+                c = (-c[0], c[1])
+            prev = total.get(mono)
+            if prev is None:
+                total[mono] = c
+                continue
+            s = rat_add(prev, c)
+            if s[0]:
+                total[mono] = s
+            else:
+                del total[mono]
+        if not total:
+            del acc[key]
+    terms = {}
+    for key, total in acc.items():
+        if type(total) is tuple:
+            e, sign = total
+            if sign < 0:
+                e = -e
+        else:
+            e = Expr(ctx, total)
+        if not e.is_zero():
+            terms[key] = e
+    return DiffForm._normalized(ctx, degree, terms)
 
 
 class DiffForm:
@@ -80,32 +161,21 @@ class DiffForm:
     def __init__(self, ctx: ChartContext, degree: int, terms: dict | None = None):
         self.ctx = ctx
         self.degree = degree
-        self.terms = {}
-        if terms:
-            for covs, coeff in terms.items():
-                self._accumulate(covs, coeff)
+        self.terms = _collect(ctx, degree, terms.items()).terms if terms else {}
+
+    @classmethod
+    def _normalized(cls, ctx: ChartContext, degree: int, terms: dict) -> "DiffForm":
+        """A form over terms that are already normalized: sorted factors,
+        nonzero coefficients."""
+        out = cls.__new__(cls)
+        out.ctx = ctx
+        out.degree = degree
+        out.terms = terms
+        return out
 
     @classmethod
     def scalar(cls, ctx, e: Expr) -> "DiffForm":
         return cls(ctx, 0, {(): e})
-
-    def _accumulate(self, covs, coeff: Expr) -> None:
-        if coeff.is_zero():
-            return
-        if len(covs) != self.degree:
-            raise DegreeError(
-                f"term with {len(covs)} factors in a degree-{self.degree} form")
-        sorted_covs, sign = _sort_covs(covs)
-        if sorted_covs is None:
-            return
-        if sign < 0:
-            coeff = -coeff
-        prev = self.terms.get(sorted_covs)
-        total = coeff if prev is None else prev + coeff
-        if prev is not None and total.is_zero():  # coeff itself was tested above
-            del self.terms[sorted_covs]
-        else:
-            self.terms[sorted_covs] = total
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -119,14 +189,11 @@ class DiffForm:
     def __add__(self, other: "DiffForm") -> "DiffForm":
         if other.degree != self.degree:
             raise DegreeError("cannot add forms of different degree")
-        out = DiffForm(self.ctx, self.degree, self.terms)
-        for covs, c in other.terms.items():
-            out._accumulate(covs, c)
-        return out
+        return _collect(self.ctx, self.degree, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "DiffForm":
-        return DiffForm(self.ctx, self.degree,
-                        {covs: -c for covs, c in self.terms.items()})
+        return DiffForm._normalized(self.ctx, self.degree,
+                                    {covs: -c for covs, c in self.terms.items()})
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (-other)
@@ -134,10 +201,8 @@ class DiffForm:
     def scaled(self, e) -> "DiffForm":
         if not isinstance(e, Expr):
             e = Expr.const(self.ctx, e)
-        out = DiffForm(self.ctx, self.degree)
-        for covs, c in self.terms.items():
-            out._accumulate(covs, c * e)
-        return out
+        return _collect(self.ctx, self.degree,
+                        ((covs, c * e) for covs, c in self.terms.items()))
 
     def coefficient(self, covs) -> Expr:
         """Signed coefficient with respect to the given factor order."""
@@ -157,8 +222,7 @@ class DiffForm:
         return kinds
 
     def items_sorted(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: tuple(c.sort_key() for c in kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: tuple(c.key for c in kv[0]))
 
     def __repr__(self):
         if not self.terms:
@@ -170,27 +234,36 @@ class DiffForm:
         return f"DiffForm<{self.degree}>[" + " + ".join(bits) + "]"
 
 
+def form_sum(forms) -> DiffForm:
+    """The sum of forms of one degree in one pass; each coefficient is what
+    adding the forms one after another gives."""
+    forms = list(forms)
+    if not forms:
+        raise InputError("form_sum needs at least one form")
+    first = forms[0]
+    if any(f.degree != first.degree for f in forms):
+        raise DegreeError("cannot add forms of different degree")
+    return _collect(first.ctx, first.degree, chain.from_iterable(f.terms.items() for f in forms))
+
+
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     """Graded antisymmetric product."""
     if a.ctx is not b.ctx:
         raise InputError("forms belong to different chart contexts")
-    out = DiffForm(a.ctx, a.degree + b.degree)
-    for c1, e1 in a.terms.items():
-        for c2, e2 in b.terms.items():
-            out._accumulate(c1 + c2, e1 * e2)
-    return out
+    return _collect(a.ctx, a.degree + b.degree,
+                    ((c1 + c2, e1 * e2) for c1, e1 in a.terms.items()
+                     for c2, e2 in b.terms.items() if not any(c in c1 for c in c2)))
 
 
 def ext_d(a: DiffForm) -> DiffForm:
     """Exterior derivative, acting coordinate-wise on coefficients."""
-    out = DiffForm(a.ctx, a.degree + 1)
+    pairs = []
     for covs, coeff in a.terms.items():
         for c in coeff.coords():
-            dc = coeff.partial(c)
-            if dc.is_zero():
-                continue
-            out._accumulate((d_(c),) + covs, dc)
-    return out
+            dc = d_(c)
+            if dc not in covs:
+                pairs.append(((dc,) + covs, coeff.partial(c)))
+    return _collect(a.ctx, a.degree + 1, pairs)
 
 
 def interior_product(v: dict, a: DiffForm) -> DiffForm:
@@ -203,7 +276,7 @@ def interior_product(v: dict, a: DiffForm) -> DiffForm:
             e = Expr.const(a.ctx, e)
         if not e.is_zero():
             comp[c] = e
-    out = DiffForm(a.ctx, a.degree - 1)
+    pairs = []
     for covs, coeff in a.terms.items():
         for s, cov in enumerate(covs):
             if cov.kind == "w":
@@ -214,21 +287,21 @@ def interior_product(v: dict, a: DiffForm) -> DiffForm:
             term = coeff * e
             if s % 2:
                 term = -term
-            out._accumulate(covs[:s] + covs[s + 1:], term)
-    return out
+            pairs.append((covs[:s] + covs[s + 1:], term))
+    return _collect(a.ctx, a.degree - 1, pairs)
 
 
 # -- chart basis -------------------------------------------------------------
 
 def omega_0(ctx: ChartContext) -> DiffForm:
     covs = tuple(d_(base(i)) for i in range(1, ctx.n + 1))
-    return DiffForm(ctx, ctx.n, {covs: Expr.const(ctx, 1)})
+    return DiffForm._normalized(ctx, ctx.n, {covs: Expr.const(ctx, 1)})
 
 
 def omega_i(ctx: ChartContext, i: int) -> DiffForm:
     covs = tuple(d_(base(l)) for l in range(1, ctx.n + 1) if l != i)
     sign = 1 if i % 2 == 1 else -1
-    return DiffForm(ctx, ctx.n - 1, {covs: Expr.const(ctx, sign)})
+    return DiffForm._normalized(ctx, ctx.n - 1, {covs: Expr.const(ctx, sign)})
 
 
 def omega_contact(ctx: ChartContext, sigma: int, J=()) -> DiffForm:
@@ -237,7 +310,7 @@ def omega_contact(ctx: ChartContext, sigma: int, J=()) -> DiffForm:
     terms = {(d_(jet(sigma, J)),): Expr.const(ctx, 1)}
     for l in range(1, ctx.n + 1):
         terms[(d_(base(l)),)] = -Expr.coord(ctx, jet(sigma, J + (l,)))
-    return DiffForm(ctx, 1, terms)
+    return DiffForm._normalized(ctx, 1, terms)
 
 
 def omega_basis(ctx: ChartContext):
@@ -272,34 +345,45 @@ class ContactDecomposition:
 
     def reconstruct(self) -> DiffForm:
         """Re-expand contact symbols; equals the source form."""
-        out = DiffForm(self.source.ctx, self.source.degree, self.horizontal.terms)
-        for p in self.contact_parts:
-            out = out + _expand_contact(p)
-        return out
+        return form_sum([self.horizontal, *map(_expand_contact, self.contact_parts)])
+
+
+def _products(a: DiffForm, image, most=None):
+    """The products of expanding each term of ``a`` with every covector
+    replaced by a 1-form, in order, as ``(covectors, coefficient, number of
+    contact factors)``.
+
+    ``image(cov)`` gives the 1-form (degree-1 :class:`DiffForm`) replacing a
+    covector, or None to keep it; it is asked once per covector. A product
+    whose covectors repeat is skipped, since antisymmetry kills it, and so,
+    when ``most`` is given, is one holding more than ``most`` contact
+    factors: later factors never remove one.
+    """
+    images = {}
+    for covs, c in a.terms.items():
+        combos = [((), c, 0)]
+        for cov in covs:
+            if cov not in images:  # (covector, factor or None for 1) per image term
+                img = image(cov)
+                images[cov] = ([(cov, None)] if img is None else
+                               [(icovs[0], None if ie.is_one() else ie)
+                                for icovs, ie in img.terms.items()])
+            img = images[cov]
+            nxt = []
+            for picked, e, k in combos:
+                for icov, ie in img:
+                    kw = k + (icov.kind == "w")
+                    if icov in picked or (most is not None and kw > most):
+                        continue
+                    nxt.append((picked + (icov,), e if ie is None else e * ie, kw))
+            combos = nxt
+        yield from combos
 
 
 def _substitute(a: DiffForm, image) -> DiffForm:
-    """Replace each covector by a 1-form and expand the wedge products.
-
-    ``image(cov)`` gives the 1-form (degree-1 :class:`DiffForm`) replacing a
-    covector, or None to keep it; it is asked once per covector.
-    """
-    images = {}
-    out = DiffForm(a.ctx, a.degree)
-    for covs, c in a.terms.items():
-        combos = [((), c)]
-        for cov in covs:
-            if cov not in images:
-                images[cov] = image(cov)
-            img = images[cov]
-            if img is None:
-                combos = [(picked + (cov,), e) for picked, e in combos]
-            else:
-                combos = [(picked + icovs, e * ie) for picked, e in combos
-                          for icovs, ie in img.terms.items()]
-        for picked, e in combos:
-            out._accumulate(picked, e)
-    return out
+    """Replace each covector by ``image(cov)`` (see :func:`_products`) and
+    expand the wedge products."""
+    return _collect(a.ctx, a.degree, ((covs, e) for covs, e, _ in _products(a, image)))
 
 
 def _expand_contact(a: DiffForm) -> DiffForm:
@@ -308,12 +392,11 @@ def _expand_contact(a: DiffForm) -> DiffForm:
                                        if cov.kind == "w" else None))
 
 
-def contact_decompose(a: DiffForm) -> ContactDecomposition:
-    """Split a form into horizontal and k-contact parts.
+def _contact_split(a: DiffForm):
+    """The image dy^s_J -> om^s_J + y^s_{J+l} dx^l (dx and om are kept).
 
-    Substitutes dy^s_J = om^s_J + y^s_{J+l} dx^l; needs jets one order above
-    the differentials present, so it raises on order overflow.
-    """
+    Needs jets one order above the differentials present, so it raises on
+    order overflow, and raises on covectors other than dx, dy and om."""
     ctx = a.ctx
     bad = a.cov_kinds() - {"x", "y", "w"}
     if bad:
@@ -326,17 +409,32 @@ def contact_decompose(a: DiffForm) -> ContactDecomposition:
         terms = {(w_(c.sigma, c.J),): Expr.const(ctx, 1)}
         for l in range(1, ctx.n + 1):
             terms[(d_(base(l)),)] = Expr.coord(ctx, jet(c.sigma, c.J + (l,)))
-        return DiffForm(ctx, 1, terms)
+        return DiffForm._normalized(ctx, 1, terms)
 
-    buckets = [DiffForm(ctx, a.degree) for _ in range(a.degree + 1)]
-    for covs, coeff in _substitute(a, split).terms.items():
-        buckets[sum(1 for cv in covs if cv.kind == "w")]._accumulate(covs, coeff)
-    return ContactDecomposition(a, buckets[0], buckets[1:])
+    return split
+
+
+def contact_decompose(a: DiffForm) -> ContactDecomposition:
+    """Split a form into horizontal and k-contact parts by substituting
+    dy^s_J = om^s_J + y^s_{J+l} dx^l."""
+    buckets = [{} for _ in range(a.degree + 1)]
+    for covs, coeff in _substitute(a, _contact_split(a)).terms.items():
+        buckets[sum(1 for cv in covs if cv.kind == "w")][covs] = coeff
+    parts = [DiffForm._normalized(a.ctx, a.degree, terms) for terms in buckets]
+    return ContactDecomposition(a, parts[0], parts[1:])
+
+
+def contact_part(a: DiffForm, k: int) -> DiffForm:
+    """The k-contact part of a form, ``contact_decompose(a).part(k)``,
+    without expanding the products that hold more than k contact factors."""
+    return _collect(a.ctx, a.degree,
+                    ((covs, e) for covs, e, kw in _products(a, _contact_split(a), most=k)
+                     if kw == k))
 
 
 def horizontalization(a: DiffForm) -> DiffForm:
     """h(a): substitute dy^s_J by y^s_{J+l} dx^l throughout."""
-    return contact_decompose(a).horizontal
+    return contact_part(a, 0)
 
 
 def prolonged_horizontalization(a: DiffForm) -> DiffForm:

@@ -383,14 +383,15 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
     # this step in their five-point stencil.
     steps = max(1, int(math.ceil((x1 - x0) / step - 1e-12)))
     h = (x1 - x0) / steps
-    rows = np.array(run(FloatOps, x0, h, steps, *(float(init[c]) for c in state_coords)))
+    flat = run(FloatOps, x0, h, steps, *(float(init[c]) for c in state_coords))
+    rows = np.fromiter(flat, float, len(flat)).reshape(steps + 1, -1)
     return Trajectory(rows[:, 0], h, dict(zip(state_coords + _top_coords(ctx), rows[:, 1:].T)))
 
 
 def _trajectory(n: int, point, **names):
     """Generated ``_run(_m, x, h, steps, s0, ..)``: ``steps`` textbook RK4 steps
-    from x with the state in locals, returning one row (x, state, top jets) per
-    sample.
+    from x with the state in locals, returning the rows (x, state, top jets) of
+    the samples one after another in one flat list.
 
     ``point(lines, x, state, tag, rhs, top)`` appends one evaluation at local
     names and returns the names of the right-hand side's values if ``rhs``,
@@ -399,7 +400,7 @@ def _trajectory(n: int, point, **names):
     s = [f"s{i}" for i in range(n)]
     body = ["xm = x + hh", "xe = x + h"]
     first = point(body, "x", s, "_1", rhs=True, top=True)
-    body.append(f"rows.append((x, {', '.join(s + first[n:])}))")
+    body.append(f"rows += (x, {', '.join(s + first[n:])})")
     ks = [first[:n]]
     for j, (xj, scale) in enumerate((("xm", "hh"), ("xm", "hh"), ("xe", "h")), 2):
         state = [f"a{i}_{j}" for i in range(n)]
@@ -414,7 +415,7 @@ def _trajectory(n: int, point, **names):
     return compile_float("_run", ["x", "h", "steps", *s], [
         "hh = h / 2", "h6 = h / 6", "rows = []", "for _ in range(steps):",
         *(f"    {line}" for line in body),
-        *last, f"rows.append((x, {', '.join(s + top)}))", "return rows"], **names)
+        *last, f"rows += (x, {', '.join(s + top)})", "return rows"], **names)
 
 
 def _chart_flow(ctx: ChartContext, chart: LegendreChartData):

@@ -52,6 +52,15 @@ class Coord:
     sigma: int = 0
     J: tuple = ()
 
+    def __post_init__(self):
+        # Interning looks coordinates up by hash: compute it once. It is made
+        # of integers only, so it is the same in every process.
+        object.__setattr__(self, "_hash",
+                           hash((_KIND_ORDER.get(self.kind, -1), self.i, self.sigma, self.J)))
+
+    def __hash__(self):
+        return self._hash
+
     def sort_key(self):
         if self.kind == "x":
             return (0, self.i)

@@ -194,14 +194,14 @@ class LepageanForm:
         """The form L om_0 + sum f^{iJ} om^s_J ^ om_i in the differential basis."""
         if self._realized is None:
             ctx = self.ctx
-            rho = forms.omega_0(ctx).scaled(self.prob.L)
+            pieces = [forms.omega_0(ctx).scaled(self.prob.L)]
             for (sigma, i, J), e in self.f.items():
                 if e.is_zero():
                     continue
                 piece = forms.wedge(forms.omega_contact(ctx, sigma, J),
                                     forms.omega_i(ctx, i))
-                rho = rho + piece.scaled(e)
-            self._realized = rho
+                pieces.append(piece.scaled(e))
+            self._realized = forms.form_sum(pieces)
         return self._realized
 
     def items_sorted(self):
@@ -276,7 +276,7 @@ def lepagean_defect(rho: DiffForm, prob: LagrangianProblem) -> DefectReport:
         raise ContactOrderError(
             f"form has contact order {dec.contact_order()} > 1")
     mismatch = forms.horizontal_density(dec.horizontal) - prob.L
-    p1 = forms.contact_decompose(forms.ext_d(rho)).part(1)
+    p1 = forms.contact_part(forms.ext_d(rho), 1)
     dx_block = tuple(forms.d_(base(i)) for i in range(1, ctx.n + 1))
     el = {}
     defect = {}

@@ -244,11 +244,12 @@ def test_criterion_09_forms_engine():
             a = F.DiffForm.scalar(ctx, random_polynomial(ctx, rng, atoms,
                                                          n_terms=3, degree=2))
         else:
-            a = F.DiffForm(ctx, degree)
+            terms = []
             for _ in range(3):
                 picked = tuple(rng.sample(covs, degree))
-                a._accumulate(picked, random_polynomial(ctx, rng, atoms,
-                                                        n_terms=2, degree=2))
+                terms.append(F.DiffForm(ctx, degree, {picked: random_polynomial(
+                    ctx, rng, atoms, n_terms=2, degree=2)}))
+            a = F.form_sum(terms)
         assert F.ext_d(F.ext_d(a)).is_zero()
         assert F.pullback(F.ext_d(a), subst) == F.ext_d(F.pullback(a, subst))
         if degree:

@@ -1,6 +1,9 @@
 import random
+from itertools import chain
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetvar import forms as F
 from jetvar import numerics as N
@@ -26,11 +29,12 @@ def random_form(ctx, rng, degree):
     covs = [F.d_(base(i)) for i in range(1, ctx.n + 1)]
     covs += [F.d_(jet(1, J)) for J in [(), (1,), (2,)]]
     atoms = [base(1), base(2), jet(1), jet(1, (1,)), jet(1, (2,))]
-    form = F.DiffForm(ctx, degree)
+    terms = []
     for _ in range(3):
         picked = tuple(rng.sample(covs, degree))
-        form._accumulate(picked, random_polynomial(ctx, rng, atoms, n_terms=2, degree=2))
-    return form
+        terms.append(F.DiffForm(ctx, degree, {picked: random_polynomial(
+            ctx, rng, atoms, n_terms=2, degree=2)}))
+    return F.form_sum(terms)
 
 
 # -- wedge ---------------------------------------------------------------------
@@ -230,3 +234,198 @@ def test_omega_basis_bundle():
     # contact forms provided for every jet one order below the bound
     assert set(contact) == {(1, ()), (1, (1,))}
     assert contact[(1, ())] == F.omega_contact(c1, 1, ())
+
+
+# -- one-pass collector against per-term accumulation ------------------------------
+
+def _ref_sort(covs):
+    """Sorted factors and the sign of the permutation, or (None, 0)."""
+    lst = [(c.sort_key(), c) for c in covs]
+    sign = 1
+    for i in range(1, len(lst)):
+        item = lst[i]
+        j = i - 1
+        while j >= 0 and lst[j][0] > item[0]:
+            lst[j + 1] = lst[j]
+            j -= 1
+            sign = -sign
+        lst[j + 1] = item
+    for a, b in zip(lst, lst[1:]):
+        if a[0] == b[0]:
+            return None, 0
+    return tuple(c for _, c in lst), sign
+
+
+def _ref_collect(degree, pairs) -> dict:
+    """Terms built one pair at a time: zero test, sort, then add the
+    coefficient to the running sum and zero-test that sum."""
+    terms = {}
+    for covs, coeff in pairs:
+        if coeff.is_zero():
+            continue
+        if len(covs) != degree:
+            raise DegreeError("wrong degree")
+        key, sign = _ref_sort(covs)
+        if key is None:
+            continue
+        if sign < 0:
+            coeff = -coeff
+        prev = terms.get(key)
+        total = coeff if prev is None else prev + coeff
+        if prev is not None and total.is_zero():
+            del terms[key]
+        else:
+            terms[key] = total
+    return terms
+
+
+def _ref_expand(a, image) -> list:
+    """Every product of replacing each covector by ``image(cov)`` (None keeps
+    it), dead ones included."""
+    pairs = []
+    images = {}
+    for covs, c in a.terms.items():
+        combos = [((), c)]
+        for cov in covs:
+            if cov not in images:
+                images[cov] = image(cov)
+            img = images[cov]
+            if img is None:
+                combos = [(picked + (cov,), e) for picked, e in combos]
+            else:
+                combos = [(picked + icovs, e * ie) for picked, e in combos
+                          for icovs, ie in img.terms.items()]
+        pairs += combos
+    return pairs
+
+
+def _ref_form(degree, pairs):
+    return SimpleNamespace(degree=degree, terms=_ref_collect(degree, pairs))
+
+
+def _assert_same(got, want):
+    """Same keys in the same order, same coefficients term by term in order."""
+    assert list(got.terms) == list(want.terms)
+    for key, e in want.terms.items():
+        assert list(got.terms[key].num.items()) == list(e.num.items())
+
+
+_COVS = [F.d_(base(1)), F.d_(base(2)), F.d_(jet(1)), F.d_(jet(1, (1,))), F.d_(jet(1, (2,)))]
+
+
+def _random_coefficient(ctx, rng):
+    """A polynomial in coordinates, a quotient atom and a square-root atom."""
+    coords = [Expr.coord(ctx, c) for c in (base(1), base(2), jet(1), jet(1, (1,)),
+                                           jet(1, (2,)))]
+    u = rng.choice(coords) + rng.choice(coords) * rng.randint(1, 3)
+    atoms = coords + [1 / (1 + u * u), Expr.func(ctx, "sqrt", 1 + u * u)]
+    return random_polynomial(ctx, rng, atoms, n_terms=rng.randint(1, 3), degree=2)
+
+
+def _random_pairs(ctx, rng, degree):
+    """Products with repeated keys: some add to an earlier key in another
+    factor order, some cancel an earlier product exactly."""
+    pairs = []
+    for _ in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if pairs and roll < 0.25:
+            covs, coeff = rng.choice(pairs)
+            pairs.append((covs, -coeff))
+        elif pairs and roll < 0.5:
+            covs, _ = rng.choice(pairs)
+            pairs.append((tuple(rng.sample(covs, degree)), _random_coefficient(ctx, rng)))
+        else:
+            pairs.append((tuple(rng.sample(_COVS, degree)), _random_coefficient(ctx, rng)))
+    return pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(0, 3), st.integers(0, 2))
+def test_form_operations_match_per_term_accumulation(seed, p, q):
+    ctx = ChartContext(2, 1, 1, max_order=3)
+    rng = random.Random(seed)
+    pairs = _random_pairs(ctx, rng, p)
+    a = F.form_sum([F.DiffForm(ctx, p, {covs: e}) for covs, e in pairs])
+    _assert_same(a, _ref_form(p, pairs))
+    unique = dict(pairs)
+    _assert_same(F.DiffForm(ctx, p, unique), _ref_form(p, unique.items()))
+    b = F.form_sum([F.DiffForm(ctx, p, {covs: e}) for covs, e in _random_pairs(ctx, rng, p)])
+    _assert_same(a + b, _ref_form(p, chain(a.terms.items(), b.terms.items())))
+    _assert_same(a - b, _ref_form(p, chain(a.terms.items(),
+                                           ((k, -e) for k, e in b.terms.items()))))
+    e = _random_coefficient(ctx, rng)
+    _assert_same(a.scaled(e), _ref_form(p, ((k, c * e) for k, c in a.terms.items())))
+    c = F.form_sum([F.DiffForm(ctx, q, {covs: e}) for covs, e in _random_pairs(ctx, rng, q)])
+    _assert_same(F.wedge(a, c), _ref_form(p + q, (
+        (k1 + k2, e1 * e2) for k1, e1 in a.terms.items() for k2, e2 in c.terms.items())))
+
+    d_pairs = []
+    for covs, coeff in a.terms.items():
+        for co in coeff.coords():
+            dc = coeff.partial(co)
+            if not dc.is_zero():
+                d_pairs.append(((F.d_(co),) + covs, dc))
+    _assert_same(F.ext_d(a), _ref_form(p + 1, d_pairs))
+
+    if p:
+        v = {cov.coord: _random_coefficient(ctx, rng) for cov in rng.sample(_COVS, 3)}
+        i_pairs = []
+        for covs, coeff in a.terms.items():
+            for s, cov in enumerate(covs):
+                if cov.coord in v:
+                    term = coeff * v[cov.coord]
+                    i_pairs.append((covs[:s] + covs[s + 1:], -term if s % 2 else term))
+        _assert_same(F.interior_product(v, a), _ref_form(p - 1, i_pairs))
+
+    def split(cov):
+        co = cov.coord
+        if co.kind == "x":
+            return None
+        return SimpleNamespace(terms={(F.w_(co.sigma, co.J),): Expr.const(ctx, 1), **{
+            (F.d_(base(l)),): Expr.coord(ctx, jet(co.sigma, co.J + (l,))) for l in (1, 2)}})
+
+    expanded = _ref_form(p, _ref_expand(a, split))
+    parts = [_ref_form(p, ((k, e) for k, e in expanded.terms.items()
+                           if sum(cv.kind == "w" for cv in k) == j)) for j in range(p + 1)]
+    dec = F.contact_decompose(a)
+    for k in range(p + 2):
+        want = parts[k] if k <= p else _ref_form(p, ())
+        _assert_same(dec.part(k) if k <= p else F.DiffForm(ctx, p), want)
+        _assert_same(F.contact_part(a, k), want)
+
+    def unsplit(cov):
+        co = cov.coord
+        if cov.kind != "w":
+            return None
+        return SimpleNamespace(terms={(F.d_(co),): Expr.const(ctx, 1), **{
+            (F.d_(base(l)),): -Expr.coord(ctx, jet(co.sigma, co.J + (l,))) for l in (1, 2)}})
+
+    rebuilt = parts[0]
+    for part in parts[1:]:
+        rebuilt = _ref_form(p, chain(rebuilt.terms.items(),
+                                     _ref_form(p, _ref_expand(part, unsplit)).terms.items()))
+    got = dec.reconstruct()
+    _assert_same(got, rebuilt)
+    assert got == a
+
+    subst = {jet(1): _random_coefficient(ctx, rng), jet(1, (1,)): parse_expr("x(1)*x(2)", ctx)}
+
+    def image(cov):
+        img = subst.get(cov.coord)
+        if img is None:
+            return None
+        return _ref_form(1, (((F.d_(co),), img.partial(co)) for co in img.coords()))
+
+    moved = _ref_form(p, ((k, e.subs(subst)) for k, e in a.terms.items()))
+    _assert_same(F.pullback(a, subst), _ref_form(p, _ref_expand(moved, image)))
+
+
+def test_form_sum_adds_repeated_keys(ctx):
+    one = Expr.const(ctx, 1)
+    dx1, dx2 = F.d_(base(1)), F.d_(base(2))
+    got = F.form_sum([F.DiffForm(ctx, 2, {(dx1, dx2): one}),
+                      F.DiffForm(ctx, 2, {(dx2, dx1): one * 3})])
+    assert got == F.DiffForm(ctx, 2, {(dx1, dx2): Expr.const(ctx, -2)})
+    assert F.form_sum([got, -got]).is_zero()
+    with pytest.raises(DegreeError):
+        F.form_sum([got, F.DiffForm(ctx, 1)])

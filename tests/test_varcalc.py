@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetvar import forms as F
 from jetvar import multiindex as mi
@@ -10,7 +11,8 @@ from jetvar import varcalc as V
 from jetvar.errors import (ContactOrderError, DegreeError, InadmissibleGError,
                            InputError, VerticalityError)
 from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr, vel
-from conftest import alternating_sum_euler_lagrange, assert_sym_equal
+from conftest import (alternating_sum_euler_lagrange, assert_sym_equal,
+                      random_polynomial)
 
 
 def problem(text, n=1, m=1, r=1):
@@ -441,3 +443,43 @@ def test_first_variation_two_base_dimensions():
     assert abs(fv.lhs - 1.0) <= 1e-4
     assert abs(fv.interior) <= 1e-9  # extremal
     assert abs(fv.lhs - fv.rhs) <= 1e-4
+
+
+# -- null Lagrangians ----------------------------------------------------------------
+
+def _random_rational(ctx, rng, order):
+    """A polynomial plus a polynomial over 1 + u^2, in the base coordinates
+    and the jets of order at most ``order``."""
+    coords = [base(i) for i in range(1, ctx.n + 1)]
+    coords += [jet(s, J) for s in range(1, ctx.m + 1)
+               for k in range(order + 1) for J in mi.tuples(ctx.n, k)]
+    u = random_polynomial(ctx, rng, coords, n_terms=2, degree=1, allow_const=False)
+    num = random_polynomial(ctx, rng, coords, n_terms=2, degree=2)
+    return random_polynomial(ctx, rng, coords, n_terms=2, degree=2) + num / (1 + u * u)
+
+
+def _assert_null_lagrangian(L, F_):
+    """EL(d_1 F) = 0, EL(L + d_1 F) = EL(L), and the canonical equivalent of
+    L + d_1 F passes the defect check."""
+    ctx = L.ctx
+    div = F_.total_derivative(1)
+    assert all(e.is_zero() for e in V.euler_lagrange(V.LagrangianProblem(ctx, div)).values())
+    prob = V.LagrangianProblem(ctx, L + div)
+    el = V.euler_lagrange(prob)
+    el_ref = V.euler_lagrange(V.LagrangianProblem(ctx, L))
+    assert all(el[s].equal_exact(el_ref[s]) for s in el_ref)
+    assert V.lepagean_defect(V.poincare_cartan(prob).realize(), prob).is_lepagean
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(1, 2), st.integers(1, 2))
+def test_total_divergence_is_null_lagrangian(seed, n, r):
+    rng = random.Random(seed)
+    ctx = ChartContext(n, 1, r)
+    _assert_null_lagrangian(_random_rational(ctx, rng, r), _random_rational(ctx, rng, r - 1))
+
+
+def test_transcendental_total_divergence_is_null_lagrangian():
+    ctx = ChartContext(2, 1, 1)
+    _assert_null_lagrangian(parse_expr("y(1;1)^2/(1 + y(1)^2) + y(1;2)^2", ctx),
+                            parse_expr("sqrt(1 + y(1)^2)*x(2)", ctx))
