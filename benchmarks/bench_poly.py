@@ -13,13 +13,17 @@ same pipeline plus the momenta and the extended density, then the canonical
 text of every expression the report prints. ``defect_stress`` is the check
 of the canonical equivalent of that quotient alone: ``realize`` and
 ``lepagean_defect`` (the equivalent's coefficients are computed once,
-outside the timed region). Three numeric workloads run generated float
+outside the timed region). Four numeric workloads run generated float
 code at many points (the problem and chart setup is done once, outside the
-timed region):
+timed region, except in ``laplace_first_variation_201``):
 
 * ``laplace_action_201``: trapezoid quadrature of the Laplace action
-  integrand along a varied section, as in ``first-variation``, on a 201^2
-  grid;
+  integrand along a section, as in ``verify-extremal``, on a 201^2 grid;
+* ``laplace_first_variation_201``: what ``jetvar first-variation`` computes
+  for a harmonic section of the Laplace density and a quadratic variation
+  on a 201^2 grid: the canonical equivalent, the left-side integrand, the
+  interior and boundary terms (symbolic setup included) and their
+  quadratures;
 * ``ho_hdd_integrate``: RK4 on the harmonic oscillator's canonical
   equations over [0, 1] at step 2.5e-4 (4000 steps), with recovery of y';
 * ``newton_hdd_integrate``: RK4 on the anharmonic density
@@ -141,6 +145,17 @@ def laplace_action_201():
     return lambda: N.quadrature(integrand, domain)
 
 
+def laplace_first_variation_201():
+    ctx = ChartContext(2, 1, 1)
+    prob = V.LagrangianProblem(ctx, parse_expr("1/2*(y(1;1)^2 + y(1;2)^2)", ctx))
+    gamma = N.Section.of_base(
+        ctx, {1: parse_expr("2/3*(x(1)^2 - x(2)^2) + 1/3*x(1)*x(2)", ctx)})
+    xi = {1: parse_expr("3/4*(x(1)^2 - x(2)^2)", ctx)}
+    domain = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 201)
+    return lambda: N.first_variation_check(prob, V.poincare_cartan(prob), xi,
+                                           gamma, domain)
+
+
 def ho_hdd_integrate():
     ctx = ChartContext(1, 1, 1)
     prob = V.LagrangianProblem(ctx, parse_expr("1/2*y(1;1)^2 - 1/2*y(1)^2", ctx))
@@ -175,6 +190,7 @@ def main() -> int:
                  "rational_derive": rational_derive, "quotient_stress": quotient_stress,
                  "quotient_report": quotient_report, "defect_stress": defect_stress(),
                  "laplace_action_201": laplace_action_201(),
+                 "laplace_first_variation_201": laplace_first_variation_201(),
                  "ho_hdd_integrate": ho_hdd_integrate(),
                  "newton_hdd_integrate": newton_hdd_integrate()}
     width = max(len(n) for n in workloads)

@@ -471,7 +471,7 @@ def cmd_first_variation(pf: ProblemFile, args) -> Report:
     xi = pf.sigma_block("variation")
     lep = V.poincare_cartan(pf.problem)
     fv = N.first_variation_check(pf.problem, lep, xi, gamma,
-                                 pf.domain(args.resolution), eps=args.eps)
+                                 pf.domain(args.resolution))
     rep.result("lhs", fv.lhs)
     rep.result("interior", fv.interior)
     rep.result("boundary", fv.boundary)
@@ -530,8 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", type=float)
     p.add_argument("--step", type=float)
     p.add_argument("--resolution", type=int)
-    p.add_argument("--eps", type=float, default=1e-5,
-                   help="variation-parameter step for first-variation")
     return p
 
 

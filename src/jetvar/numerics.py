@@ -1,17 +1,17 @@
 """Numeric services: sections, grids, quadrature, residual maxima.
 
 This is where arrays live. :func:`grid` runs an evaluator's generated code
-on numpy arrays; quadrature, residual grids and the variational checks built
+on numpy arrays; quadrature over the box and over its 2n faces (one
+trapezoid rule per axis), residual grids and the variational checks built
 on them (action, first variation, the canonical-table residual) evaluate
-whole grids at once. Trajectories are integrated on Python floats by the
-generated RK4 steps of :mod:`jetvar.legendre`.
+whole grids at once, in any base dimension. Trajectories are integrated on
+Python floats by the generated RK4 steps of :mod:`jetvar.legendre`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -179,6 +179,13 @@ def grid(ev: Evaluator, *arrays) -> list:
     return out
 
 
+def _trapezoid(vals: np.ndarray, axes) -> float:
+    """Tensor-product trapezoid rule of grid values, one axis at a time."""
+    for ax in axes:
+        vals = np.trapezoid(vals, ax, axis=0)
+    return float(vals)
+
+
 def quadrature(integrand: Expr, domain: IntegrationDomain) -> float:
     """Tensor-product trapezoid rule over the box."""
     for c in integrand.coords():
@@ -186,38 +193,32 @@ def quadrature(integrand: Expr, domain: IntegrationDomain) -> float:
             raise InputError(f"integrand must be a base function, found {c.text()}")
     axes, grids = domain.mesh()
     vals = grid(Evaluator([integrand], base_coords(domain.dim)), *grids)[0]
-    for axis, ax in enumerate(axes):
-        vals = np.trapezoid(vals, ax, axis=0)
-    return float(vals)
+    return _trapezoid(vals, axes)
 
 
 def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> float:
-    """Integral over the oriented boundary of the box (n <= 2).
+    """Integral of an (n-1)-form over the oriented boundary of the box.
 
-    For n = 1 the form is a 0-form and the integral is the endpoint
-    difference; for n = 2 the four faces carry the induced (counterclockwise)
-    orientation.
+    With f_i the coefficient of dx_1..^i..dx_n (dx_i left out), the integral
+    is the sum over i of (-1)^(i-1) [f_i on the face x_i = b_i minus f_i on
+    the face x_i = a_i], each face an (n-1)-box on the domain's own axes.
+    For n = 1 the faces are the two endpoints and the integral is the
+    endpoint difference of the 0-form.
     """
     n = domain.dim
     if form.degree != n - 1:
         raise InputError("boundary integrand must have degree n-1")
-    if n == 1:
-        f = Evaluator([form.coefficient(())], [base(1)])
-        return f(domain.upper[0])[0] - f(domain.lower[0])[0]
-    if n != 2:
-        raise InputError("boundary quadrature supports n <= 2 only")
-    f1 = Evaluator([form.coefficient((forms.d_(base(1)),))], [base(1), base(2)])
-    f2 = Evaluator([form.coefficient((forms.d_(base(2)),))], [base(1), base(2)])
-    (a1, a2), (b1, b2) = domain.lower, domain.upper
-    xs, ys = domain.axes()
-
-    def line(f, x1, x2, ts):
-        return float(np.trapezoid(grid(f, x1, x2)[0], ts))
-
-    total = line(f1, xs, a2, xs)       # bottom, +x1
-    total += line(f2, b1, ys, ys)      # right, +x2
-    total -= line(f1, xs, b2, xs)      # top, -x1
-    total -= line(f2, a1, ys, ys)      # left, -x2
+    coords = base_coords(n)
+    axes = domain.axes()
+    total = 0.0
+    for i in range(n):
+        face_axes = axes[:i] + axes[i + 1:]
+        face = np.meshgrid(*face_axes, indexing="ij")
+        f = Evaluator([form.coefficient(
+            tuple(forms.d_(c) for c in coords[:i] + coords[i + 1:]))], coords)
+        upper, lower = (_trapezoid(grid(f, *face[:i], x_i, *face[i:])[0], face_axes)
+                        for x_i in (domain.upper[i], domain.lower[i]))
+        total += (-1) ** i * (upper - lower)
     return total
 
 
@@ -324,41 +325,34 @@ class FirstVariation:
 
 
 def first_variation_check(prob: LagrangianProblem, lep: LepageanForm, xi: dict,
-                          gamma: Section, domain: IntegrationDomain,
-                          eps: float = 1e-5) -> FirstVariation:
+                          gamma: Section, domain: IntegrationDomain) -> FirstVariation:
     """Compare the variation of the action with interior + boundary terms.
 
-    The left side is a central finite difference in the variation parameter
-    along the straight path gamma + t (xi o gamma); only the generator
-    enters a first variation, so the straight path gives the same derivative
-    as any flow with that generator. The right side contracts the exterior
-    derivative of the equivalent (interior term) and the equivalent itself
-    (boundary term) with the prolonged field along the prolonged section.
+    The left side is the exact derivative of the action along any variation
+    with generator xi: one quadrature of the sum over s and |J| <= r of
+    (dL/dy^s_J o j^r gamma) * d_J(xi^s o gamma), the chain rule in L. The
+    right side contracts the exterior derivative of the equivalent (interior
+    term) and the equivalent itself (boundary term) with the prolonged field
+    along the prolonged section: Stokes on the equivalent.
     """
     ctx = prob.ctx
     ctx.ensure_max_order(2 * ctx.r)
     order = 2 * ctx.r - 1
-    gamma_sub = gamma.subs_map()
+    gamma_pro = jet_prolong_section(gamma, order)
+    along = gamma_pro.subs_map()
     direction = {}
     for sigma, e in xi.items():
         if not isinstance(e, Expr):
             e = Expr.const(ctx, e)
-        direction[sigma] = e.subs(gamma_sub)
-
-    def flowed(t: float) -> Section:
-        frac = Fraction(t).limit_denominator(10 ** 12)
-        return Section(ctx, {
-            (sigma, ()): gamma.component(sigma, ()) + direction[sigma] * frac
-            for sigma in direction
-        })
-
-    lhs = (action_value(prob, flowed(eps), domain)
-           - action_value(prob, flowed(-eps), domain)) / (2 * eps)
+        direction[sigma] = e.subs(along)
+    d_direction = jet_prolong_section(Section.of_base(ctx, direction), ctx.r)
+    lhs = quadrature(Expr.sum(ctx, (
+        prob.L.partial(jet(sigma, J)).subs(along) * e
+        for (sigma, J), e in d_direction.components.items())), domain)
 
     rho = lep.realize()
     xi_pro = prolong_vector_field(ctx, xi, order)
     vec = {jet(sigma, J): e for (sigma, J), e in xi_pro.items()}
-    gamma_pro = jet_prolong_section(gamma, order)
 
     inner = forms.interior_product(vec, forms.ext_d(rho))
     inner_density = forms.horizontal_density(pullback_along(inner, gamma_pro))

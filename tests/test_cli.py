@@ -152,6 +152,23 @@ def test_verify_extremal_and_first_variation():
     assert data["checks"]["first_variation"]["pass"]
 
 
+def test_first_variation_three_base_dimensions(tmp_path):
+    # gamma = x1 x2 x3 is harmonic, so the whole variation is the boundary
+    # term; the integral of d1(gamma) over the unit cube is 1/4
+    f = tmp_path / "laplace3.prob"
+    f.write_text("[problem]\nn = 3\nm = 1\nr = 1\n\n[lagrangian]\n"
+                 "L = \"1/2*(y(1;1)^2 + y(1;2)^2 + y(1;3)^2)\"\n\n"
+                 "[gamma]\ny(1) = \"x(1)*x(2)*x(3)\"\n\n"
+                 "[variation]\ny(1) = \"x(1)\"\n\n"
+                 "[domain]\nlower = 0\nupper = 1\nresolution = 9\n")
+    code, data, _ = run_cli("first-variation", str(f))
+    assert code == 0
+    res = data["results"]
+    for key in ("lhs", "boundary", "rhs"):
+        assert abs(res[key] - 0.25) <= 1e-12
+    assert res["interior"] == 0
+
+
 def test_tolerance_override_changes_outcome():
     code, data, _ = run_cli("first-variation", HO, "--tol",
                             "first_variation=1e-15")
@@ -185,10 +202,13 @@ GAMMA = "[gamma]\ny(1) = \"sin(x(1))\"\n\n"
     ("legendre", GAMMA + "[delta]\nx(1) = \"0\"\n", ()),
     ("field-check", GAMMA + "[field]\nP(1;1) = \"1\"\n", ()),
     ("first-variation", GAMMA + "[variation]\ny(1;1) = \"1\"\n", ()),
+    ("first-variation", GAMMA + "[variation]\ny(1) = \"1\"\n\n[domain]\nresolution = 50\n",
+     ("--eps", "1e-5")),
 ], ids=["domain-lower", "domain-resolution", "tolerances-block", "tol-option",
         "duplicate-block", "x0-option", "x1-option", "step-option",
         "resolution-option", "eps-option", "resolution-zero", "domain-nan",
-        "domain-inf", "gamma-key", "delta-key", "field-key", "variation-key"])
+        "domain-inf", "gamma-key", "delta-key", "field-key", "variation-key",
+        "eps-removed"])
 def test_malformed_input_is_input_error(tmp_path, command, blocks, extra):
     f = tmp_path / "bad.prob"
     f.write_text("[problem]\nn = 1\nm = 1\nr = 1\n\n"

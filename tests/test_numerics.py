@@ -84,23 +84,31 @@ def test_boundary_quadrature_square_face_integral():
     assert N.boundary_quadrature(form2, dom) == pytest.approx(-1 / 3, abs=1e-4)
 
 
-def test_boundary_matches_stokes():
+BOUNDARY_FORMS = {
+    1: {(): "3*x(1) + 2"},
+    2: {(1,): "x(1)*x(2) + 2*x(2)", (2,): "3*x(1) - x(1)*x(2)"},
+    3: {(2, 3): "x(1)*x(2)*x(3) + 2*x(1)", (1, 3): "x(2)*x(3) - 3*x(1)*x(2)",
+        (1, 2): "5*x(1)*x(3) + x(2)"},
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_matches_stokes(n):
     # multilinear coefficients keep the trapezoid rule exact on both sides
-    c2 = ChartContext(2, 1, 1)
-    form = F.DiffForm(c2, 1, {
-        (F.d_(base(1)),): parse_expr("x(1)*x(2) + 2*x(2)", c2),
-        (F.d_(base(2)),): parse_expr("3*x(1) - x(1)*x(2)", c2),
-    })
-    dom = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 201)
+    c = ChartContext(n, 1, 1)
+    form = F.DiffForm(c, n - 1, {
+        tuple(F.d_(base(i)) for i in covs): parse_expr(text, c)
+        for covs, text in BOUNDARY_FORMS[n].items()})
+    dom = N.IntegrationDomain((0.0, -1.0, 0.5)[:n], (1.0, 2.0, 2.0)[:n], 21)
     density = F.horizontal_density(F.ext_d(form))
     interior = N.quadrature(density, dom)
     assert N.boundary_quadrature(form, dom) == pytest.approx(interior, abs=1e-6)
 
 
-def test_boundary_unsupported_dimension():
+def test_boundary_rejects_wrong_degree():
     c3 = ChartContext(3, 1, 1)
     dom = N.IntegrationDomain((0.0,) * 3, (1.0,) * 3, 5)
-    form = F.DiffForm(c3, 2, {(F.d_(base(1)), F.d_(base(2))): Expr.const(c3, 1)})
+    form = F.DiffForm(c3, 1, {(F.d_(base(1)),): Expr.const(c3, 1)})
     with pytest.raises(InputError):
         N.boundary_quadrature(form, dom)
 

@@ -371,7 +371,7 @@ def test_first_variation_harmonic_oscillator():
     gamma = N.Section.of_base(ctx, {1: parse_expr("sin(x(1))", ctx)})
     fv = N.first_variation_check(prob, V.poincare_cartan(prob),
                                  {1: Expr.const(ctx, 1)}, gamma,
-                                 N.interval(0.0, 1.0, 10 ** 4), eps=1e-5)
+                                 N.interval(0.0, 1.0, 10 ** 4))
     assert abs(fv.lhs - fv.rhs) <= 1e-4
 
 
@@ -382,7 +382,7 @@ def test_first_variation_extremal_with_compact_variation():
     gamma = N.Section.of_base(ctx, {1: parse_expr("sin(x(1))", ctx)})
     xi = {1: parse_expr("(x(1)*(1-x(1)))^3", ctx)}
     fv = N.first_variation_check(prob, V.poincare_cartan(prob), xi, gamma,
-                                 N.interval(0.0, 1.0, 4000), eps=1e-5)
+                                 N.interval(0.0, 1.0, 4000))
     assert abs(fv.interior + fv.boundary) <= 1e-6
     assert abs(fv.lhs) <= 1e-6
 
@@ -395,6 +395,18 @@ def test_first_variation_zero_lagrangian():
                                  {1: Expr.const(ctx, 1)}, gamma,
                                  N.interval(0.0, 1.0, 100))
     assert fv.lhs == 0.0 and fv.rhs == 0.0
+
+
+def test_first_variation_exact_beyond_quadratic_densities():
+    # the action along x(1) + t x(1) is (1+t)^4/4: a central difference in t
+    # carries its t^2 truncation, the chain-rule left side does not
+    prob = problem("1/4*y(1;1)^4")
+    ctx = prob.ctx
+    gamma = N.Section.of_base(ctx, {1: parse_expr("x(1)", ctx)})
+    fv = N.first_variation_check(prob, V.poincare_cartan(prob),
+                                 {1: parse_expr("x(1)", ctx)}, gamma,
+                                 N.interval(0.0, 1.0, 11))
+    assert abs(fv.lhs - 1.0) <= 1e-13
 
 
 def test_lagrangian_validation():
@@ -436,8 +448,7 @@ def test_first_variation_two_base_dimensions():
     gamma = N.Section.of_base(ctx, {1: parse_expr("x(1)^2 - x(2)^2", ctx)})
     xi = {1: parse_expr("x(1)", ctx)}
     dom = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 201)
-    fv = N.first_variation_check(prob, V.poincare_cartan(prob), xi, gamma,
-                                 dom, eps=1e-5)
+    fv = N.first_variation_check(prob, V.poincare_cartan(prob), xi, gamma, dom)
     # d/dt of the action along gamma + t x1 is the integral of d1(gamma),
     # which is 1 on the unit square
     assert abs(fv.lhs - 1.0) <= 1e-4
