@@ -33,7 +33,8 @@ Problem files are INI blocks with quoted expression strings::
 
 Point and init files are plain ``coordinate = value`` lines. Exit codes:
 0 success, 1 input validation (usage errors included), 2 a computed check
-failed, 3 degenerate or non-regular problem.
+failed, 3 degenerate or non-regular problem, 141 stdout closed before the
+report was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from . import legendre as LG
 from . import multiindex as mi
 from . import numerics as N
 from . import varcalc as V
-from .errors import (CheckFailedError, DegeneracyError, InputError,
-                     JetvarError, ParseError, UnsupportedSymbolicError)
+from .errors import (DegeneracyError, InputError, JetvarError, ParseError,
+                     UnsupportedSymbolicError)
 from .symcore import ChartContext, Coord, Expr, parse_expr
 
 DEFAULT_TOLERANCES = {
@@ -290,8 +291,7 @@ def cmd_derive(pf: ProblemFile, args) -> Report:
     rep.result("momenta", _momenta_dict(table))
     el = V.euler_lagrange(prob)
     rep.result("euler_lagrange", {str(s): str(e) for s, e in sorted(el.items())})
-    g = pf.gspec()
-    lep = V.lepagean_from_g(prob, g) if g.entries else V.poincare_cartan(prob)
+    lep = V.lepagean_from_g(prob, pf.gspec())
     rep.result("cartan_coefficients", _coeff_dict(lep))
     if lep.correction:
         rep.result("coefficient_corrections",
@@ -546,9 +546,6 @@ def run(args) -> tuple[dict, int]:
         rep = COMMANDS[args.command](pf, args)
         data = rep.finalize()
         code = data["exit_code"]
-    except CheckFailedError as exc:
-        data = _error_report(args, 2, exc)
-        code = 2
     except (DegeneracyError, UnsupportedSymbolicError) as exc:
         data = _error_report(args, 3, exc)
         code = 3
@@ -604,7 +601,13 @@ def _emit(args, out, data: dict, code: int) -> int:
     text = (json.dumps(data, indent=2, sort_keys=True)
             if args.format == "json" else _render_text(data))
     if out is None:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader went away. Point stdout at devnull so that the
+            # interpreter's exit flush cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
     else:
         out.write(text + "\n")
         if out.mode == "r+":

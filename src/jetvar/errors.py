@@ -73,7 +73,3 @@ class UnsupportedSymbolicError(JetvarError):
 
 class NewtonError(JetvarError):
     """Per-step Newton iteration failed to converge."""
-
-
-class CheckFailedError(JetvarError):
-    """A requested verification check exceeded its tolerance."""

@@ -1,4 +1,4 @@
-"""Slope fields, the geodesic condition, Hilbert integral and excess function.
+"""Slope fields, the geodesic condition, primitives and the excess function.
 
 A slope field assigns to every jet coordinate of order r .. 2r-1 an
 expression in the base coordinates and the jets of order < r. Pulling the
@@ -174,17 +174,6 @@ def weierstrass(prob: LagrangianProblem, lep: LepageanForm, w: SlopeField) -> We
                 continue
             excess = excess - slope * (Expr.coord(ctx, jet(sigma, A)) - top[jet(sigma, A)])
     return WeierstrassData(E, excess)
-
-
-def hilbert_integral(w: SlopeField, lep: LepageanForm, gamma: Section,
-                     domain: IntegrationDomain) -> float:
-    """Quadrature of the field-pulled equivalent along the prolonged section."""
-    ctx = lep.ctx
-    wr = pull_through(lep.realize(), w)
-    pro = numerics.jet_prolong_section(gamma, max(ctx.r - 1, 0))
-    density = forms.horizontal_density(
-        forms.horizontalization(numerics.pullback_along(wr, pro)))
-    return numerics.quadrature(density, domain)
 
 
 def compatibility_residual(w: SlopeField, gamma: Section,

@@ -34,7 +34,7 @@ from itertools import chain
 
 from ._poly import poly_neg, rat_add
 from .errors import DegreeError, InputError
-from .symcore import ChartContext, Coord, Expr, base, jet, vel
+from .symcore import ChartContext, Coord, Expr, base, jet
 
 
 class Cov:
@@ -173,10 +173,6 @@ class DiffForm:
         out.terms = terms
         return out
 
-    @classmethod
-    def scalar(cls, ctx, e: Expr) -> "DiffForm":
-        return cls(ctx, 0, {(): e})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -313,28 +309,14 @@ def omega_contact(ctx: ChartContext, sigma: int, J=()) -> DiffForm:
     return DiffForm._normalized(ctx, 1, terms)
 
 
-def omega_basis(ctx: ChartContext):
-    """The chart volume form, its contractions, and the contact 1-forms."""
-    contact = {}
-    for sigma, J in ctx.jets(max_order=ctx.max_order - 1):
-        contact[(sigma, J)] = omega_contact(ctx, sigma, J)
-    return omega_0(ctx), {i: omega_i(ctx, i) for i in range(1, ctx.n + 1)}, contact
-
-
 # -- contact decomposition ----------------------------------------------------
 
 @dataclass
 class ContactDecomposition:
     """Horizontal part plus the k-contact parts of a form."""
 
-    source: DiffForm
     horizontal: DiffForm
     contact_parts: list  # index k-1 holds the k-contact part
-
-    def part(self, k: int) -> DiffForm:
-        if k == 0:
-            return self.horizontal
-        return self.contact_parts[k - 1]
 
     def contact_order(self) -> int:
         order = 0
@@ -342,10 +324,6 @@ class ContactDecomposition:
             if not p.is_zero():
                 order = k
         return order
-
-    def reconstruct(self) -> DiffForm:
-        """Re-expand contact symbols; equals the source form."""
-        return form_sum([self.horizontal, *map(_expand_contact, self.contact_parts)])
 
 
 def _products(a: DiffForm, image, most=None):
@@ -386,12 +364,6 @@ def _substitute(a: DiffForm, image) -> DiffForm:
     return _collect(a.ctx, a.degree, ((covs, e) for covs, e, _ in _products(a, image)))
 
 
-def _expand_contact(a: DiffForm) -> DiffForm:
-    """om^s_J -> dy^s_J - y^s_{J+l} dx^l."""
-    return _substitute(a, lambda cov: (omega_contact(a.ctx, cov.coord.sigma, cov.coord.J)
-                                       if cov.kind == "w" else None))
-
-
 def _contact_split(a: DiffForm):
     """The image dy^s_J -> om^s_J + y^s_{J+l} dx^l (dx and om are kept).
 
@@ -421,11 +393,11 @@ def contact_decompose(a: DiffForm) -> ContactDecomposition:
     for covs, coeff in _substitute(a, _contact_split(a)).terms.items():
         buckets[sum(1 for cv in covs if cv.kind == "w")][covs] = coeff
     parts = [DiffForm._normalized(a.ctx, a.degree, terms) for terms in buckets]
-    return ContactDecomposition(a, parts[0], parts[1:])
+    return ContactDecomposition(parts[0], parts[1:])
 
 
 def contact_part(a: DiffForm, k: int) -> DiffForm:
-    """The k-contact part of a form, ``contact_decompose(a).part(k)``,
+    """The k-contact part of a form, as :func:`contact_decompose` splits it,
     without expanding the products that hold more than k contact factors."""
     return _collect(a.ctx, a.degree,
                     ((covs, e) for covs, e, kw in _products(a, _contact_split(a), most=k)
@@ -435,29 +407,6 @@ def contact_part(a: DiffForm, k: int) -> DiffForm:
 def horizontalization(a: DiffForm) -> DiffForm:
     """h(a): substitute dy^s_J by y^s_{J+l} dx^l throughout."""
     return contact_part(a, 0)
-
-
-def prolonged_horizontalization(a: DiffForm) -> DiffForm:
-    """Horizontalization on the once-prolonged space.
-
-    Jet differentials become velocity-weighted base differentials:
-    dy^s_J -> v(s;J|l) dx^l. Used for forms that live on the unprolonged
-    space but are evaluated against first-order prolongations.
-    """
-    ctx = a.ctx
-
-    def image(cov):
-        if cov.kind == "w":
-            raise InputError("expand contact symbols before horizontalizing")
-        c = cov.coord
-        if c.kind == "x":
-            return None
-        if c.kind != "y":
-            raise InputError(f"cannot horizontalize d{c.text()}")
-        return DiffForm(ctx, 1, {(d_(base(l)),): Expr.coord(ctx, vel(c.sigma, c.J, l))
-                                 for l in range(1, ctx.n + 1)})
-
-    return _substitute(a, image)
 
 
 def pullback(a: DiffForm, subst: dict) -> DiffForm:

@@ -62,7 +62,6 @@ class RegularityBlock:
 @dataclass
 class RegularityReport:
     blocks: dict          # s -> RegularityBlock
-    point: dict
 
     @property
     def regular(self) -> bool:
@@ -109,17 +108,6 @@ def regularity_blocks(prob: LagrangianProblem) -> dict:
     return blocks
 
 
-def momenta_jacobian(prob: LagrangianProblem):
-    """Full matrix d P^K_sigma / d y^nu_P for r <= |P| <= 2r-1, 1 <= |K| <= r."""
-    ctx = prob.ctx
-    table = momenta(prob)
-    rows = [lab for s in range(ctx.r, 2 * ctx.r) for lab in _jet_labels(ctx, s)]
-    cols = [lab for k in range(1, ctx.r + 1) for lab in _jet_labels(ctx, k)]
-    entries = [[table[(sigma, K)].partial(jet(nu, P)) for sigma, K in cols]
-               for nu, P in rows]
-    return rows, cols, entries
-
-
 def _eval_matrix(entries, point) -> np.ndarray:
     """All entries at one point, through one evaluator over the point's keys."""
     coords = [c for c in point if isinstance(c, Coord)]
@@ -144,7 +132,7 @@ def regularity_report(prob: LagrangianProblem, point: dict,
     for b in blocks.values():
         b.numeric = _eval_matrix(b.entries, point)
         b.rank = matrix_rank(b.numeric, rel_tol)
-    return RegularityReport(blocks, point)
+    return RegularityReport(blocks)
 
 
 def hessian_definiteness(prob: LagrangianProblem, point: dict,
@@ -220,8 +208,6 @@ class HddEquation:
 @dataclass
 class LegendreChartData:
     prob: LagrangianProblem
-    table: MomentaTable
-    chart_coords: list
     inverse: dict          # (sigma, A) -> Expr for r <= |A| <= 2r-1
     H: Expr
     equations: dict        # group name -> list[HddEquation]
@@ -265,11 +251,7 @@ def legendre_chart(prob: LagrangianProblem) -> LegendreChartData:
         yK = (Expr.coord(ctx, jet(sigma, K)) if len(K) < r
               else inverse[(sigma, K)])
         H = H + Expr.coord(ctx, mom(sigma, K)) * yK * mi.count(K)
-    chart = ([base(i) for i in range(1, ctx.n + 1)]
-             + [jet(s, J) for s, J in ctx.jets(max_order=r - 1)]
-             + [mom(s, K) for s, K in ctx.momenta_indices()])
-    return LegendreChartData(prob, table, chart, inverse, H,
-                             _canonical_equations(ctx, H))
+    return LegendreChartData(prob, inverse, H, _canonical_equations(ctx, H))
 
 
 def inverse_subs(ctx: ChartContext, inverse: dict) -> dict:

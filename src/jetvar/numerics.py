@@ -3,9 +3,9 @@
 This is where arrays live. :func:`grid` runs an evaluator's generated code
 on numpy arrays; quadrature over the box and over its 2n faces (one
 trapezoid rule per axis), residual grids and the variational checks built
-on them (action, first variation, the canonical-table residual) evaluate
-whole grids at once, in any base dimension. Trajectories are integrated on
-Python floats by the generated RK4 steps of :mod:`jetvar.legendre`.
+on them (action, first variation) evaluate whole grids at once, in any base
+dimension. Trajectories are integrated on Python floats by the generated
+RK4 steps of :mod:`jetvar.legendre`.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError, InputError, MissingCoordinateError
-from .symcore import ChartContext, Evaluator, Expr, base, jet, vel
+from .symcore import ChartContext, Evaluator, Expr, base, jet
 from . import forms
 from . import multiindex as mi
-from .varcalc import (HamiltonFormTable, LagrangianProblem, LepageanForm,
-                      prolong_vector_field)
+from .varcalc import LagrangianProblem, LepageanForm, prolong_vector_field
 
 
 @dataclass(frozen=True)
@@ -58,22 +57,17 @@ class IntegrationDomain:
         return axes, np.meshgrid(*axes, indexing="ij")
 
 
-def interval(a: float, b: float, resolution: int = 100) -> IntegrationDomain:
-    return IntegrationDomain((a,), (b,), resolution)
-
-
 @dataclass
 class Section:
     """Symbolic section: components y^s_J(x) keyed by (sigma, J).
 
     A section of the base fibration has only (sigma, ()) entries; sections
-    of higher jet fibrations carry entries for every order up to their
-    declared order, not necessarily holonomic.
+    of higher jet fibrations carry entries of higher order, not necessarily
+    holonomic.
     """
 
     ctx: ChartContext
     components: dict
-    order: int = 0
 
     def __post_init__(self):
         comps = {}
@@ -86,7 +80,6 @@ class Section:
                         f"section components must depend on base coordinates only, "
                         f"found {c.text()}")
         self.components = comps
-        self.order = max((len(J) for _, J in comps), default=0)
 
     @classmethod
     def of_base(cls, ctx, by_sigma: dict) -> "Section":
@@ -203,19 +196,21 @@ def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> floa
     is the sum over i of (-1)^(i-1) [f_i on the face x_i = b_i minus f_i on
     the face x_i = a_i], each face an (n-1)-box on the domain's own axes.
     For n = 1 the faces are the two endpoints and the integral is the
-    endpoint difference of the 0-form.
+    endpoint difference of the 0-form. Any other term raises.
     """
     n = domain.dim
     if form.degree != n - 1:
         raise InputError("boundary integrand must have degree n-1")
     coords = base_coords(n)
+    faces = [tuple(forms.d_(c) for c in coords[:i] + coords[i + 1:]) for i in range(n)]
+    if any(covs not in faces for covs in form.terms):
+        raise InputError("boundary integrand must be a combination of dx_1..^i..dx_n")
     axes = domain.axes()
     total = 0.0
     for i in range(n):
         face_axes = axes[:i] + axes[i + 1:]
         face = np.meshgrid(*face_axes, indexing="ij")
-        f = Evaluator([form.coefficient(
-            tuple(forms.d_(c) for c in coords[:i] + coords[i + 1:]))], coords)
+        f = Evaluator([form.coefficient(faces[i])], coords)
         upper, lower = (_trapezoid(grid(f, *face[:i], x_i, *face[i:])[0], face_axes)
                         for x_i in (domain.upper[i], domain.lower[i]))
         total += (-1) ** i * (upper - lower)
@@ -279,29 +274,6 @@ def max_abs(*values) -> float:
 
 
 # -- variational checks on grids ---------------------------------------------------
-
-def section_prolongation_binding(delta: Section) -> dict:
-    """Coordinate binding for evaluation along the prolongation of a section.
-
-    Jet coordinates bind to the section components, velocity coordinates to
-    their base-direction partials.
-    """
-    ctx = delta.ctx
-    binding = {}
-    for (sigma, J), comp in delta.components.items():
-        binding[jet(sigma, J)] = comp
-        for p in range(1, ctx.n + 1):
-            binding[vel(sigma, J, p)] = comp.partial(base(p))
-    return binding
-
-
-def hamilton_extremal_residual(table: HamiltonFormTable, delta: Section,
-                               domain: IntegrationDomain) -> ResidualSummary:
-    """Max |entry| along the prolonged section over sample points."""
-    binding = section_prolongation_binding(delta)
-    exprs = {key: e for key, e in table.entries.items()}
-    return residual_grid(exprs, binding, domain)
-
 
 def action_value(prob: LagrangianProblem, gamma: Section,
                  domain: IntegrationDomain) -> float:

@@ -19,8 +19,8 @@ Euler-Lagrange coefficient. g = 0 gives the canonical equivalent; the
 admissible tables (weighted symmetrization zero) parametrize the family.
 
 Everything here is exact and needs no numeric library; the checks that
-evaluate these objects on grids (action, first variation, the residual of
-the canonical table along a section) are in :mod:`jetvar.numerics`.
+evaluate these objects on grids (action, first variation) are in
+:mod:`jetvar.numerics`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Shared fixtures: random problem corpus, independent oracles, CLI runner."""
+"""Shared fixtures: random problem corpus, independent oracles, test
+conveniences, CLI runner."""
 
 import os
 import random
@@ -8,9 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+from jetvar import forms as F
 from jetvar import multiindex as mi
+from jetvar import numerics as N
 from jetvar import varcalc as V
-from jetvar.symcore import ChartContext, Expr, base, jet
+from jetvar.errors import InputError
+from jetvar.symcore import ChartContext, Expr, base, jet, vel
 
 
 def random_polynomial(ctx, rng, atoms, n_terms=4, degree=3, allow_const=True):
@@ -99,6 +103,53 @@ def alternating_sum_euler_lagrange(prob):
     return out
 
 
+def prolonged_horizontalization(a):
+    """Independent oracle: horizontalization on the once-prolonged space.
+
+    Jet differentials become velocity-weighted base differentials,
+    dy^s_J -> v(s;J|l) dx^l, for forms that live on the unprolonged space
+    but are evaluated against first-order prolongations.
+    """
+    ctx = a.ctx
+
+    def image(cov):
+        if cov.kind == "w":
+            raise InputError("expand contact symbols before horizontalizing")
+        c = cov.coord
+        if c.kind == "x":
+            return None
+        if c.kind != "y":
+            raise InputError(f"cannot horizontalize d{c.text()}")
+        return F.DiffForm(ctx, 1, {(F.d_(base(l)),): Expr.coord(ctx, vel(c.sigma, c.J, l))
+                                   for l in range(1, ctx.n + 1)})
+
+    return F._substitute(a, image)
+
+
+def reconstruct(dec):
+    """Independent oracle: the form a contact decomposition came from.
+
+    Each k-contact part re-expands om^s_J -> dy^s_J - y^s_{J+l} dx^l and is
+    added to the horizontal part.
+    """
+    def expand(part):
+        return F._substitute(part, lambda cov: (
+            F.omega_contact(part.ctx, cov.coord.sigma, cov.coord.J)
+            if cov.kind == "w" else None))
+
+    return F.form_sum([dec.horizontal, *map(expand, dec.contact_parts)])
+
+
+def interval(a, b, resolution=100):
+    """The integration domain [a, b] of a one-dimensional base."""
+    return N.IntegrationDomain((a,), (b,), resolution)
+
+
+def scalar_form(ctx, e):
+    """The 0-form with coefficient ``e``."""
+    return F.DiffForm(ctx, 0, {(): e})
+
+
 def assert_sym_equal(a, b, msg=""):
     if isinstance(b, (int, Fraction)):
         b = Expr.const(a.ctx, b)
@@ -108,11 +159,17 @@ def assert_sym_equal(a, b, msg=""):
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
-def run_python(*args):
-    """Run ``python *args`` in a child process on this checkout's package."""
+def child_env():
+    """The environment of a child process that imports this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return env
+
+
+def run_python(*args):
+    """Run ``python *args`` in a child process on this checkout's package."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=child_env())
 
 
 def run_jetvar(*args):

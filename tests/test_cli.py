@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
 from jetvar.cli import DEFAULT_TOLERANCES, build_parser, main, run
 from jetvar.symcore import ChartContext, parse_expr
-from conftest import run_jetvar
+from conftest import child_env, run_jetvar
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -102,6 +104,19 @@ def test_usage_error_is_input_error(argv, capsys):
     assert data["error"]["type"] == "InputError"
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "InputError"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child starts
+    try:
+        proc = subprocess.run([sys.executable, "-m", "jetvar.cli", "derive", HO],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=child_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
 
 
 def test_help_exits_0():

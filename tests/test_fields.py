@@ -10,7 +10,7 @@ from jetvar import numerics as N
 from jetvar import varcalc as V
 from jetvar.errors import InputError, UnsupportedSymbolicError
 from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr
-from conftest import assert_sym_equal, random_polynomial
+from conftest import assert_sym_equal, interval, random_polynomial, scalar_form
 
 
 def problem(text, n=1, m=1, r=1):
@@ -115,7 +115,7 @@ def test_pullback_derivative_commutation(corpus):
 def test_primitive_free_particle():
     prob, lep, w = free_particle()
     S = FL.hj_primitive(w, lep)
-    assert S == F.DiffForm.scalar(prob.ctx,
+    assert S == scalar_form(prob.ctx,
                                   parse_expr("y(1) - 1/2*x(1)", prob.ctx))
 
 
@@ -152,7 +152,7 @@ def test_primitive_differential_identity(quadratic_corpus):
         # directly through the homotopy on closed forms d(any 0-form)
         atoms = [base(1), jet(1, ())]
         e = random_polynomial(prob.ctx, rng, atoms, n_terms=3, degree=3)
-        a = F.ext_d(F.DiffForm.scalar(prob.ctx, e))
+        a = F.ext_d(scalar_form(prob.ctx, e))
         S = FL._radial_homotopy(a)
         # d(Ka) = a - (pullback to the origin) for exact 1-forms: the origin
         # part vanishes because a = d(e) has no constant term
@@ -215,46 +215,19 @@ def test_excess_density_identity_on_corpus(corpus):
 
 # -- integrals -------------------------------------------------------------------------------
 
-def test_hilbert_integral_free_particle():
-    prob, lep, w = free_particle()
-    gamma = N.Section.of_base(prob.ctx, {1: parse_expr("x(1)", prob.ctx)})
-    W = FL.hilbert_integral(w, lep, gamma, N.interval(0.0, 1.0, 2001))
-    assert abs(W - 0.5) <= 1e-8
-
-
-def test_hilbert_path_independence():
-    prob, lep, w = free_particle()
-    ctx = prob.ctx
-    dom = N.interval(0.0, 1.0, 20001)
-    gamma0 = N.Section.of_base(ctx, {1: parse_expr("x(1)", ctx)})
-    gamma1 = N.Section.of_base(
-        ctx, {1: parse_expr("x(1) + x(1)*(x(1)-1)*(1/3 + x(1))", ctx)})
-    W0 = FL.hilbert_integral(w, lep, gamma0, dom)
-    W1 = FL.hilbert_integral(w, lep, gamma1, dom)
-    assert abs(W0 - W1) <= 1e-8
-
-
-def test_hilbert_zero_lagrangian():
-    prob = problem("0")
-    lep = V.poincare_cartan(prob)
-    w = FL.SlopeField(prob.ctx, {(1, (1,)): Expr.const(prob.ctx, 2)})
-    gamma = N.Section.of_base(prob.ctx, {1: parse_expr("x(1)^2", prob.ctx)})
-    assert FL.hilbert_integral(w, lep, gamma, N.interval(0.0, 1.0, 100)) == 0.0
-
-
 def test_action_examples():
     osc = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
     gamma = N.Section.of_base(osc.ctx, {1: parse_expr("sin(x(1))", osc.ctx)})
-    val = N.action_value(osc, gamma, N.interval(0.0, math.pi, 3000))
+    val = N.action_value(osc, gamma, interval(0.0, math.pi, 3000))
     assert abs(val) <= 1e-6
 
     unit = problem("1")
     g2 = N.Section.of_base(unit.ctx, {1: Expr.const(unit.ctx, 0)})
-    assert N.action_value(unit, g2, N.interval(0.25, 1.75, 100)) == pytest.approx(1.5)
+    assert N.action_value(unit, g2, interval(0.25, 1.75, 100)) == pytest.approx(1.5)
 
     free, lep, w = free_particle()
     g3 = N.Section.of_base(free.ctx, {1: parse_expr("x(1)", free.ctx)})
-    assert N.action_value(free, g3, N.interval(0.0, 1.0, 2001)) == pytest.approx(0.5, abs=1e-8)
+    assert N.action_value(free, g3, interval(0.0, 1.0, 2001)) == pytest.approx(0.5, abs=1e-8)
 
 
 # -- compatibility and extremality -------------------------------------------------------------
@@ -264,7 +237,7 @@ def test_compatibility_residual():
     ctx = prob.ctx
     good = N.Section.of_base(ctx, {1: parse_expr("x(1) + 3", ctx)})
     bad = N.Section.of_base(ctx, {1: parse_expr("x(1)^2", ctx)})
-    dom = N.interval(0.0, 1.0, 11)
+    dom = interval(0.0, 1.0, 11)
     assert FL.compatibility_residual(w, good, dom) <= 1e-12
     assert FL.compatibility_residual(w, bad, dom) >= 0.5
 
@@ -273,7 +246,7 @@ def test_field_compatible_sections_are_extremal():
     # free particle: any section with slope 1 solves the equations
     prob, lep, w = free_particle()
     ctx = prob.ctx
-    dom = N.interval(0.0, 1.0, 9)
+    dom = interval(0.0, 1.0, 9)
     for shift in ("0", "1", "-1/2"):
         gamma = N.Section.of_base(ctx, {1: parse_expr(f"x(1) + {shift}", ctx)})
         assert FL.compatibility_residual(w, gamma, dom) <= 1e-9
@@ -295,7 +268,7 @@ def test_field_compatible_sections_are_extremal():
 def test_certificate_free_particle_passes():
     prob, lep, w = free_particle()
     gamma = N.Section.of_base(prob.ctx, {1: parse_expr("x(1)", prob.ctx)})
-    cert = FL.minimum_certificate(prob, lep, w, gamma, N.interval(0.0, 1.0, 9))
+    cert = FL.minimum_certificate(prob, lep, w, gamma, interval(0.0, 1.0, 9))
     assert all(c.passed for c in cert.conditions)
     assert "not prove" in cert.caveat
 
@@ -319,7 +292,7 @@ def test_certificate_zero_lagrangian_zero_margin():
     lep = V.poincare_cartan(prob)
     w = FL.SlopeField(prob.ctx, {(1, (1,)): Expr.const(prob.ctx, 0)})
     gamma = N.Section.of_base(prob.ctx, {1: Expr.const(prob.ctx, 0)})
-    cert = FL.minimum_certificate(prob, lep, w, gamma, N.interval(0.0, 1.0, 5))
+    cert = FL.minimum_certificate(prob, lep, w, gamma, interval(0.0, 1.0, 5))
     by_name = {c.name: c for c in cert.conditions}
     assert by_name["excess-nonnegative"].passed
     assert not by_name["hessian-positive-definite"].passed  # zero matrix
@@ -329,7 +302,7 @@ def test_certificate_rejects_incompatible_section():
     prob, lep, w = free_particle()
     gamma = N.Section.of_base(prob.ctx, {1: parse_expr("x(1)^2", prob.ctx)})
     with pytest.raises(InputError):
-        FL.minimum_certificate(prob, lep, w, gamma, N.interval(0.0, 1.0, 5))
+        FL.minimum_certificate(prob, lep, w, gamma, interval(0.0, 1.0, 5))
 
 
 def test_radial_homotopy_rejects_quotients():

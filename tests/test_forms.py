@@ -9,7 +9,7 @@ from jetvar import forms as F
 from jetvar import numerics as N
 from jetvar.errors import DegreeError, InputError
 from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr
-from conftest import random_polynomial
+from conftest import random_polynomial, reconstruct, scalar_form
 
 
 @pytest.fixture
@@ -100,7 +100,7 @@ def test_d_squared_zero_on_corpus(ctx):
     rng = random.Random(4)
     for degree in (0, 1, 2):
         for _ in range(8):
-            a = random_form(ctx, rng, degree) if degree else F.DiffForm.scalar(
+            a = random_form(ctx, rng, degree) if degree else scalar_form(
                 ctx, random_polynomial(ctx, rng,
                                        [base(1), jet(1), jet(1, (1,))]))
             assert F.ext_d(F.ext_d(a)).is_zero()
@@ -113,7 +113,7 @@ def test_d_top_degree_constant_coefficient(ctx):
 def test_d_leibniz_over_wedge(ctx):
     rng = random.Random(6)
     for p in (0, 1):
-        a = random_form(ctx, rng, p) if p else F.DiffForm.scalar(
+        a = random_form(ctx, rng, p) if p else scalar_form(
             ctx, random_polynomial(ctx, rng, [jet(1), base(1)]))
         b = random_form(ctx, rng, 1)
         lhs = F.ext_d(F.wedge(a, b))
@@ -128,7 +128,7 @@ def test_contact_split_of_dy():
     c1 = ChartContext(1, 1, 1, max_order=2)
     dec = F.contact_decompose(dy(c1, 1))
     assert dec.horizontal == dx(c1, 1).scaled(parse_expr("y(1;1)", c1))
-    assert dec.part(1) == F.DiffForm(c1, 1, {(F.w_(1, ()),): Expr.const(c1, 1)})
+    assert dec.contact_parts == [F.DiffForm(c1, 1, {(F.w_(1, ()),): Expr.const(c1, 1)})]
 
 
 def test_horizontal_form_untouched(ctx):
@@ -146,7 +146,7 @@ def test_first_order_expansion_matches_hand_computation():
     L = parse_expr("1/2*y(1;1)^2 - y(1)^3", c1)
     f = parse_expr("y(1;1) + y(1)", c1)
     rho = F.omega_0(c1).scaled(L) + F.omega_contact(c1, 1, ()).scaled(f)
-    p1 = F.contact_decompose(F.ext_d(rho)).part(1)
+    p1 = F.contact_decompose(F.ext_d(rho)).contact_parts[0]
     dxc = F.d_(base(1))
     got0 = p1.coefficient((F.w_(1, ()), dxc))
     got1 = p1.coefficient((F.w_(1, (1,)), dxc))
@@ -161,7 +161,7 @@ def test_reconstruction_roundtrip(ctx):
     for degree in (1, 2, 3):
         for _ in range(6):
             a = random_form(ctx, rng, degree)
-            assert F.contact_decompose(a).reconstruct() == a
+            assert reconstruct(F.contact_decompose(a)) == a
 
 
 # -- pullback ------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_pullback_commutes_with_d(ctx):
              jet(1, (1,)): parse_expr("x(2)^2 + y(1)", ctx)}
     for degree in (0, 1, 2):
         for _ in range(6):
-            a = random_form(ctx, rng, degree) if degree else F.DiffForm.scalar(
+            a = random_form(ctx, rng, degree) if degree else scalar_form(
                 ctx, random_polynomial(ctx, rng, [jet(1), jet(1, (1,)), base(2)]))
             assert F.pullback(F.ext_d(a), subst) == F.ext_d(F.pullback(a, subst))
 
@@ -204,7 +204,7 @@ def test_interior_product_examples(ctx):
 
 def test_interior_product_degree_zero_rejected(ctx):
     with pytest.raises(DegreeError):
-        F.interior_product({}, F.DiffForm.scalar(ctx, Expr.const(ctx, 1)))
+        F.interior_product({}, scalar_form(ctx, Expr.const(ctx, 1)))
 
 
 # -- section pullback identity -----------------------------------------------------------
@@ -224,16 +224,6 @@ def test_horizontalization_agrees_with_section_pullback():
         rhs = F.horizontal_density(N.pullback_along(h, pro))
         for xval in (0.1, 0.5, 0.9):
             assert abs(lhs.eval({base(1): xval}) - rhs.eval({base(1): xval})) <= 1e-10
-
-
-def test_omega_basis_bundle():
-    c1 = ChartContext(1, 1, 2, max_order=2)
-    om0, omis, contact = F.omega_basis(c1)
-    assert om0 == F.omega_0(c1)
-    assert set(omis) == {1}
-    # contact forms provided for every jet one order below the bound
-    assert set(contact) == {(1, ()), (1, (1,))}
-    assert contact[(1, ())] == F.omega_contact(c1, 1, ())
 
 
 # -- one-pass collector against per-term accumulation ------------------------------
@@ -388,9 +378,10 @@ def test_form_operations_match_per_term_accumulation(seed, p, q):
     parts = [_ref_form(p, ((k, e) for k, e in expanded.terms.items()
                            if sum(cv.kind == "w" for cv in k) == j)) for j in range(p + 1)]
     dec = F.contact_decompose(a)
+    got = [dec.horizontal, *dec.contact_parts]
     for k in range(p + 2):
         want = parts[k] if k <= p else _ref_form(p, ())
-        _assert_same(dec.part(k) if k <= p else F.DiffForm(ctx, p), want)
+        _assert_same(got[k] if k <= p else F.DiffForm(ctx, p), want)
         _assert_same(F.contact_part(a, k), want)
 
     def unsplit(cov):
@@ -404,7 +395,7 @@ def test_form_operations_match_per_term_accumulation(seed, p, q):
     for part in parts[1:]:
         rebuilt = _ref_form(p, chain(rebuilt.terms.items(),
                                      _ref_form(p, _ref_expand(part, unsplit)).terms.items()))
-    got = dec.reconstruct()
+    got = reconstruct(dec)
     _assert_same(got, rebuilt)
     assert got == a
 

@@ -8,6 +8,7 @@ from jetvar import numerics as N
 from jetvar import varcalc as V
 from jetvar.errors import InputError, MissingCoordinateError
 from jetvar.symcore import ChartContext, Expr, base, jet, mom, parse_expr
+from conftest import interval, scalar_form
 
 
 @pytest.fixture
@@ -43,12 +44,12 @@ def test_section_rejects_fiber_dependence(ctx):
 
 
 def test_quadrature_linear_exact(ctx):
-    dom = N.interval(0.0, 1.0, 10 ** 4)
+    dom = interval(0.0, 1.0, 10 ** 4)
     assert abs(N.quadrature(parse_expr("x(1)", ctx), dom) - 0.5) <= 1e-8
 
 
 def test_quadrature_quadratic(ctx):
-    dom = N.interval(0.0, 1.0, 10 ** 3)
+    dom = interval(0.0, 1.0, 10 ** 3)
     assert abs(N.quadrature(parse_expr("x(1)^2", ctx), dom) - 1 / 3) <= 1e-6
 
 
@@ -63,13 +64,13 @@ def test_quadrature_halving_step_quarters_error(ctx):
     exact = 1 / 3
     err = []
     for res in (101, 201):
-        err.append(abs(N.quadrature(e, N.interval(0.0, 1.0, res)) - exact))
+        err.append(abs(N.quadrature(e, interval(0.0, 1.0, res)) - exact))
     assert err[0] / err[1] == pytest.approx(4.0, rel=0.05)
 
 
 def test_boundary_quadrature_interval(ctx):
-    form = F.DiffForm.scalar(ctx, parse_expr("x(1)^2 + 1", ctx))
-    dom = N.interval(0.0, 2.0, 100)
+    form = scalar_form(ctx, parse_expr("x(1)^2 + 1", ctx))
+    dom = interval(0.0, 2.0, 100)
     assert N.boundary_quadrature(form, dom) == pytest.approx(4.0)
 
 
@@ -113,18 +114,28 @@ def test_boundary_rejects_wrong_degree():
         N.boundary_quadrature(form, dom)
 
 
+def test_boundary_rejects_terms_off_the_faces():
+    # x1 x2 dx1 + x1 dy1 on the unit square: dy1 is no face term
+    c2 = ChartContext(2, 1, 1)
+    form = F.DiffForm(c2, 1, {(F.d_(base(1)),): parse_expr("x(1)*x(2)", c2),
+                              (F.d_(jet(1)),): parse_expr("x(1)", c2)})
+    dom = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 11)
+    with pytest.raises(InputError, match="dx_1"):
+        N.boundary_quadrature(form, dom)
+
+
 def test_residual_grid_examples(ctx):
     # sin'' = -sin: residual of y_11 + y closes to zero along the section
     gamma = N.Section.of_base(ctx, {1: parse_expr("sin(x(1))", ctx)})
     pro = N.jet_prolong_section(gamma, 2)
     summary = N.residual_grid({"osc": parse_expr("y(1;1,1) + y(1)", ctx)},
-                              pro.subs_map(), N.interval(0.0, 1.0, 50))
+                              pro.subs_map(), interval(0.0, 1.0, 50))
     assert summary.global_max <= 1e-12
-    zero = N.residual_grid({"z": Expr.const(ctx, 0)}, {}, N.interval(0.0, 1.0, 5))
+    zero = N.residual_grid({"z": Expr.const(ctx, 0)}, {}, interval(0.0, 1.0, 5))
     assert zero.global_max == 0.0
     with pytest.raises(MissingCoordinateError):
         N.residual_grid({"bad": parse_expr("y(1)", ctx)}, {},
-                        N.interval(0.0, 1.0, 5))
+                        interval(0.0, 1.0, 5))
 
 
 def _chart(text):
@@ -195,7 +206,7 @@ def test_domain_validation():
         N.IntegrationDomain((0.0,), (0.0,), 10)
     with pytest.raises(InputError):
         N.IntegrationDomain((0.0,), (1.0,), 1)
-    dom = N.interval(0.0, 1.0, 10)
+    dom = interval(0.0, 1.0, 10)
     for bad in (0, 1):
         with pytest.raises(InputError):
             dom.axes(bad)

@@ -11,8 +11,8 @@ from jetvar import varcalc as V
 from jetvar.errors import (ContactOrderError, DegreeError, InadmissibleGError,
                            InputError, VerticalityError)
 from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr, vel
-from conftest import (alternating_sum_euler_lagrange, assert_sym_equal,
-                      random_polynomial)
+from conftest import (alternating_sum_euler_lagrange, assert_sym_equal, interval,
+                      prolonged_horizontalization, random_polynomial, scalar_form)
 
 
 def problem(text, n=1, m=1, r=1):
@@ -172,7 +172,7 @@ def test_defect_nonzero_for_bare_horizontal_form():
 def test_defect_input_validation():
     prob = problem("y(1)")
     with pytest.raises(DegreeError):
-        V.lepagean_defect(F.DiffForm.scalar(prob.ctx, prob.L), prob)
+        V.lepagean_defect(scalar_form(prob.ctx, prob.L), prob)
     prob2 = problem("y(1)", n=2)
     ctx2 = prob2.ctx
     ctx2.ensure_max_order(2)
@@ -308,7 +308,7 @@ def test_hamilton_defining_property(corpus):
         pro = V.prolong_vector_field(ctx, comps, 2 * ctx.r - 1)
         vec = {jet(s, J): e for (s, J), e in pro.items()}
         rhs_expr = F.horizontal_density(
-            F.prolonged_horizontalization(F.interior_product(vec, drho)))
+            prolonged_horizontalization(F.interior_product(vec, drho)))
         for _ in range(10):
             point = {base(i): rng.uniform(-1, 1) for i in range(1, ctx.n + 1)}
             for s, J in ctx.jets(max_order=2 * ctx.r - 1):
@@ -320,29 +320,39 @@ def test_hamilton_defining_property(corpus):
             assert abs(lhs - rhs_expr.eval(point)) <= 1e-9
 
 
+def _table_along(tab, section):
+    """Each Hamilton-table entry, exactly, with the jets bound to the
+    section's components and v(s;J|p) to their x(p)-partials."""
+    ctx = section.ctx
+    binding = {}
+    for (sigma, J), comp in section.components.items():
+        binding[jet(sigma, J)] = comp
+        for p in range(1, ctx.n + 1):
+            binding[vel(sigma, J, p)] = comp.partial(base(p))
+    return {key: e.subs(binding) for key, e in tab.entries.items()}
+
+
 def test_hamilton_extremal_residual_examples():
+    # every entry is structurally 0 along a prolonged extremal
     prob = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
     ctx = prob.ctx
     tab = V.hamilton_form(V.poincare_cartan(prob))
     sine = N.jet_prolong_section(
         N.Section.of_base(ctx, {1: parse_expr("sin(x(1))", ctx)}), 1)
-    summary = N.hamilton_extremal_residual(tab, sine, N.interval(0.0, 1.0, 40))
-    assert summary.global_max <= 1e-10
+    assert _table_along(tab, sine) == {(1, ()): 0, (1, (1,)): 0}
 
+    # a section that is not holonomic: v(1;|1) - y(1;1) = 1 - 2
     free = problem("1/2*y(1;1)^2")
     tabf = V.hamilton_form(V.poincare_cartan(free))
     broken = N.Section(free.ctx, {(1, ()): parse_expr("x(1)", free.ctx),
                                   (1, (1,)): parse_expr("2", free.ctx)})
-    s2 = N.hamilton_extremal_residual(tabf, broken, N.interval(0.0, 1.0, 10))
-    assert s2.entries[(1, (1,))][0] == pytest.approx(1.0)  # v - y_1 = 1 - 2
+    assert _table_along(tabf, broken) == {(1, ()): 0, (1, (1,)): -1}
 
     zero = problem("0")
     tz = V.hamilton_form(V.poincare_cartan(zero))
-    sz = N.hamilton_extremal_residual(
-        tz, N.jet_prolong_section(
-            N.Section.of_base(zero.ctx, {1: parse_expr("x(1)^2", zero.ctx)}), 1),
-        N.interval(0.0, 1.0, 10))
-    assert sz.global_max == 0.0
+    square = N.jet_prolong_section(
+        N.Section.of_base(zero.ctx, {1: parse_expr("x(1)^2", zero.ctx)}), 1)
+    assert _table_along(tz, square) == {(1, ()): 0, (1, (1,)): 0}
 
 
 # -- vector field prolongation --------------------------------------------------------
@@ -371,7 +381,7 @@ def test_first_variation_harmonic_oscillator():
     gamma = N.Section.of_base(ctx, {1: parse_expr("sin(x(1))", ctx)})
     fv = N.first_variation_check(prob, V.poincare_cartan(prob),
                                  {1: Expr.const(ctx, 1)}, gamma,
-                                 N.interval(0.0, 1.0, 10 ** 4))
+                                 interval(0.0, 1.0, 10 ** 4))
     assert abs(fv.lhs - fv.rhs) <= 1e-4
 
 
@@ -382,7 +392,7 @@ def test_first_variation_extremal_with_compact_variation():
     gamma = N.Section.of_base(ctx, {1: parse_expr("sin(x(1))", ctx)})
     xi = {1: parse_expr("(x(1)*(1-x(1)))^3", ctx)}
     fv = N.first_variation_check(prob, V.poincare_cartan(prob), xi, gamma,
-                                 N.interval(0.0, 1.0, 4000))
+                                 interval(0.0, 1.0, 4000))
     assert abs(fv.interior + fv.boundary) <= 1e-6
     assert abs(fv.lhs) <= 1e-6
 
@@ -393,7 +403,7 @@ def test_first_variation_zero_lagrangian():
     gamma = N.Section.of_base(ctx, {1: parse_expr("x(1)^2", ctx)})
     fv = N.first_variation_check(prob, V.poincare_cartan(prob),
                                  {1: Expr.const(ctx, 1)}, gamma,
-                                 N.interval(0.0, 1.0, 100))
+                                 interval(0.0, 1.0, 100))
     assert fv.lhs == 0.0 and fv.rhs == 0.0
 
 
@@ -405,7 +415,7 @@ def test_first_variation_exact_beyond_quadratic_densities():
     gamma = N.Section.of_base(ctx, {1: parse_expr("x(1)", ctx)})
     fv = N.first_variation_check(prob, V.poincare_cartan(prob),
                                  {1: parse_expr("x(1)", ctx)}, gamma,
-                                 N.interval(0.0, 1.0, 11))
+                                 interval(0.0, 1.0, 11))
     assert abs(fv.lhs - 1.0) <= 1e-13
 
 
