@@ -182,13 +182,9 @@ def compatibility_residual(w: SlopeField, gamma: Section,
     ctx = w.ctx
     pro = numerics.jet_prolong_section(gamma, ctx.r)
     sub = numerics.jet_prolong_section(gamma, ctx.r - 1).subs_map()
-    pairs = []
-    for sigma in range(1, ctx.m + 1):
-        for A in mi.tuples(ctx.n, ctx.r):
-            pairs += [w.components[(sigma, A)].subs(sub), pro.component(sigma, A)]
-    _, grids = domain.mesh()
-    vals = numerics.grid(Evaluator(pairs, numerics.base_coords(domain.dim)), *grids)
-    return numerics.max_abs(*(f - j for f, j in zip(vals[::2], vals[1::2])))
+    diffs = {(sigma, A): w.components[(sigma, A)].subs(sub) - pro.component(sigma, A)
+             for sigma in range(1, ctx.m + 1) for A in mi.tuples(ctx.n, ctx.r)}
+    return numerics.residual_grid(diffs, {}, domain).global_max
 
 
 @dataclass
@@ -307,10 +303,5 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
 def extremal_residual_via_field(prob: LagrangianProblem, gamma: Section,
                                 domain: IntegrationDomain) -> float:
     """Max Euler-Lagrange residual of a section at sampled base points."""
-    ctx = prob.ctx
-    el = euler_lagrange(prob)
-    sub = numerics.jet_prolong_section(gamma, 2 * ctx.r).subs_map()
-    closed = [e.subs(sub) for e in el.values()]
-    _, grids = domain.mesh()
-    return numerics.max_abs(
-        *numerics.grid(Evaluator(closed, numerics.base_coords(domain.dim)), *grids))
+    sub = numerics.jet_prolong_section(gamma, 2 * prob.ctx.r).subs_map()
+    return numerics.residual_grid(euler_lagrange(prob), sub, domain).global_max

@@ -1,11 +1,11 @@
 """Regularity tests, Legendre coordinates and the canonical equations.
 
-Regularity of a Lagrangian is rank-maximality of the blocks relating the
-momentum functions of multi-index length 2r-s to jets of order s, for
-r <= s <= 2r-1. The blocks are built directly from weighted second partials
-of L and coincide entry-by-entry with the corresponding diagonal blocks of
-the momenta Jacobian d P^K / d y^nu_P (the block-triangular matrix of the
-full system); tests exercise that equality.
+Regularity of a Lagrangian is rank-maximality of the diagonal blocks of the
+momenta Jacobian d P^K / d y^nu_P (the full matrix is block-triangular):
+block s relates the momentum functions of multi-index length 2r-s to the
+jets of order s, for r <= s <= 2r-1. :func:`momenta_block` builds one block;
+the regularity report, the Legendre chart and the Newton solve all read the
+Jacobian through it.
 
 When every elimination layer is affine-linear in its unknown jets (true for
 Lagrangians quadratic in the jets of order >= 1), the momenta relations can
@@ -73,39 +73,17 @@ def _jet_labels(ctx: ChartContext, length: int):
             for K in mi.tuples(ctx.n, length)]
 
 
-def regularity_blocks(prob: LagrangianProblem) -> dict:
-    """Symbolic rank blocks from weighted second partials of L.
+def momenta_block(table: MomentaTable, s: int):
+    """Block s of the momenta Jacobian as ``(rows, cols, entries)``.
 
-    Block s has rows (nu, P), |P| = s, and columns (sigma, K), |K| = 2r-s;
-    the entry sums over multiset splits P = Lam + Q with |Q| = r:
-
-        (-1)^(s-r) N(Lam) / N(K+Lam) * d2L / dy^sigma_{K+Lam} dy^nu_Q
-
-    which makes the block literally equal to the diagonal block
-    d P^K / d y^nu_P of the momenta Jacobian.
+    Rows are (nu, P) with |P| = s, columns (sigma, K) with |K| = 2r - s,
+    and entries[i][j] = d P^K_sigma / d y^nu_P for row i and column j.
     """
-    ctx = prob.ctx
-    r = ctx.r
-    blocks = {}
-    for s in range(r, 2 * r):
-        rows = _jet_labels(ctx, s)
-        cols = _jet_labels(ctx, 2 * r - s)
-        sign = -1 if (s - r) % 2 else 1
-        entries = []
-        for nu, P in rows:
-            row = []
-            for sigma, K in cols:
-                total = Expr.const(ctx, 0)
-                for Lam, Q in mi.splits(P, s - r):
-                    KL = mi.merge(K, *Lam)
-                    d2 = prob.L.partial(jet(sigma, KL)).partial(jet(nu, Q))
-                    if d2.is_zero():
-                        continue
-                    total = total + d2 * Fraction(sign * mi.count(Lam), mi.count(KL))
-                row.append(total)
-            entries.append(row)
-        blocks[s] = RegularityBlock(s, rows, cols, entries)
-    return blocks
+    ctx = table.prob.ctx
+    rows = _jet_labels(ctx, s)
+    cols = _jet_labels(ctx, 2 * ctx.r - s)
+    return rows, cols, [[table[key].partial(jet(nu, P)) for key in cols]
+                        for nu, P in rows]
 
 
 def _eval_matrix(entries, point) -> np.ndarray:
@@ -128,8 +106,10 @@ def matrix_rank(M: np.ndarray, rel_tol: float = 1e-10) -> int:
 
 def regularity_report(prob: LagrangianProblem, point: dict,
                       rel_tol: float = 1e-10) -> RegularityReport:
-    blocks = regularity_blocks(prob)
-    for b in blocks.values():
+    table = momenta(prob)
+    blocks = {}
+    for s in range(prob.ctx.r, 2 * prob.ctx.r):
+        b = blocks[s] = RegularityBlock(s, *momenta_block(table, s))
         b.numeric = _eval_matrix(b.entries, point)
         b.rank = matrix_rank(b.numeric, rel_tol)
     return RegularityReport(blocks)
@@ -222,24 +202,19 @@ def legendre_chart(prob: LagrangianProblem) -> LegendreChartData:
     table = momenta(prob)
     inverse: dict = {}
     for layer in range(r):
-        eq_labels = _jet_labels(ctx, r - layer)
-        unknowns = _jet_labels(ctx, r + layer)
-        unknown_coords = [jet(nu, B) for nu, B in unknowns]
+        # block r + layer, transposed: one row per relation P(sigma;K)
+        unknowns, eq_labels, block = momenta_block(table, r + layer)
+        subs = inverse_subs(ctx, inverse)
+        zero_top = {jet(nu, B): Expr.const(ctx, 0) for nu, B in unknowns}
         A = []
         rhs = []
-        zero_top = {c: Expr.const(ctx, 0) for c in unknown_coords}
-        for sigma, K in eq_labels:
-            expr = table[(sigma, K)]
-            row = []
-            for c in unknown_coords:
-                coeff = expr.partial(c)
-                if coeff.max_jet_order() >= r + layer:
-                    raise UnsupportedSymbolicError(
-                        f"momentum relation for P({sigma};{K}) is not affine in "
-                        f"order-{r + layer} jets")
-                row.append(coeff.subs(inverse_subs(ctx, inverse)))
-            A.append(row)
-            base_part = expr.subs(zero_top).subs(inverse_subs(ctx, inverse))
+        for (sigma, K), coeffs in zip(eq_labels, zip(*block)):
+            if any(c.max_jet_order() >= r + layer for c in coeffs):
+                raise UnsupportedSymbolicError(
+                    f"momentum relation for P({sigma};{K}) is not affine in "
+                    f"order-{r + layer} jets")
+            A.append([c.subs(subs) for c in coeffs])
+            base_part = table[(sigma, K)].subs(zero_top).subs(subs)
             rhs.append(Expr.coord(ctx, mom(sigma, K)) - base_part)
         sol = solve_linear_system(A, rhs, ctx, layer=layer)
         for (nu, B), e in zip(unknowns, sol):
@@ -420,7 +395,8 @@ def _newton_flow(prob: LagrangianProblem, table: MomentaTable):
 
     Layer l solves the m relations P(s;1^(r-l)) = state momentum for the jets
     of order r+l, given x, the state jets and the lower layers' solutions, by
-    the generated ``_newton<l>`` in ``names``. Every point solves layer 0; the
+    the generated ``_newton<l>`` in ``names``; its Jacobian is block r+l of
+    :func:`momenta_block`, transposed. Every point solves layer 0; the
     right-hand side evaluates the momentum equations' dL/dy inline, and the
     top jets solve the other layers.
     """
@@ -431,12 +407,13 @@ def _newton_flow(prob: LagrangianProblem, table: MomentaTable):
     known = [base(1)] + ys
     names, targets = {}, []
     for layer in range(r):
-        unknowns = [jet(s, (1,) * (r + layer)) for s in range(1, m + 1)]
-        relations = [table[(s, (1,) * (r - layer))] for s in range(1, m + 1)]
-        jac = [e.partial(c) for e in relations for c in unknowns]
+        rows, cols, block = momenta_block(table, r + layer)
+        unknowns = [jet(nu, P) for nu, P in rows]
+        relations = [table[key] for key in cols]
+        jac = [e for column in zip(*block) for e in column]  # relation-major
         known = known + unknowns
         names[f"_newton{layer}"] = _newton_loop(ctx, layer, known, relations, jac)
-        targets.append([n_ys + ps.index(mom(s, (1,) * (r - layer))) for s in range(1, m + 1)])
+        targets.append([n_ys + ps.index(mom(*key)) for key in cols])
     dL_inputs = [base(1)] + ys + [jet(s, (1,) * r) for s in range(1, m + 1)]
     dL = [prob.L.partial(jet(c.sigma, c.J[1:])) for c in ps]
 

@@ -73,19 +73,3 @@ def parent_pairs(K: MultiIndex):
     for v in distinct_values(K):
         yield remove_one(K, v), v
 
-
-def splits(P: MultiIndex, k: int):
-    """Distinct multiset splits of ``P`` into ``(A, B)`` with ``len(A) == k``.
-
-    Both halves come out canonical; every split is produced exactly once.
-    """
-    seen = set()
-    for pos in itertools.combinations(range(len(P)), k):
-        A = tuple(P[i] for i in pos)
-        if A in seen:
-            continue
-        seen.add(A)
-        rest = list(P)
-        for i in reversed(pos):
-            del rest[i]
-        yield A, tuple(rest)

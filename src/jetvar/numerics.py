@@ -251,26 +251,11 @@ def residual_grid(exprs: dict, binding: dict, domain: IntegrationDomain) -> Resi
     values = grid(Evaluator(closed.values(), base_coords(domain.dim)), *grids)
     summary = ResidualSummary()
     for name, v in zip(names, values):
-        idx = _first_max_index(np.abs(v).ravel())
+        idx = int(np.argmax(np.abs(v)))  # the first maximum in row-major order
         point = np.unravel_index(idx, v.shape)
         summary.entries[name] = (float(abs(v.flat[idx])),
                                  tuple(ax[k] for ax, k in zip(axes, point)))
     return summary
-
-
-def _first_max_index(a: np.ndarray) -> int:
-    """Index where a running strict-greater maximum over ``a`` ends.
-
-    That is the first maximum in order; NaN entries are skipped, except a
-    NaN first entry, which no later comparison replaces.
-    """
-    return 0 if np.isnan(a[0]) else int(np.nanargmax(a))
-
-
-def max_abs(*values) -> float:
-    """Largest absolute entry over arrays, ignoring NaN; 0.0 when empty."""
-    return float(max((np.fmax.reduce(np.abs(v), axis=None, initial=0.0)
-                      for v in values), default=0.0))
 
 
 # -- variational checks on grids ---------------------------------------------------

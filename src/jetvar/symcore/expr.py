@@ -288,11 +288,15 @@ class Expr:
 
     def _inverse(self) -> "Expr":
         """1/self = Q/P as Q/c times the reciprocal atom of P/c, where c is
-        the leading coefficient of P (a constant P needs no atom)."""
+        the coefficient of the monomial of P that prints first, so the atom
+        does not depend on the order atoms were interned (a constant P
+        needs no atom)."""
         P, Q = self._split()
         if not P:
             raise DivisionByZeroError("division by the zero expression")
-        n, d = P[max(P)]
+        key = self.ctx.atom_sort_key
+        n, d = P[min(P, key=lambda mono: (-K.mono_degree(mono),
+                                          sorted((key(a), e) for a, e in mono)))]
         Q = K.poly_scale(Q, d, n)
         if K.poly_is_const(P):
             return Expr(self.ctx, Q)

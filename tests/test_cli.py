@@ -368,6 +368,25 @@ def test_hdd_solve_matches_golden_report(tmp_path, name):
         assert got == fh.read()
 
 
+REGULARITY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "regularity")
+REGULARITY_CASES = {
+    "quotient_r2": "origin1d_r2.at", "elastica": "origin1d_r2.at",
+    "quartic_r2": "origin1d_r2.at", "minimal_surface": "origin.at",
+    "laplace": "origin.at", "indefinite": "origin.at", "g_family_r2": "origin.at",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULARITY_CASES))
+def test_regularity_matches_golden_report(name):
+    """``regularity`` reproduces its recorded blocks, ranks and Hessian (exit 3
+    with its error for the rank-deficient g_family_r2)."""
+    data, _ = run(build_parser().parse_args(
+        ["regularity", prob_path(name + ".prob"), "--at", prob_path(REGULARITY_CASES[name])]))
+    got = json.dumps(strip_timing(data), indent=2, sort_keys=True) + "\n"
+    with open(os.path.join(REGULARITY_GOLDEN, name + ".json")) as fh:
+        assert got == fh.read()
+
+
 # P(1;1) = y(1;1)^3/3 - y(1;1) has three roots y(1;1) for |P(1;1)| < 2/3. From
 # P(1;1) = 0 the flow P(1;1)' = 13/10 x(1) follows the middle root to
 # -0.867962196538897 at x(1) = 1, where the outer root is 1.994

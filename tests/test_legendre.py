@@ -1,5 +1,8 @@
+import itertools
 import math
+import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from jetvar import legendre as LG
 from jetvar import multiindex as mi
 from jetvar import varcalc as V
+from jetvar.cli import ProblemFile
 from jetvar.errors import (DegeneracyError, InputError,
                            UnsupportedSymbolicError)
 from jetvar.symcore import ChartContext, Expr, base, jet, mom, parse_expr
@@ -16,6 +20,9 @@ from conftest import assert_sym_equal, interval
 def problem(text, n=1, m=1, r=1):
     ctx = ChartContext(n, m, r)
     return V.LagrangianProblem(ctx, parse_expr(text, ctx))
+
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 def full_point(ctx, rng, order=None):
@@ -51,33 +58,47 @@ def test_regularity_laplace_identity_block():
     assert rep.regular
 
 
-def momenta_jacobian(prob):
-    """Full matrix d P^K_sigma / d y^nu_P for r <= |P| <= 2r-1, 1 <= |K| <= r."""
+def _splits(P, k):
+    """Distinct multiset splits (Lam, Q) of the canonical P with |Lam| = k."""
+    return {(tuple(P[i] for i in pos), tuple(P[i] for i in range(len(P)) if i not in pos))
+            for pos in itertools.combinations(range(len(P)), k)}
+
+
+def weighted_second_partials(prob, s):
+    """Block s as ``(rows, cols, entries)`` from second partials of L: the
+    entry at (nu, P), (sigma, K) sums over multiset splits P = Lam + Q with
+    |Q| = r of
+
+        (-1)^(s-r) N(Lam) / N(K+Lam) * d2L / dy^sigma_{K+Lam} dy^nu_Q
+    """
     ctx = prob.ctx
-    table = V.momenta(prob)
+    r = ctx.r
+    sign = -1 if (s - r) % 2 else 1
 
-    def labels(k):
-        return [(sigma, K) for sigma in range(1, ctx.m + 1) for K in mi.tuples(ctx.n, k)]
+    def entry(nu, P, sigma, K):
+        total = Expr.const(ctx, 0)
+        for Lam, Q in sorted(_splits(P, s - r)):
+            KL = mi.merge(K, *Lam)
+            d2 = prob.L.partial(jet(sigma, KL)).partial(jet(nu, Q))
+            total = total + d2 * Fraction(sign * mi.count(Lam), mi.count(KL))
+        return total
 
-    rows = [lab for s in range(ctx.r, 2 * ctx.r) for lab in labels(s)]
-    cols = [lab for k in range(1, ctx.r + 1) for lab in labels(k)]
-    entries = [[table[(sigma, K)].partial(jet(nu, P)) for sigma, K in cols]
-               for nu, P in rows]
-    return rows, cols, entries
+    rows = [(nu, P) for nu in range(1, ctx.m + 1) for P in mi.tuples(ctx.n, s)]
+    cols = [(sigma, K) for sigma in range(1, ctx.m + 1) for K in mi.tuples(ctx.n, 2 * r - s)]
+    return rows, cols, [[entry(nu, P, sigma, K) for sigma, K in cols] for nu, P in rows]
 
 
-def test_blocks_equal_momenta_jacobian_diagonal(corpus):
-    for prob in corpus[:12]:
-        blocks = LG.regularity_blocks(prob)
-        rows, cols, jac = momenta_jacobian(prob)
-        ridx = {lab: i for i, lab in enumerate(rows)}
-        cidx = {lab: j for j, lab in enumerate(cols)}
-        for s, b in blocks.items():
-            for bi, rlab in enumerate(b.rows):
-                for bj, clab in enumerate(b.cols):
-                    got = b.entries[bi][bj]
-                    want = jac[ridx[rlab]][cidx[clab]]
-                    assert got == want, (prob.L, s, rlab, clab)
+def test_momenta_blocks_equal_weighted_second_partials(corpus):
+    # shipped problems with quotient and square-root atoms, and an n = 2,
+    # r = 2 quotient
+    shipped = [ProblemFile(os.path.join(PROBLEMS, name + ".prob")).problem
+               for name in ("quotient_r2", "elastica", "minimal_surface")]
+    cases = list(corpus[:12]) + shipped + [
+        problem("(y(1;1,1)+y(1;2,2))^2/(1+y(1;1)^2+y(1;2)^2)", n=2, r=2)]
+    for prob in cases:
+        table = V.momenta(prob)
+        for s in range(prob.ctx.r, 2 * prob.ctx.r):
+            assert LG.momenta_block(table, s) == weighted_second_partials(prob, s), (prob.L, s)
 
 
 # -- definiteness -------------------------------------------------------------------
@@ -112,7 +133,6 @@ def test_definiteness_agrees_with_eigenvalue_oracle():
         raw = np.array([[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
         M = (raw + raw.T) / 2
         L = Expr.const(ctx, 0)
-        from fractions import Fraction
         for i, (s, A) in enumerate(labels):
             for j, (nu, B) in enumerate(labels):
                 if j < i:

@@ -34,11 +34,3 @@ def test_parent_pairs_weights_sum_to_count():
     for J in mi.tuples(3, 4):
         assert sum(mi.count(P) for P, _ in mi.parent_pairs(J)) == mi.count(J)
 
-
-def test_splits_cover_all_submultisets():
-    P = (1, 1, 2, 3)
-    got = set(mi.splits(P, 2))
-    for A, B in got:
-        assert mi.merge(A, *B) == P
-    assert len(got) == len({A for A, _ in got})
-    assert {A for A, _ in got} == {(1, 1), (1, 2), (1, 3), (2, 3)}

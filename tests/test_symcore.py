@@ -482,6 +482,19 @@ def test_canonical_text_of_nested_reciprocal_example():
     assert str(parse_expr(text, fresh)) == str(e)
 
 
+def test_reciprocal_text_does_not_depend_on_interning_order():
+    # y(1) interned before x(1): the reciprocal's argument is still scaled by
+    # the coefficient of x(1), its monomial that prints first
+    ctx = ChartContext(1, 1, 1)
+    y = Expr.coord(ctx, jet(1))
+    e = 1 / (2 * Expr.coord(ctx, base(1)) + y)
+    assert str(e) == "1/2*(x(1) + 1/2*y(1))^-1"
+    assert str(parse_expr(str(e), ChartContext(1, 1, 1))) == str(e)
+    for seed in (0, 3, 4):
+        text = str(_random_transcendental(ChartContext(2, 1, 1), random.Random(seed), 2))
+        assert str(parse_expr(text, ChartContext(2, 1, 1))) == text, seed
+
+
 def test_quotient_equality_cross_multiplication(ctx):
     a = parse_expr("(y(1)^2 - 1)/(y(1) - 1)", ctx)
     b = parse_expr("(y(1)^2 + 3*y(1) + 2)/(y(1) + 2)", ctx)
