@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import forms
 from . import multiindex as mi
 from . import numerics
@@ -215,6 +213,7 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     top-order Hessian along the field plus the vanishing identities of the
     excess at the field (weak-minimum route).
     """
+    import numpy as np
     ctx = prob.ctx
     report = CertificateReport()
 

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import multiindex as mi
 from . import numerics
 from .errors import (DegeneracyError, InputError, JetvarError, NewtonError,
@@ -88,6 +86,7 @@ def momenta_block(table: MomentaTable, s: int):
 
 def _eval_matrix(entries, point) -> np.ndarray:
     """All entries at one point, through one evaluator over the point's keys."""
+    import numpy as np
     coords = [c for c in point if isinstance(c, Coord)]
     flat = [e for row in entries for e in row]
     vals = Evaluator(flat, coords)(*[point[c] for c in coords])
@@ -96,6 +95,7 @@ def _eval_matrix(entries, point) -> np.ndarray:
 
 def matrix_rank(M: np.ndarray, rel_tol: float = 1e-10) -> int:
     """Rank by singular values above rel_tol times the largest one."""
+    import numpy as np
     if M.size == 0:
         return 0
     sv = np.linalg.svd(M, compute_uv=False)
@@ -122,6 +122,7 @@ def hessian_definiteness(prob: LagrangianProblem, point: dict,
     Definiteness is decided by a plain symmetric triangular factorization;
     a pivot at or below the tolerance fails the test.
     """
+    import numpy as np
     ctx = prob.ctx
     labels = _jet_labels(ctx, ctx.r)
     entries = [[prob.L.partial(jet(s, A)).partial(jet(nu, B)) for nu, B in labels]
@@ -133,6 +134,7 @@ def hessian_definiteness(prob: LagrangianProblem, point: dict,
 
 
 def _cholesky_positive(M: np.ndarray, pivot_tol: float) -> bool:
+    import numpy as np
     k = M.shape[0]
     L = np.zeros_like(M)
     for j in range(k):
@@ -310,6 +312,7 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
     sample's jets are those of the first stage of the step taken from it,
     the ones the integration followed, and only the last sample has its own.
     """
+    import numpy as np
     chart = source if isinstance(source, LegendreChartData) else None
     prob = source if chart is None else chart.prob
     if not isinstance(prob, LagrangianProblem):
@@ -451,6 +454,7 @@ def _newton_loop(ctx, layer: int, inputs, relations, jac):
     ``_guess``, the next call's warm start, and return it. Each restart offset
     starts at ``_guess`` plus it; the last start's failure raises NewtonError.
     Relations and Jacobian share one atom table; one unknown steps by division."""
+    import numpy as np
     m = len(relations)
     w = [f"w{i}" for i in range(len(inputs) - m)]
     z, t, F, d = ([f"{c}{i}" for i in range(m)] for c in "ztFd")
@@ -489,6 +493,7 @@ def _grid_derivative(h: float, col: np.ndarray):
     samples. Fewer than three samples admit no second-order derivative and
     raise InputError.
     """
+    import numpy as np
     if len(col) < 3:
         raise InputError(f"trajectory has {len(col)} samples; the derivative checks "
                          "need at least 3: reduce the step (--step)")
@@ -507,6 +512,7 @@ def holonomy_residual_column(traj: Trajectory, prob: LagrangianProblem):
     Returns the per-sample residual and the index range where the stencil
     is trustworthy.
     """
+    import numpy as np
     ctx = prob.ctx
     xs = traj.xs
     col = np.zeros_like(xs)
@@ -524,11 +530,13 @@ def holonomy_residual_column(traj: Trajectory, prob: LagrangianProblem):
 
 def interior_max(col: np.ndarray, interior: slice) -> float:
     """Max of a residual column over the index range where it is accurate."""
+    import numpy as np
     return float(np.max(col[interior])) if len(col) else 0.0
 
 
 def euler_lagrange_residual_column(traj: Trajectory, prob: LagrangianProblem):
     """Pointwise |dL/dy o trajectory - d/dx of the first momentum column|."""
+    import numpy as np
     ctx = prob.ctx
     xs = traj.xs
     col = np.zeros_like(xs)

@@ -6,14 +6,16 @@ trapezoid rule per axis), residual grids and the variational checks built
 on them (action, first variation) evaluate whole grids at once, in any base
 dimension. Trajectories are integrated on Python floats by the generated
 RK4 steps of :mod:`jetvar.legendre`.
+
+numpy is imported inside the functions that use it, here and in
+:mod:`jetvar.legendre` and :mod:`jetvar.fields`, so importing the CLI loads
+none and a symbolic command such as ``derive`` never pays its start-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import EvaluationError, InputError, MissingCoordinateError
 from .symcore import ChartContext, Evaluator, Expr, base, jet
@@ -46,6 +48,7 @@ class IntegrationDomain:
 
     def axes(self, resolution: int | None = None):
         """Sample points per axis; ``resolution`` overrides the domain's."""
+        import numpy as np
         res = self.resolution if resolution is None else resolution
         if res < 2:
             raise InputError(f"resolution must be at least 2, got {res}")
@@ -53,6 +56,7 @@ class IntegrationDomain:
 
     def mesh(self, resolution: int | None = None):
         """The axes and their ``ij`` meshgrid (row-major = product order)."""
+        import numpy as np
         axes = self.axes(resolution)
         return axes, np.meshgrid(*axes, indexing="ij")
 
@@ -123,13 +127,10 @@ def base_coords(n: int) -> list:
 class _GridOps:
     """Array namespace of the generated code: checks record a mask."""
 
-    sin = np.sin
-    cos = np.cos
-    exp = np.exp
-    log = np.log
-    sqrt = np.sqrt
-
     def __init__(self):
+        import numpy as np
+        self.sin, self.cos, self.exp, self.log, self.sqrt = (
+            np.sin, np.cos, np.exp, np.log, np.sqrt)
         self.flags = []
 
     def recip_arg(self, v):
@@ -149,6 +150,7 @@ def grid(ev: Evaluator, *arrays) -> list:
     point in row-major order, so the exception type and message are those
     of a point-by-point loop.
     """
+    import numpy as np
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
     shape = arrays[0].shape if arrays else ()
     ops = _GridOps()
@@ -174,6 +176,7 @@ def grid(ev: Evaluator, *arrays) -> list:
 
 def _trapezoid(vals: np.ndarray, axes) -> float:
     """Tensor-product trapezoid rule of grid values, one axis at a time."""
+    import numpy as np
     for ax in axes:
         vals = np.trapezoid(vals, ax, axis=0)
     return float(vals)
@@ -198,6 +201,7 @@ def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> floa
     For n = 1 the faces are the two endpoints and the integral is the
     endpoint difference of the 0-form. Any other term raises.
     """
+    import numpy as np
     n = domain.dim
     if form.degree != n - 1:
         raise InputError("boundary integrand must have degree n-1")
@@ -238,6 +242,7 @@ def residual_grid(exprs: dict, binding: dict, domain: IntegrationDomain) -> Resi
     ``binding`` maps every non-base coordinate of the expressions to an
     expression in base coordinates; missing bindings raise.
     """
+    import numpy as np
     closed = {}
     for name, e in exprs.items():
         ce = e.subs(binding)

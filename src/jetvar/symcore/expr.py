@@ -501,14 +501,18 @@ class Expr:
     def __str__(self):
         """Canonical text; the reciprocal atom of D to the power k is (D)^-k.
 
-        Atom texts and sort keys come from the context's per-atom caches."""
+        Atom texts and sort keys come from the context's per-atom caches,
+        looked up once per distinct atom of the render."""
         if not self.num:
             return "0"
         ctx = self.ctx
-        key, atom_text, recips = ctx.atom_sort_key, ctx.atom_text, ctx._recip_ids
+        recips = ctx._recip_ids
+        atoms = {a for mono in self.num for a, _ in mono}
+        key = {a: ctx.atom_sort_key(a) for a in atoms}
+        atom_text = {a: ctx.atom_text(a) for a in atoms}
         rendered = []
         for mono, coeff in self.num.items():
-            tm = tuple(sorted((key(a), e, a) for a, e in mono))
+            tm = tuple(sorted((key[a], e, a) for a, e in mono))
             deg = sum(e for a, e in mono)
             rendered.append((-deg, tm, coeff))
         rendered.sort()  # monomials differ in tm, so the coefficient never decides
@@ -516,7 +520,7 @@ class Expr:
         for _, tm, (cn, cd) in rendered:
             factors = []
             for _, exp, aid in tm:
-                text = atom_text(aid)
+                text = atom_text[aid]
                 if aid in recips:
                     factors.append(f"{text}^-{exp}")
                 else:

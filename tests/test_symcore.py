@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -579,8 +580,19 @@ def test_context_validation():
 
 
 def test_symbolic_layers_import_no_numpy():
-    # Arrays live in the numeric modules only; the exact engine loads none.
-    proc = run_python("-c", "import sys, jetvar, jetvar.symcore, jetvar.forms, jetvar.varcalc;"
-                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    quotient = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "quotient_r2.prob")
+    numpy_loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')"
+    numeric_layers = ("jetvar.numerics", "jetvar.legendre", "jetvar.fields")
+    cases = [
+        # Arrays live in the numeric modules only; the exact engine loads none.
+        ("import jetvar, jetvar.symcore, jetvar.forms, jetvar.varcalc", numpy_loaded),
+        # The numeric modules import numpy when they compute; derive never does.
+        ("import jetvar.cli; assert jetvar.cli.main("
+         f"['derive', {quotient!r}, '--out', os.devnull]) == 0", numpy_loaded),
+        # The CLI still imports the numeric modules: tracers look them up by name.
+        ("import jetvar.cli", f"[m for m in {numeric_layers!r} if m not in sys.modules]"),
+    ]
+    for code, shown in cases:
+        proc = run_python("-c", f"import os, sys; {code}; print({shown})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", code
