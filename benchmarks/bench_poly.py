@@ -111,20 +111,25 @@ def quotient_stress():
     return derive_pipeline(V.LagrangianProblem(ctx, L))
 
 
+def by_coord(table):
+    """The entries of a coordinate-keyed table in report order."""
+    return [e for _, e in sorted(table.items(), key=lambda kv: kv[0].sort_key())]
+
+
 N3R3_QUOTIENT = "(y(1;1,1,1)+y(1;2,2,2)+y(1;3,3,3))^2/(1+y(1;1)^2+y(1;2)^2+y(1;3)^2)"
 
 
 def quotient_report():
     ctx = ChartContext(3, 1, 3)
     prob = V.LagrangianProblem(ctx, parse_expr(N3R3_QUOTIENT, ctx))
-    exprs = [e for _, e in V.momenta(prob).items_sorted()]
+    exprs = list(by_coord(V.momenta(prob)))
     exprs += V.euler_lagrange(prob).values()
     lep = V.poincare_cartan(prob)
-    exprs += [e for _, e in lep.items_sorted() if not e.is_zero()]
+    exprs += [e for e in by_coord(lep.f) if not e.is_zero()]
     defect = V.lepagean_defect(lep.realize(), prob)
     exprs += [defect.horizontal_mismatch, *defect.contact_defect.values()]
     exprs.append(V.extended_lagrangian(lep))
-    exprs += [e for _, e in V.hamilton_form(lep).items_sorted()]
+    exprs += by_coord(V.hamilton_form(lep).entries)
     return [str(e) for e in exprs]
 
 
@@ -139,8 +144,7 @@ def laplace_action_201():
     ctx = ChartContext(2, 1, 1)
     prob = V.LagrangianProblem(ctx, parse_expr("1/2*(y(1;1)^2 + y(1;2)^2)", ctx))
     varied = parse_expr("x(1)^2 - x(2)^2 + 1/100000*(1/2 + x(1)*x(2))", ctx)
-    pro = N.jet_prolong_section(N.Section.of_base(ctx, {1: varied}), 1)
-    integrand = prob.L.subs(pro.subs_map())
+    integrand = prob.L.subs(N.jet_prolong_section(ctx, {1: varied}, 1))
     domain = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 201)
     return lambda: N.quadrature(integrand, domain)
 
@@ -148,8 +152,7 @@ def laplace_action_201():
 def laplace_first_variation_201():
     ctx = ChartContext(2, 1, 1)
     prob = V.LagrangianProblem(ctx, parse_expr("1/2*(y(1;1)^2 + y(1;2)^2)", ctx))
-    gamma = N.Section.of_base(
-        ctx, {1: parse_expr("2/3*(x(1)^2 - x(2)^2) + 1/3*x(1)*x(2)", ctx)})
+    gamma = {1: parse_expr("2/3*(x(1)^2 - x(2)^2) + 1/3*x(1)*x(2)", ctx)}
     xi = {1: parse_expr("3/4*(x(1)^2 - x(2)^2)", ctx)}
     domain = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 201)
     return lambda: N.first_variation_check(prob, V.poincare_cartan(prob), xi,

@@ -134,20 +134,21 @@ class ProblemFile:
                                   "y(s) entries")
         return {c.sigma: e for c, e in comps.items()}
 
-    def gamma(self) -> N.Section:
-        comps = {(s, ()): e for s, e in self.sigma_block("gamma").items()}
+    def gamma(self) -> dict:
+        """The base section ``{s: Expr}``, one component per fiber."""
+        comps = self.sigma_block("gamma")
         for sigma in range(1, self.ctx.m + 1):
-            if (sigma, ()) not in comps:
+            if sigma not in comps:
                 raise InputError(f"[gamma] misses component y({sigma})")
-        return N.Section(self.ctx, comps)
+        return comps
 
     def delta_components(self) -> dict:
         return self._coord_block("delta", lambda c: c.kind in ("y", "P"),
                                  "jets or momenta")
 
     def field(self) -> FL.SlopeField:
-        comps = self._coord_block("field", lambda c: c.kind == "y", "jet coordinates")
-        return FL.SlopeField(self.ctx, {(c.sigma, c.J): e for c, e in comps.items()})
+        return FL.SlopeField(self.ctx, self._coord_block(
+            "field", lambda c: c.kind == "y", "jet coordinates"))
 
     def gspec(self) -> V.GSpec:
         if not self.has("g"):
@@ -169,14 +170,17 @@ class ProblemFile:
         if not self.has("domain"):
             raise InputError("this command needs a [domain] block")
         blk = self.cp["domain"]
-        lower = _num_list(blk.get("lower", "0"), "[domain] lower")
-        upper = _num_list(blk.get("upper", "1"), "[domain] upper")
+        n = self.ctx.n
+        bounds = []
+        for key, default in (("lower", "0"), ("upper", "1")):
+            values = _num_list(blk.get(key, default), f"[domain] {key}")
+            if len(values) not in (1, n):
+                raise InputError(f"[domain] {key} has {len(values)} bounds; "
+                                 f"expected 1 or n = {n}")
+            bounds.append(tuple(values * n if len(values) == 1 else values))
         res = (_number(blk.get("resolution", "1000"), "[domain] resolution", int)
                if resolution is None else resolution)
-        if len(lower) == 1 and self.ctx.n > 1:
-            lower = lower * self.ctx.n
-            upper = upper * self.ctx.n
-        return N.IntegrationDomain(tuple(lower), tuple(upper), res)
+        return N.IntegrationDomain(*bounds, res)
 
 
 def _unquote(text: str | None) -> str | None:
@@ -235,21 +239,17 @@ def _mi_text(J) -> str:
     return ",".join(str(j) for j in J)
 
 
-def _momenta_dict(table: V.MomentaTable) -> dict:
-    return {f"P({s};{_mi_text(K)})": str(e) for (s, K), e in table.items_sorted()}
+def _indices(c: Coord) -> str:
+    """A coordinate's text without its kind letter: ``(1;1,2)``, ``(1;|2)``."""
+    return c.text()[1:]
 
 
-def _coeff_dict(lep: V.LepageanForm) -> dict:
-    return {f"f({s};{_mi_text(J)}|{i})": str(e)
-            for (s, i, J), e in lep.items_sorted() if not e.is_zero()}
-
-
-def _hamilton_dict(tab: V.HamiltonFormTable) -> dict:
-    out = {}
-    for (nu, P), e in tab.items_sorted():
-        key = f"H({nu})" if not P else f"H({nu};{_mi_text(P)})"
-        out[key] = str(e)
-    return out
+def _coord_table(table: dict, letter: str) -> dict:
+    """Canonical text of the entries of a Coord-keyed table in
+    :meth:`Coord.sort_key` order, each keyed by ``letter`` and the indices of
+    its coordinate: ``P(1;1,2)``, ``f(1;|2)``, ``H(1)``."""
+    return {letter + _indices(c): str(e)
+            for c, e in sorted(table.items(), key=lambda kv: kv[0].sort_key())}
 
 
 def _form_list(form: forms.DiffForm) -> list:
@@ -287,18 +287,14 @@ class Report:
 def cmd_derive(pf: ProblemFile, args) -> Report:
     rep = Report("derive", pf)
     prob = pf.problem
-    table = V.momenta(prob)
-    rep.result("momenta", _momenta_dict(table))
+    rep.result("momenta", _coord_table(V.momenta(prob), "P"))
     el = V.euler_lagrange(prob)
     rep.result("euler_lagrange", {str(s): str(e) for s, e in sorted(el.items())})
     lep = V.lepagean_from_g(prob, pf.gspec())
-    rep.result("cartan_coefficients", _coeff_dict(lep))
+    rep.result("cartan_coefficients",
+               _coord_table({v: e for v, e in lep.f.items() if not e.is_zero()}, "f"))
     if lep.correction:
-        rep.result("coefficient_corrections",
-                   {f"q({s};{_mi_text(J)}|{i})": str(e)
-                    for (s, i, J), e in sorted(lep.correction.items(),
-                                               key=lambda kv: (kv[0][0], len(kv[0][2]),
-                                                               kv[0][2], kv[0][1]))})
+        rep.result("coefficient_corrections", _coord_table(lep.correction, "q"))
     defect = V.lepagean_defect(lep.realize(), prob)
     rep.check("defect_zero", defect.is_lepagean, {
         "horizontal_mismatch": str(defect.horizontal_mismatch),
@@ -311,7 +307,7 @@ def cmd_derive(pf: ProblemFile, args) -> Report:
               "1-contact density equals the recursion route")
     hamilton = V.hamilton_form(lep)
     rep.result("extended_lagrangian", str(hamilton.extended))
-    rep.result("hamilton_table", _hamilton_dict(hamilton))
+    rep.result("hamilton_table", _coord_table(hamilton.entries, "H"))
     return rep
 
 
@@ -319,10 +315,7 @@ def cmd_legendre(pf: ProblemFile, args) -> Report:
     rep = Report("legendre", pf)
     data = LG.legendre_chart(pf.problem)
     rep.result("hamiltonian", str(data.H))
-    rep.result("inverse_relations",
-               {f"y({s};{_mi_text(A)})": str(e)
-                for (s, A), e in sorted(data.inverse.items(),
-                                        key=lambda kv: (kv[0][0], len(kv[0][1]), kv[0][1]))})
+    rep.result("inverse_relations", _coord_table(data.inverse, "y"))
     eqs = {}
     for group, lst in data.equations.items():
         eqs[group] = [{
@@ -350,8 +343,8 @@ def cmd_regularity(pf: ProblemFile, args) -> Report:
     blocks = {}
     for s, b in sorted(report.blocks.items()):
         blocks[str(s)] = {
-            "rows": [f"({nu};{_mi_text(P)})" for nu, P in b.rows],
-            "cols": [f"({sg};{_mi_text(K)})" for sg, K in b.cols],
+            "rows": [_indices(c) for c in b.rows],
+            "cols": [_indices(c) for c in b.cols],
             "entries": [[str(e) for e in row] for row in b.entries],
             "numeric": [[float(v) for v in row] for row in b.numeric],
             "rank": b.rank,
@@ -361,7 +354,7 @@ def cmd_regularity(pf: ProblemFile, args) -> Report:
     M, pd, labels = LG.hessian_definiteness(pf.problem, point,
                                             pf.tolerances["definiteness_pivot"])
     rep.result("hessian", {
-        "labels": [f"({s};{_mi_text(A)})" for s, A in labels],
+        "labels": [_indices(c) for c in labels],
         "numeric": [[float(v) for v in row] for row in M],
         "positive_definite": pd,
     })
@@ -425,11 +418,13 @@ def cmd_excess(pf: ProblemFile, args) -> Report:
     wd = FL.weierstrass(prob, lep, w)
     rep.result("excess", str(wd.excess))
     rep.result("excess_form", _form_list(wd.form))
-    rep.check("horizontal_density", wd.horizontal_matches(),
+    rep.check("horizontal_density", wd.horizontal_matches,
               "horizontal density of the excess form equals the excess function")
     if pf.has("gamma"):
-        cert = FL.minimum_certificate(prob, lep, w, pf.gamma(), pf.domain(),
-                                      compat_tol=pf.tolerances["compatibility"])
+        cert = FL.minimum_certificate(
+            prob, lep, w, wd, pf.gamma(), pf.domain(),
+            compat_tol=pf.tolerances["compatibility"],
+            pivot_tol=pf.tolerances["definiteness_pivot"])
         rep.result("certificate_caveat", cert.caveat)
         for cond in cert.conditions:
             rep.check(f"certificate:{cond.name}", cond.passed, cond.detail)

@@ -9,63 +9,60 @@ radial homotopy on the star-shaped chart) plays the role of the
 Hamilton-Jacobi eikonal. The horizontal density of (Lagrangian density
 minus pulled-back equivalent) is the excess function whose sign certifies
 minimality; the certificates here sample it and say so explicitly.
+
+A field's components are keyed by the jet they assign, ``jet(s, K)``, so
+they pull forms back as they are; sections are the base sections
+``{s: gamma^s(x)}`` of :mod:`jetvar.numerics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import forms
 from . import multiindex as mi
 from . import numerics
 from .errors import InputError, UnsupportedSymbolicError
 from .forms import DiffForm
-from .legendre import hessian_definiteness
-from .numerics import IntegrationDomain, Section
+from .legendre import hessian_entries, positive_definite
+from .numerics import IntegrationDomain
 from .symcore import ChartContext, Evaluator, Expr, base, jet
 from .varcalc import LagrangianProblem, LepageanForm, euler_lagrange
 
 
 @dataclass
 class SlopeField:
-    """Components w^s_K(x, y_<r) for every r <= |K| <= 2r-1."""
+    """Components ``{jet(s, K): w^s_K(x, y_<r)}`` for every r <= |K| <= 2r-1.
+
+    The components are the substitution that pulls a form on the full jet
+    space back through the field.
+    """
 
     ctx: ChartContext
-    components: dict  # (sigma, K) -> Expr
+    components: dict
 
     def __post_init__(self):
         ctx = self.ctx
         r = ctx.r
-        comps = {}
-        for (sigma, K), e in self.components.items():
-            K = tuple(sorted(K))
-            if not r <= len(K) <= 2 * r - 1:
-                raise InputError(f"slope component order {len(K)} outside {r}..{2 * r - 1}")
+        for y, e in self.components.items():
+            if not r <= y.order <= 2 * r - 1:
+                raise InputError(f"slope component order {y.order} outside {r}..{2 * r - 1}")
             for c in e.coords():
                 if c.kind == "x" or (c.kind == "y" and c.order <= r - 1):
                     continue
                 raise InputError(
-                    f"slope component for ({sigma},{K}) depends on {c.text()}")
-            comps[(sigma, K)] = e
+                    f"slope component for ({y.sigma},{y.J}) depends on {c.text()}")
         for sigma in range(1, ctx.m + 1):
             for k in range(r, 2 * r):
                 for K in mi.tuples(ctx.n, k):
-                    if (sigma, K) not in comps:
+                    if jet(sigma, K) not in self.components:
                         raise InputError(f"slope field misses component ({sigma},{K})")
-        self.components = comps
-
-    def subs_map(self) -> dict:
-        return {jet(s, K): e for (s, K), e in self.components.items()}
 
     def top_subs_map(self) -> dict:
         """Only the order-r components (composition into order-r functions)."""
         r = self.ctx.r
-        return {jet(s, K): e for (s, K), e in self.components.items() if len(K) == r}
-
-
-def pull_through(form: DiffForm, w: SlopeField) -> DiffForm:
-    """Pull a form on the full jet space back through the field."""
-    return forms.pullback(form, w.subs_map())
+        return {y: e for y, e in self.components.items() if y.order == r}
 
 
 @dataclass
@@ -84,7 +81,7 @@ def geodesic_check(w: SlopeField, lep: LepageanForm) -> GeodesicReport:
     The flag is exact for rational coefficients; with transcendental atoms
     a sampled zero is reported as probable only.
     """
-    wd = pull_through(forms.ext_d(lep.realize()), w)
+    wd = forms.pullback(forms.ext_d(lep.realize()), w.components)
     if wd.is_zero():
         return GeodesicReport(wd, "zero")
     # Terms never hold a zero coefficient, so a rational term is a nonzero one.
@@ -104,7 +101,7 @@ def hj_primitive(w: SlopeField, lep: LepageanForm) -> DiffForm:
     before returning.
     """
     ctx = lep.ctx
-    wr = pull_through(lep.realize(), w)
+    wr = forms.pullback(lep.realize(), w.components)
     for c in wr.terms.values():
         if not c.is_polynomial():
             raise UnsupportedSymbolicError(
@@ -148,6 +145,7 @@ class WeierstrassData:
     form: DiffForm       # density form on the order-r jet space
     excess: Expr         # function of the order-r jets and the field composites
 
+    @cached_property
     def horizontal_matches(self) -> bool:
         """Does the horizontal density of the form equal the excess function?"""
         density = forms.horizontal_density(forms.horizontalization(self.form))
@@ -162,26 +160,26 @@ def weierstrass(prob: LagrangianProblem, lep: LepageanForm, w: SlopeField) -> We
     identity with the form is exercised by tests and the CLI.
     """
     ctx = prob.ctx
-    E = forms.omega_0(ctx).scaled(prob.L) - pull_through(lep.realize(), w)
+    E = forms.omega_0(ctx).scaled(prob.L) - forms.pullback(lep.realize(), w.components)
     top = w.top_subs_map()
     excess = prob.L - prob.L.subs(top)
     for sigma in range(1, ctx.m + 1):
         for A in mi.tuples(ctx.n, ctx.r):
-            slope = prob.L.partial(jet(sigma, A)).subs(top)
+            y = jet(sigma, A)
+            slope = prob.L.partial(y).subs(top)
             if slope.is_zero():
                 continue
-            excess = excess - slope * (Expr.coord(ctx, jet(sigma, A)) - top[jet(sigma, A)])
+            excess = excess - slope * (Expr.coord(ctx, y) - top[y])
     return WeierstrassData(E, excess)
 
 
-def compatibility_residual(w: SlopeField, gamma: Section,
+def compatibility_residual(w: SlopeField, gamma: dict,
                            domain: IntegrationDomain) -> float:
     """Max |w^s_A o j^{r-1}gamma - d_A gamma^s| over the grid, |A| = r."""
-    ctx = w.ctx
-    pro = numerics.jet_prolong_section(gamma, ctx.r)
-    sub = numerics.jet_prolong_section(gamma, ctx.r - 1).subs_map()
-    diffs = {(sigma, A): w.components[(sigma, A)].subs(sub) - pro.component(sigma, A)
-             for sigma in range(1, ctx.m + 1) for A in mi.tuples(ctx.n, ctx.r)}
+    r = w.ctx.r
+    pro = numerics.jet_prolong_section(w.ctx, gamma, r)
+    lower = {y: e for y, e in pro.items() if y.order < r}
+    diffs = {y: w.components[y].subs(lower) - e for y, e in pro.items() if y.order == r}
     return numerics.residual_grid(diffs, {}, domain).global_max
 
 
@@ -203,15 +201,16 @@ class CertificateReport:
 
 
 def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeField,
-                        gamma0: Section, domain: IntegrationDomain,
-                        compat_tol: float = 1e-9) -> CertificateReport:
+                        wd: WeierstrassData, gamma0: dict, domain: IntegrationDomain,
+                        *, compat_tol: float, pivot_tol: float) -> CertificateReport:
     """Sample the minimality conditions around a field-compatible section.
 
+    ``wd`` is :func:`weierstrass` of the same problem, equivalent and field.
     Checks, in order: compatibility of the section with the field, the
     geodesic condition, nonnegativity of the excess function on a sampled
     neighborhood (strong-minimum route), positive definiteness of the
-    top-order Hessian along the field plus the vanishing identities of the
-    excess at the field (weak-minimum route).
+    top-order Hessian along the field (pivots above ``pivot_tol``) plus the
+    vanishing identities of the excess at the field (weak-minimum route).
     """
     import numpy as np
     ctx = prob.ctx
@@ -226,11 +225,10 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     geo = geodesic_check(w, lep)
     report.add("geodesic", geo.is_geodesic, f"status {geo.status}")
 
-    wd = weierstrass(prob, lep, w)
-    report.add("excess-form-density", wd.horizontal_matches(),
+    report.add("excess-form-density", wd.horizontal_matches,
                "horizontal density equals excess function")
 
-    lower_pro = numerics.jet_prolong_section(gamma0, ctx.r - 1)
+    lower_pro = numerics.jet_prolong_section(ctx, gamma0, ctx.r - 1)
     offs = np.linspace(-1.0, 1.0, 3)  # samples per perturbed axis
 
     def spread(idx, count):
@@ -248,10 +246,10 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     # Field points over the base grid: the order < r jets of the section and
     # the field's order-r slopes there.
     xs = numerics.base_coords(domain.dim)
-    lower = [jet(s, J) for s, J in ctx.jets(max_order=ctx.r - 1)]
+    lower = list(lower_pro)
     top = w.top_subs_map()
     tops = list(top)
-    lower_ev = Evaluator([lower_pro.component(c.sigma, c.J) for c in lower], xs)
+    lower_ev = Evaluator(lower_pro.values(), xs)
     top_ev = Evaluator(top.values(), xs + lower)
     excess_ev = Evaluator([wd.excess], xs + lower + tops)
 
@@ -288,10 +286,13 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     axes, grids = domain.mesh(3)
     lower_vals = numerics.grid(lower_ev, *grids)
     top_vals = numerics.grid(top_ev, *grids, *lower_vals)
+    _, hessian = hessian_entries(prob)
+    k = len(hessian)
+    hessian_ev = Evaluator([e for row in hessian for e in row], xs + lower + tops)
     for idx in np.ndindex(grids[0].shape):
-        pt = {x: ax[i] for x, ax, i in zip(xs, axes, idx)}
-        pt.update((c, float(v[idx])) for c, v in zip(lower + tops, lower_vals + top_vals))
-        _, pd, _ = hessian_definiteness(prob, pt)
+        vals = hessian_ev(*(ax[i] for ax, i in zip(axes, idx)),
+                          *(float(v[idx]) for v in lower_vals + top_vals))
+        pd = positive_definite(np.array(vals, dtype=float).reshape(k, k), pivot_tol)
         pd_ok &= pd
         pd_detail.append(pd)
     report.add("hessian-positive-definite", bool(pd_ok),
@@ -299,8 +300,8 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     return report
 
 
-def extremal_residual_via_field(prob: LagrangianProblem, gamma: Section,
+def extremal_residual_via_field(prob: LagrangianProblem, gamma: dict,
                                 domain: IntegrationDomain) -> float:
     """Max Euler-Lagrange residual of a section at sampled base points."""
-    sub = numerics.jet_prolong_section(gamma, 2 * prob.ctx.r).subs_map()
+    sub = numerics.jet_prolong_section(prob.ctx, gamma, 2 * prob.ctx.r)
     return numerics.residual_grid(euler_lagrange(prob), sub, domain).global_max

@@ -38,7 +38,7 @@ from .errors import (DegeneracyError, InputError, JetvarError, NewtonError,
 from .numerics import IntegrationDomain, ResidualSummary
 from .symcore import ChartContext, Coord, Evaluator, Expr, base, jet, mom
 from .symcore.evaluator import FloatOps, check_line, compile_float, emitter
-from .varcalc import LagrangianProblem, MomentaTable, momenta
+from .varcalc import LagrangianProblem, momenta
 
 
 # -- regularity ---------------------------------------------------------------
@@ -46,8 +46,8 @@ from .varcalc import LagrangianProblem, MomentaTable, momenta
 @dataclass
 class RegularityBlock:
     s: int
-    rows: list            # (nu, P) with |P| = s
-    cols: list            # (sigma, K) with |K| = 2r - s
+    rows: list            # jet(nu, P) with |P| = s
+    cols: list            # mom(sigma, K) with |K| = 2r - s
     entries: list         # entries[i][j] : Expr
     numeric: np.ndarray | None = None
     rank: int | None = None
@@ -66,22 +66,24 @@ class RegularityReport:
         return all(b.max_rank for b in self.blocks.values())
 
 
-def _jet_labels(ctx: ChartContext, length: int):
-    return [(sigma, K) for sigma in range(1, ctx.m + 1)
+def _labels(ctx: ChartContext, kind, length: int) -> list:
+    """``kind(sigma, K)`` for every fiber and every K of the given length."""
+    return [kind(sigma, K) for sigma in range(1, ctx.m + 1)
             for K in mi.tuples(ctx.n, length)]
 
 
-def momenta_block(table: MomentaTable, s: int):
+def momenta_block(prob: LagrangianProblem, s: int):
     """Block s of the momenta Jacobian as ``(rows, cols, entries)``.
 
-    Rows are (nu, P) with |P| = s, columns (sigma, K) with |K| = 2r - s,
-    and entries[i][j] = d P^K_sigma / d y^nu_P for row i and column j.
+    Rows are the jets jet(nu, P) with |P| = s, columns the momenta
+    mom(sigma, K) with |K| = 2r - s, and entries[i][j] = d P^K_sigma / d y^nu_P
+    for row i and column j.
     """
-    ctx = table.prob.ctx
-    rows = _jet_labels(ctx, s)
-    cols = _jet_labels(ctx, 2 * ctx.r - s)
-    return rows, cols, [[table[key].partial(jet(nu, P)) for key in cols]
-                        for nu, P in rows]
+    ctx = prob.ctx
+    P = momenta(prob)
+    rows = _labels(ctx, jet, s)
+    cols = _labels(ctx, mom, 2 * ctx.r - s)
+    return rows, cols, [[P[c].partial(row) for c in cols] for row in rows]
 
 
 def _eval_matrix(entries, point) -> np.ndarray:
@@ -93,7 +95,7 @@ def _eval_matrix(entries, point) -> np.ndarray:
     return np.array(vals, dtype=float).reshape(len(entries), len(entries[0]) if entries else 0)
 
 
-def matrix_rank(M: np.ndarray, rel_tol: float = 1e-10) -> int:
+def matrix_rank(M: np.ndarray, rel_tol: float) -> int:
     """Rank by singular values above rel_tol times the largest one."""
     import numpy as np
     if M.size == 0:
@@ -105,36 +107,35 @@ def matrix_rank(M: np.ndarray, rel_tol: float = 1e-10) -> int:
 
 
 def regularity_report(prob: LagrangianProblem, point: dict,
-                      rel_tol: float = 1e-10) -> RegularityReport:
-    table = momenta(prob)
+                      rel_tol: float) -> RegularityReport:
     blocks = {}
     for s in range(prob.ctx.r, 2 * prob.ctx.r):
-        b = blocks[s] = RegularityBlock(s, *momenta_block(table, s))
+        b = blocks[s] = RegularityBlock(s, *momenta_block(prob, s))
         b.numeric = _eval_matrix(b.entries, point)
         b.rank = matrix_rank(b.numeric, rel_tol)
     return RegularityReport(blocks)
 
 
-def hessian_definiteness(prob: LagrangianProblem, point: dict,
-                         pivot_tol: float = 1e-12):
-    """Top-order Hessian d2L/dy^s_A dy^nu_B and its positive definiteness.
+def hessian_entries(prob: LagrangianProblem):
+    """The jets of order r and the top-order Hessian d2L/dy^s_A dy^nu_B
+    between them, row by row."""
+    labels = _labels(prob.ctx, jet, prob.ctx.r)
+    return labels, [[prob.L.partial(a).partial(b) for b in labels] for a in labels]
 
-    Definiteness is decided by a plain symmetric triangular factorization;
-    a pivot at or below the tolerance fails the test.
-    """
-    import numpy as np
-    ctx = prob.ctx
-    labels = _jet_labels(ctx, ctx.r)
-    entries = [[prob.L.partial(jet(s, A)).partial(jet(nu, B)) for nu, B in labels]
-               for s, A in labels]
+
+def hessian_definiteness(prob: LagrangianProblem, point: dict, pivot_tol: float):
+    """Top-order Hessian at a point, its positive definiteness and its labels."""
+    labels, entries = hessian_entries(prob)
     M = _eval_matrix(entries, point)
+    return M, positive_definite(M, pivot_tol), labels
+
+
+def positive_definite(M: np.ndarray, pivot_tol: float) -> bool:
+    """Definiteness of a symmetric matrix by a plain symmetric triangular
+    factorization; a pivot at or below the tolerance fails the test."""
+    import numpy as np
     if M.size and np.max(np.abs(M - M.T)) > 1e-9:
         raise JetvarError("definiteness matrix unexpectedly asymmetric")
-    return M, _cholesky_positive(M, pivot_tol), labels
-
-
-def _cholesky_positive(M: np.ndarray, pivot_tol: float) -> bool:
-    import numpy as np
     k = M.shape[0]
     L = np.zeros_like(M)
     for j in range(k):
@@ -190,7 +191,7 @@ class HddEquation:
 @dataclass
 class LegendreChartData:
     prob: LagrangianProblem
-    inverse: dict          # (sigma, A) -> Expr for r <= |A| <= 2r-1
+    inverse: dict          # jet(sigma, A) -> Expr for r <= |A| <= 2r-1
     H: Expr
     equations: dict        # group name -> list[HddEquation]
 
@@ -201,38 +202,29 @@ def legendre_chart(prob: LagrangianProblem) -> LegendreChartData:
     if ctx.n > 1 and r > 1:
         raise UnsupportedSymbolicError(
             "layered momentum inversion is square only for n = 1 or r = 1")
-    table = momenta(prob)
-    inverse: dict = {}
+    P = momenta(prob)
+    inverse: dict = {}  # keyed by jet: its own substitution map
     for layer in range(r):
-        # block r + layer, transposed: one row per relation P(sigma;K)
-        unknowns, eq_labels, block = momenta_block(table, r + layer)
-        subs = inverse_subs(ctx, inverse)
-        zero_top = {jet(nu, B): Expr.const(ctx, 0) for nu, B in unknowns}
+        # block r + layer, transposed: one row per momentum relation
+        unknowns, relations, block = momenta_block(prob, r + layer)
+        zero_top = {c: Expr.const(ctx, 0) for c in unknowns}
         A = []
         rhs = []
-        for (sigma, K), coeffs in zip(eq_labels, zip(*block)):
+        for p, coeffs in zip(relations, zip(*block)):
             if any(c.max_jet_order() >= r + layer for c in coeffs):
                 raise UnsupportedSymbolicError(
-                    f"momentum relation for P({sigma};{K}) is not affine in "
+                    f"momentum relation for P({p.sigma};{p.J}) is not affine in "
                     f"order-{r + layer} jets")
-            A.append([c.subs(subs) for c in coeffs])
-            base_part = table[(sigma, K)].subs(zero_top).subs(subs)
-            rhs.append(Expr.coord(ctx, mom(sigma, K)) - base_part)
-        sol = solve_linear_system(A, rhs, ctx, layer=layer)
-        for (nu, B), e in zip(unknowns, sol):
-            inverse[(nu, B)] = e
-    subs = inverse_subs(ctx, inverse)
-    L_hat = prob.L.subs(subs)
-    H = -L_hat
+            A.append([c.subs(inverse) for c in coeffs])
+            base_part = P[p].subs(zero_top).subs(inverse)
+            rhs.append(Expr.coord(ctx, p) - base_part)
+        inverse.update(zip(unknowns, solve_linear_system(A, rhs, ctx, layer=layer)))
+    H = -prob.L.subs(inverse)
     for sigma, K in ctx.momenta_indices():
-        yK = (Expr.coord(ctx, jet(sigma, K)) if len(K) < r
-              else inverse[(sigma, K)])
+        y = jet(sigma, K)
+        yK = Expr.coord(ctx, y) if len(K) < r else inverse[y]
         H = H + Expr.coord(ctx, mom(sigma, K)) * yK * mi.count(K)
     return LegendreChartData(prob, inverse, H, _canonical_equations(ctx, H))
-
-
-def inverse_subs(ctx: ChartContext, inverse: dict) -> dict:
-    return {jet(s, A): e for (s, A), e in inverse.items()}
 
 
 def _canonical_equations(ctx: ChartContext, H: Expr) -> dict:
@@ -337,7 +329,7 @@ def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Traj
     if chart is not None:
         point, names = _chart_flow(ctx, chart), {}
     else:
-        point, names = _newton_flow(prob, momenta(prob))
+        point, names = _newton_flow(prob)
     run = _trajectory(len(state_coords), point, **names)
     # Equal steps, never above the requested one; the derivative checks use
     # this step in their five-point stencil.
@@ -384,7 +376,7 @@ def _chart_flow(ctx: ChartContext, chart: LegendreChartData):
     ys, ps = _state_coords(ctx)
     grad = ([chart.H.partial(mom(c.sigma, c.J + (1,))) for c in ys]
             + [-chart.H.partial(jet(c.sigma, c.J[1:])) for c in ps])
-    inverse = [chart.inverse[(c.sigma, c.J)] for c in _top_coords(ctx)]
+    inverse = [chart.inverse[c] for c in _top_coords(ctx)]
     inputs = [base(1)] + ys + ps
 
     def point(lines, x, state, tag, rhs, top):
@@ -393,7 +385,7 @@ def _chart_flow(ctx: ChartContext, chart: LegendreChartData):
     return point
 
 
-def _newton_flow(prob: LagrangianProblem, table: MomentaTable):
+def _newton_flow(prob: LagrangianProblem):
     """``(point, names)`` of :func:`_trajectory`: the jets above order r-1 by Newton.
 
     Layer l solves the m relations P(s;1^(r-l)) = state momentum for the jets
@@ -408,15 +400,15 @@ def _newton_flow(prob: LagrangianProblem, table: MomentaTable):
     ys, ps = _state_coords(ctx)
     n_ys = len(ys)
     known = [base(1)] + ys
+    P = momenta(prob)
     names, targets = {}, []
     for layer in range(r):
-        rows, cols, block = momenta_block(table, r + layer)
-        unknowns = [jet(nu, P) for nu, P in rows]
-        relations = [table[key] for key in cols]
+        unknowns, cols, block = momenta_block(prob, r + layer)
+        relations = [P[c] for c in cols]
         jac = [e for column in zip(*block) for e in column]  # relation-major
         known = known + unknowns
         names[f"_newton{layer}"] = _newton_loop(ctx, layer, known, relations, jac)
-        targets.append([n_ys + ps.index(mom(*key)) for key in cols])
+        targets.append([n_ys + ps.index(c) for c in cols])
     dL_inputs = [base(1)] + ys + [jet(s, (1,) * r) for s in range(1, m + 1)]
     dL = [prob.L.partial(jet(c.sigma, c.J[1:])) for c in ps]
 

@@ -1,5 +1,9 @@
 """Numeric services: sections, grids, quadrature, residual maxima.
 
+A base section is ``{s: gamma^s(x)}``; its prolongation
+(:func:`jet_prolong_section`) and every binding of jet coordinates are
+``{jet(s, J): Expr}`` maps, which substitute and pull back as they are.
+
 This is where arrays live. :func:`grid` runs an evaluator's generated code
 on numpy arrays; quadrature over the box and over its 2n faces (one
 trapezoid rule per axis), residual grids and the variational checks built
@@ -18,9 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import EvaluationError, InputError, MissingCoordinateError
-from .symcore import ChartContext, Evaluator, Expr, base, jet
+from .symcore import ChartContext, Evaluator, Expr, base
 from . import forms
-from . import multiindex as mi
 from .varcalc import LagrangianProblem, LepageanForm, prolong_vector_field
 
 
@@ -61,62 +64,21 @@ class IntegrationDomain:
         return axes, np.meshgrid(*axes, indexing="ij")
 
 
-@dataclass
-class Section:
-    """Symbolic section: components y^s_J(x) keyed by (sigma, J).
+def jet_prolong_section(ctx: ChartContext, gamma: dict, order: int) -> dict:
+    """Prolong a base section ``{s: gamma^s(x)}`` to ``{jet(s, J): d_J gamma^s}``,
+    |J| <= order.
 
-    A section of the base fibration has only (sigma, ()) entries; sections
-    of higher jet fibrations carry entries of higher order, not necessarily
-    holonomic.
+    A base section depends on the base coordinates only, so it is a vertical
+    field whose formal derivatives are its partials: the prolongation is
+    :func:`jetvar.varcalc.prolong_vector_field`'s.
     """
-
-    ctx: ChartContext
-    components: dict
-
-    def __post_init__(self):
-        comps = {}
-        for key, e in self.components.items():
-            sigma, J = key
-            comps[(sigma, tuple(sorted(J)))] = e
-            for c in e.coords():
-                if c.kind != "x":
-                    raise InputError(
-                        f"section components must depend on base coordinates only, "
-                        f"found {c.text()}")
-        self.components = comps
-
-    @classmethod
-    def of_base(cls, ctx, by_sigma: dict) -> "Section":
-        return cls(ctx, {(s, ()): e for s, e in by_sigma.items()})
-
-    def component(self, sigma: int, J=()) -> Expr:
-        key = (sigma, tuple(sorted(J)))
-        if key not in self.components:
-            raise MissingCoordinateError(f"section has no component y({sigma};{key[1]})")
-        return self.components[key]
-
-    def subs_map(self) -> dict:
-        """Substitution jet coordinate -> component expression."""
-        return {jet(s, J): e for (s, J), e in self.components.items()}
-
-
-def jet_prolong_section(gamma: Section, order: int) -> Section:
-    """Prolong a base section: component at (s, J) is the J-fold x-partial."""
-    ctx = gamma.ctx
-    comps = {}
-    for sigma in {s for (s, _) in gamma.components}:
-        e0 = gamma.component(sigma, ())
-        for J in mi.up_to(ctx.n, order):
-            e = e0
-            for i in J:
-                e = e.partial(base(i))
-            comps[(sigma, J)] = e
-    return Section(ctx, comps)
-
-
-def pullback_along(form: forms.DiffForm, section: Section) -> forms.DiffForm:
-    """Pull a form back along a (prolonged) section of the jet fibration."""
-    return forms.pullback(form, section.subs_map())
+    for e in gamma.values():
+        for c in e.coords():
+            if c.kind != "x":
+                raise InputError(
+                    f"section components must depend on base coordinates only, "
+                    f"found {c.text()}")
+    return prolong_vector_field(ctx, gamma, order)
 
 
 def base_coords(n: int) -> list:
@@ -265,11 +227,10 @@ def residual_grid(exprs: dict, binding: dict, domain: IntegrationDomain) -> Resi
 
 # -- variational checks on grids ---------------------------------------------------
 
-def action_value(prob: LagrangianProblem, gamma: Section,
+def action_value(prob: LagrangianProblem, gamma: dict,
                  domain: IntegrationDomain) -> float:
     """Quadrature of the Lagrangian density along the prolonged section."""
-    pro = jet_prolong_section(gamma, prob.ctx.r)
-    integrand = prob.L.subs(pro.subs_map())
+    integrand = prob.L.subs(jet_prolong_section(prob.ctx, gamma, prob.ctx.r))
     return quadrature(integrand, domain)
 
 
@@ -287,7 +248,7 @@ class FirstVariation:
 
 
 def first_variation_check(prob: LagrangianProblem, lep: LepageanForm, xi: dict,
-                          gamma: Section, domain: IntegrationDomain) -> FirstVariation:
+                          gamma: dict, domain: IntegrationDomain) -> FirstVariation:
     """Compare the variation of the action with interior + boundary terms.
 
     The left side is the exact derivative of the action along any variation
@@ -300,26 +261,25 @@ def first_variation_check(prob: LagrangianProblem, lep: LepageanForm, xi: dict,
     ctx = prob.ctx
     ctx.ensure_max_order(2 * ctx.r)
     order = 2 * ctx.r - 1
-    gamma_pro = jet_prolong_section(gamma, order)
-    along = gamma_pro.subs_map()
+    along = jet_prolong_section(ctx, gamma, order)
     direction = {}
     for sigma, e in xi.items():
         if not isinstance(e, Expr):
             e = Expr.const(ctx, e)
         direction[sigma] = e.subs(along)
-    d_direction = jet_prolong_section(Section.of_base(ctx, direction), ctx.r)
+    # Terms in prolongation order (sigma ascending, then J in up_to order):
+    # their order sets the summation order of the integrand's floats.
     lhs = quadrature(Expr.sum(ctx, (
-        prob.L.partial(jet(sigma, J)).subs(along) * e
-        for (sigma, J), e in d_direction.components.items())), domain)
+        prob.L.partial(c).subs(along) * e
+        for c, e in jet_prolong_section(ctx, direction, ctx.r).items())), domain)
 
     rho = lep.realize()
-    xi_pro = prolong_vector_field(ctx, xi, order)
-    vec = {jet(sigma, J): e for (sigma, J), e in xi_pro.items()}
+    vec = prolong_vector_field(ctx, xi, order)
 
     inner = forms.interior_product(vec, forms.ext_d(rho))
-    inner_density = forms.horizontal_density(pullback_along(inner, gamma_pro))
+    inner_density = forms.horizontal_density(forms.pullback(inner, along))
     interior = quadrature(inner_density, domain)
 
-    boundary_form = pullback_along(forms.interior_product(vec, rho), gamma_pro)
+    boundary_form = forms.pullback(forms.interior_product(vec, rho), along)
     boundary = boundary_quadrature(boundary_form, domain)
     return FirstVariation(lhs, interior, boundary)

@@ -18,6 +18,12 @@ of its exterior derivative collapses onto om^s ^ om_0 with the
 Euler-Lagrange coefficient. g = 0 gives the canonical equivalent; the
 admissible tables (weighted symmetrization zero) parametrize the family.
 
+Every table is keyed by the coordinate it describes: momenta by
+``mom(s, K)``, the equivalent's coefficients by the velocity
+``vel(s, J, i)`` that they multiply in :func:`extended_lagrangian`, the
+Hamilton table and prolonged vector fields by ``jet(s, J)``. Only the free
+table :class:`GSpec` keeps the ``(s, i, J)`` keys of its input.
+
 Everything here is exact and needs no numeric library; the checks that
 evaluate these objects on grids (action, first variation) are in
 :mod:`jetvar.numerics`.
@@ -34,7 +40,7 @@ from . import multiindex as mi
 from .errors import (ContactOrderError, DegreeError, InadmissibleGError,
                      InputError, VerticalityError)
 from .forms import DiffForm
-from .symcore import ChartContext, Expr, base, jet, vel
+from .symcore import ChartContext, Expr, base, jet, mom, vel
 
 
 @dataclass(frozen=True)
@@ -59,29 +65,14 @@ class LagrangianProblem:
         return _recursion(self, GSpec())
 
 
-@dataclass
-class MomentaTable:
-    """Conjugate momentum expressions keyed by (sigma, K), 1 <= |K| <= r."""
-
-    prob: LagrangianProblem
-    entries: dict
-
-    def __getitem__(self, key):
-        sigma, K = key
-        return self.entries[(sigma, tuple(sorted(K)))]
-
-    def items_sorted(self):
-        return sorted(self.entries.items(), key=lambda kv: (kv[0][0], len(kv[0][1]), kv[0][1]))
-
-
-def momenta(prob: LagrangianProblem) -> MomentaTable:
-    """Descending momentum recursion."""
-    return MomentaTable(prob, prob._momenta)
+def momenta(prob: LagrangianProblem) -> dict:
+    """Descending momentum recursion: ``{mom(s, K): P^K_s}``, 1 <= |K| <= r."""
+    return prob._momenta
 
 
 def _recursion(prob: LagrangianProblem, g: GSpec) -> dict:
     """P_g^K = (1/N(K)) dL/dy^s_K - sum_i d_i (P_g^{K+i} + g(s;i|K)), keyed by
-    (sigma, K) and computed once per K from |K| = r down to 1."""
+    mom(sigma, K) and computed once per K from |K| = r down to 1."""
     ctx = prob.ctx
     r = ctx.r
     entries = {}
@@ -92,13 +83,13 @@ def _recursion(prob: LagrangianProblem, g: GSpec) -> dict:
                 if k < r:
                     for i in range(1, ctx.n + 1):
                         e = e - _shifted(entries, g, sigma, i, K).total_derivative(i)
-                entries[(sigma, K)] = e
+                entries[mom(sigma, K)] = e
     return entries
 
 
 def _shifted(P: dict, g: GSpec, sigma: int, i: int, J) -> Expr:
     """P_g^{merge(J,i)} + g(s;i|J)."""
-    e = P[(sigma, mi.merge(J, i))]
+    e = P[mom(sigma, mi.merge(J, i))]
     q = g.entries.get((sigma, i, J))
     return e if q is None else e + q
 
@@ -112,7 +103,7 @@ def euler_lagrange(prob: LagrangianProblem) -> dict:
     for sigma in range(1, ctx.m + 1):
         e = prob.L.partial(jet(sigma, ()))
         for i in range(1, ctx.n + 1):
-            e = e - P[(sigma, (i,))].total_derivative(i)
+            e = e - P[mom(sigma, (i,))].total_derivative(i)
         out[sigma] = e
     return out
 
@@ -172,9 +163,11 @@ class GSpec:
 class LepageanForm:
     """An n-form equivalent of the Lagrangian, of contact order <= 1.
 
-    ``f`` maps (sigma, i, J) with 0 <= |J| <= r-1 to the coefficient of
-    om^s_J ^ om_i; ``correction`` holds f(g) - f(0) when the form was built
-    from a nonzero free table.
+    ``f`` maps the velocity vel(sigma, J, i), 0 <= |J| <= r-1, to the
+    coefficient f(s;i|J) of om^s_J ^ om_i, the coefficient that multiplies
+    that velocity in :func:`extended_lagrangian`; ``correction`` holds
+    f(g) - f(0) under the same keys when the form was built from a nonzero
+    free table.
     """
 
     prob: LagrangianProblem
@@ -186,26 +179,19 @@ class LepageanForm:
     def ctx(self) -> ChartContext:
         return self.prob.ctx
 
-    def coefficient(self, sigma, i, J) -> Expr:
-        e = self.f.get((sigma, i, tuple(sorted(J))))
-        return e if e is not None else Expr.const(self.ctx, 0)
-
     def realize(self) -> DiffForm:
         """The form L om_0 + sum f^{iJ} om^s_J ^ om_i in the differential basis."""
         if self._realized is None:
             ctx = self.ctx
             pieces = [forms.omega_0(ctx).scaled(self.prob.L)]
-            for (sigma, i, J), e in self.f.items():
+            for c, e in self.f.items():
                 if e.is_zero():
                     continue
-                piece = forms.wedge(forms.omega_contact(ctx, sigma, J),
-                                    forms.omega_i(ctx, i))
+                piece = forms.wedge(forms.omega_contact(ctx, c.sigma, c.J),
+                                    forms.omega_i(ctx, c.i))
                 pieces.append(piece.scaled(e))
             self._realized = forms.form_sum(pieces)
         return self._realized
-
-    def items_sorted(self):
-        return sorted(self.f.items(), key=lambda kv: (kv[0][0], len(kv[0][2]), kv[0][2], kv[0][1]))
 
 
 def _coefficients(prob: LagrangianProblem, g: GSpec) -> dict:
@@ -217,7 +203,7 @@ def _coefficients(prob: LagrangianProblem, g: GSpec) -> dict:
         for sigma in range(1, ctx.m + 1):
             for J in mi.tuples(ctx.n, k - 1):
                 for i in range(1, ctx.n + 1):
-                    f[(sigma, i, J)] = _shifted(P, g, sigma, i, J) * mi.count(J)
+                    f[vel(sigma, J, i)] = _shifted(P, g, sigma, i, J) * mi.count(J)
     return f
 
 
@@ -306,10 +292,10 @@ def extended_lagrangian(lep: LepageanForm) -> Expr:
     """
     ctx = lep.ctx
     terms = [lep.prob.L]
-    for (sigma, i, J), e in lep.f.items():
+    for c, e in lep.f.items():
         if e.is_zero():
             continue
-        gap = Expr.coord(ctx, vel(sigma, J, i)) - Expr.coord(ctx, jet(sigma, mi.merge(J, i)))
+        gap = Expr.coord(ctx, c) - Expr.coord(ctx, jet(c.sigma, mi.merge(c.J, c.i)))
         terms.append(e * gap)
     return Expr.sum(ctx, terms)
 
@@ -318,21 +304,13 @@ def extended_lagrangian(lep: LepageanForm) -> Expr:
 class HamiltonFormTable:
     """Coefficients of the canonical-equation form on the prolonged space.
 
-    Entry (nu, P) is the coefficient of dy^nu_P ^ om_0; a prolonged section
-    annihilates the form iff every entry vanishes along it. Entries are
-    affine in the velocity atoms.
+    Entry jet(nu, P) is the coefficient of dy^nu_P ^ om_0; a prolonged
+    section annihilates the form iff every entry vanishes along it. Entries
+    are affine in the velocity atoms.
     """
 
-    lep: LepageanForm
     entries: dict
     extended: Expr
-
-    def __getitem__(self, key):
-        nu, P = key
-        return self.entries[(nu, tuple(sorted(P)))]
-
-    def items_sorted(self):
-        return sorted(self.entries.items(), key=lambda kv: (kv[0][0], len(kv[0][1]), kv[0][1]))
 
 
 def hamilton_form(lep: LepageanForm) -> HamiltonFormTable:
@@ -343,24 +321,28 @@ def hamilton_form(lep: LepageanForm) -> HamiltonFormTable:
     for nu in range(1, ctx.m + 1):
         for k in range(0, 2 * ctx.r):
             for P in mi.tuples(ctx.n, k):
-                e = Lt.partial(jet(nu, P))
+                c = jet(nu, P)
+                e = Lt.partial(c)
                 for q in range(1, ctx.n + 1):
                     dv = Lt.partial(vel(nu, P, q))
                     if dv.is_zero():
                         continue
                     e = e - dv.prolonged_total_derivative(q)
-                entries[(nu, P)] = e
-    return HamiltonFormTable(lep, entries, Lt)
+                entries[c] = e
+    return HamiltonFormTable(entries, Lt)
 
 
 def prolong_vector_field(ctx: ChartContext, xi: dict, order: int) -> dict:
-    """Components of the jet prolongation of a vertical field.
+    """Components ``{jet(s, J): d_J xi^s}``, |J| <= order, of the jet
+    prolongation of a vertical field.
 
-    ``xi`` maps sigma to a component in (x, y); the component at (sigma, J)
-    is the iterated formal derivative d_J xi^sigma.
+    ``xi`` maps sigma to a component in (x, y). Fibers run in ascending
+    sigma, each J in :func:`jetvar.multiindex.up_to` order, and the
+    component at J is one formal derivative of the one at its parent J[:-1].
     """
     comps = {}
-    for sigma, e in xi.items():
+    for sigma in sorted(xi):
+        e = xi[sigma]
         if not isinstance(e, Expr):
             e = Expr.const(ctx, e)
         for c in e.coords():
@@ -369,9 +351,9 @@ def prolong_vector_field(ctx: ChartContext, xi: dict, order: int) -> dict:
             raise VerticalityError(
                 f"field component contains {c.text()}; only base and order-0 "
                 "fiber coordinates are allowed")
-        comps[(sigma, ())] = e
-    for k in range(1, order + 1):
-        for sigma in xi:
-            for J in mi.tuples(ctx.n, k):
-                comps[(sigma, J)] = comps[(sigma, J[:-1])].total_derivative(J[-1])
+        by_J = {(): e}
+        for J in mi.up_to(ctx.n, order):
+            if J:
+                by_J[J] = by_J[J[:-1]].total_derivative(J[-1])
+            comps[jet(sigma, J)] = by_J[J]
     return comps

@@ -18,6 +18,7 @@ from jetvar import legendre as LG
 from jetvar import multiindex as mi
 from jetvar import numerics as N
 from jetvar import varcalc as V
+from jetvar.cli import DEFAULT_TOLERANCES
 from jetvar.symcore import ChartContext, Expr, base, jet, mom, parse_expr, vel
 from conftest import (alternating_sum_euler_lagrange, assert_sym_equal, interval,
                       prolonged_horizontalization, random_polynomial, reconstruct,
@@ -74,8 +75,8 @@ def test_criterion_03_worked_derivations():
     ctx = ChartContext(1, 1, 2)
     prob = V.LagrangianProblem(ctx, parse_expr("1/2*y(1;1,1)^2", ctx))
     P = V.momenta(prob)
-    assert_sym_equal(P[(1, (1, 1))], parse_expr("y(1;1,1)", ctx))
-    assert_sym_equal(P[(1, (1,))], parse_expr("-y(1;1,1,1)", ctx))
+    assert_sym_equal(P[mom(1, (1, 1))], parse_expr("y(1;1,1)", ctx))
+    assert_sym_equal(P[mom(1, (1,))], parse_expr("-y(1;1,1,1)", ctx))
     assert_sym_equal(V.euler_lagrange(prob)[1], parse_expr("y(1;1,1,1,1)", ctx))
     c2 = ChartContext(2, 1, 1)
     lap = V.LagrangianProblem(c2, parse_expr("1/2*(y(1;1)^2 + y(1;2)^2)", c2))
@@ -97,9 +98,8 @@ def test_criterion_04_hamilton_defining_property(corpus):
                 + [jet(sg, ()) for sg in range(1, ctx.m + 1)],
                 n_terms=2, degree=2) for s in range(1, ctx.m + 1)}
             pro = V.prolong_vector_field(ctx, comps, 2 * ctx.r - 1)
-            vec = {jet(s, J): e for (s, J), e in pro.items()}
             rhs_expr = F.horizontal_density(
-                prolonged_horizontalization(F.interior_product(vec, drho)))
+                prolonged_horizontalization(F.interior_product(pro, drho)))
             point = {base(i): rng.uniform(-1, 1) for i in range(1, ctx.n + 1)}
             for s, J in ctx.jets(max_order=2 * ctx.r - 1):
                 point[jet(s, J)] = rng.uniform(-1, 1)
@@ -148,11 +148,11 @@ def test_criterion_06_regularity_and_definiteness():
         pt = {base(i): 0.1 * i for i in range(1, n + 1)}
         for s, J in ctx.jets(max_order=r):
             pt[jet(s, J)] = rng.uniform(-1, 1)
-        assert LG.regularity_report(prob, pt).regular
+        assert LG.regularity_report(prob, pt, DEFAULT_TOLERANCES["rank_rel"]).regular
     ctx = ChartContext(1, 1, 2)
     lin = V.LagrangianProblem(ctx, parse_expr("y(1;1,1)*y(1;1)", ctx))
     pt = {base(1): 0.0, jet(1, ()): 0.3, jet(1, (1,)): 0.4, jet(1, (1, 1)): 0.5}
-    rep = LG.regularity_report(lin, pt)
+    rep = LG.regularity_report(lin, pt, DEFAULT_TOLERANCES["rank_rel"])
     assert not rep.regular and rep.blocks[2].rank == 0
 
     checked = 0
@@ -176,7 +176,8 @@ def test_criterion_06_regularity_and_definiteness():
         pt = {base(i): 0.0 for i in range(1, n + 1)}
         for s, J in ctx.jets(max_order=r):
             pt[jet(s, J)] = rng.uniform(-1, 1)
-        got, pd, _ = LG.hessian_definiteness(prob, pt)
+        got, pd, _ = LG.hessian_definiteness(prob, pt,
+                                             DEFAULT_TOLERANCES["definiteness_pivot"])
         assert np.allclose(got, M)
         assert pd == bool(np.all(np.linalg.eigvalsh(M.astype(float)) > 1e-12))
         checked += 1
@@ -189,7 +190,7 @@ def test_criterion_06_regularity_and_definiteness():
 def test_criterion_07_first_variation():
     ctx = ChartContext(1, 1, 1)
     osc = V.LagrangianProblem(ctx, parse_expr("1/2*y(1;1)^2 - 1/2*y(1)^2", ctx))
-    gamma = N.Section.of_base(ctx, {1: parse_expr("sin(x(1))", ctx)})
+    gamma = {1: parse_expr("sin(x(1))", ctx)}
     fv = N.first_variation_check(osc, V.poincare_cartan(osc),
                                  {1: Expr.const(ctx, 1)}, gamma,
                                  interval(0.0, 1.0, 10 ** 4))
@@ -204,10 +205,10 @@ def test_criterion_08_extremal_fields():
     prob = V.LagrangianProblem(ctx, parse_expr("1/2*y(1;1)^2", ctx))
     lep = V.poincare_cartan(prob)
     c = Fraction(1)
-    w = FL.SlopeField(ctx, {(1, (1,)): Expr.const(ctx, c)})
+    w = FL.SlopeField(ctx, {jet(1, (1,)): Expr.const(ctx, c)})
     assert FL.geodesic_check(w, lep).status == "zero"
     S = FL.hj_primitive(w, lep)
-    assert (F.ext_d(S) - FL.pull_through(lep.realize(), w)).is_zero()
+    assert (F.ext_d(S) - F.pullback(lep.realize(), w.components)).is_zero()
     wd = FL.weierstrass(prob, lep, w)
     assert_sym_equal(wd.excess, parse_expr("1/2*(y(1;1) - 1)^2", ctx))
     top = w.top_subs_map()
@@ -255,15 +256,14 @@ def test_criterion_09_forms_engine():
     c1 = ChartContext(1, 1, 2, max_order=4)
     rng2 = random.Random(17)
     for _ in range(5):
-        gamma = N.Section.of_base(
-            c1, {1: random_polynomial(c1, rng2, [base(1)], n_terms=3, degree=3)})
+        gamma = {1: random_polynomial(c1, rng2, [base(1)], n_terms=3, degree=3)}
         coeff = random_polynomial(c1, rng2, [base(1), jet(1, ()), jet(1, (1,))],
                                   n_terms=3, degree=2)
         a = F.DiffForm(c1, 1, {(F.d_(jet(1, (1,))),): coeff})
         h = F.horizontalization(a)
-        pro = N.jet_prolong_section(gamma, 3)
-        lhs = F.horizontal_density(N.pullback_along(a, pro))
-        rhs = F.horizontal_density(N.pullback_along(h, pro))
+        pro = N.jet_prolong_section(c1, gamma, 3)
+        lhs = F.horizontal_density(F.pullback(a, pro))
+        rhs = F.horizontal_density(F.pullback(h, pro))
         for xv in (0.15, 0.4, 0.85):
             assert abs(lhs.eval({base(1): xv}) - rhs.eval({base(1): xv})) <= 1e-10
     report(9, "d^2 = 0, pullback/d commutation and contact reconstruction on "

@@ -525,6 +525,65 @@ def test_unusable_out_path_is_input_error(tmp_path, capsys, where):
     assert not (tmp_path / "missing").exists()
 
 
+def _text_table_keys(text, table):
+    """Keys of the results table ``table`` of a ``--format text`` report, in
+    print order."""
+    lines = text.splitlines()
+    keys = []
+    for line in lines[lines.index(f"  {table}:") + 1:]:
+        if not line.startswith("    "):
+            break
+        keys.append(line.strip().split(": ", 1)[0])
+    return keys
+
+
+def test_text_report_prints_tables_in_canonical_order(tmp_path):
+    # (s, |K|, K[, i]) order; the JSON reports sort their keys, so only the
+    # text format shows it
+    out = tmp_path / "report.txt"
+    assert main(["derive", prob_path("g_family_r2.prob"), "--format", "text",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert _text_table_keys(text, "momenta") == [
+        "P(1;1)", "P(1;2)", "P(1;1,1)", "P(1;1,2)", "P(1;2,2)"]
+    assert _text_table_keys(text, "cartan_coefficients") == [
+        "f(1;|1)", "f(1;|2)", "f(1;1|1)", "f(1;1|2)", "f(1;2|1)", "f(1;2|2)"]
+    assert _text_table_keys(text, "coefficient_corrections") == [
+        "q(1;|1)", "q(1;|2)", "q(1;1|2)", "q(1;2|1)"]
+    assert _text_table_keys(text, "hamilton_table") == [
+        "H(1)", "H(1;1)", "H(1;2)", "H(1;1,1)", "H(1;1,2)", "H(1;2,2)",
+        "H(1;1,1,1)", "H(1;1,1,2)", "H(1;1,2,2)", "H(1;2,2,2)"]
+    assert main(["legendre", QUARTIC, "--format", "text", "--out", str(out)]) == 0
+    assert _text_table_keys(out.read_text(), "inverse_relations") == [
+        "y(1;1,1)", "y(1;1,1,1)"]
+
+
+def test_excess_certificate_reads_the_definiteness_pivot():
+    # the free particle's top-order Hessian is 1: a pivot tolerance of 5
+    # fails the definiteness condition
+    code, data, _ = run_cli("excess", FREE, "--tol", "definiteness_pivot=5")
+    assert code == 2
+    assert data["tolerances"]["definiteness_pivot"] == 5.0
+    assert not data["checks"]["certificate:hessian-positive-definite"]["pass"]
+
+
+@pytest.mark.parametrize("n,block", [
+    (2, "lower = 0, 0, 0"),
+    (1, "lower = 0, 0"),
+    (2, "upper = 1, 1, 1"),
+], ids=["n2-three-lower", "n1-two-lower", "n2-three-upper"])
+def test_domain_bounds_number_one_or_n(tmp_path, n, block):
+    f = tmp_path / "bounds.prob"
+    L = " + ".join(f"1/2*y(1;{i})^2" for i in range(1, n + 1))
+    f.write_text(f"[problem]\nn = {n}\nm = 1\nr = 1\n\n[lagrangian]\nL = \"{L}\"\n\n"
+                 f"[gamma]\ny(1) = \"x(1)\"\n\n[domain]\n{block}\nresolution = 5\n")
+    code, data, _ = run_cli("verify-extremal", str(f))
+    assert code == 1
+    assert data["error"]["type"] == "InputError"
+    assert "[domain]" in data["error"]["message"]
+    assert f"n = {n}" in data["error"]["message"]
+
+
 def test_derive_with_free_coefficient_table():
     code, data, _ = run_cli("derive", prob_path("g_family_r2.prob"))
     assert code == 0

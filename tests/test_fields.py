@@ -8,6 +8,7 @@ from jetvar import forms as F
 from jetvar import multiindex as mi
 from jetvar import numerics as N
 from jetvar import varcalc as V
+from jetvar.cli import DEFAULT_TOLERANCES
 from jetvar.errors import InputError, UnsupportedSymbolicError
 from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr
 from conftest import assert_sym_equal, interval, random_polynomial, scalar_form
@@ -21,7 +22,7 @@ def problem(text, n=1, m=1, r=1):
 def free_particle():
     prob = problem("1/2*y(1;1)^2")
     lep = V.poincare_cartan(prob)
-    w = FL.SlopeField(prob.ctx, {(1, (1,)): Expr.const(prob.ctx, 1)})
+    w = FL.SlopeField(prob.ctx, {jet(1, (1,)): Expr.const(prob.ctx, 1)})
     return prob, lep, w
 
 
@@ -33,8 +34,8 @@ def random_slope_field(prob, rng):
     for s in range(1, ctx.m + 1):
         for k in range(ctx.r, 2 * ctx.r):
             for K in mi.tuples(ctx.n, k):
-                comps[(s, K)] = random_polynomial(ctx, rng, atoms,
-                                                  n_terms=2, degree=2)
+                comps[jet(s, K)] = random_polynomial(ctx, rng, atoms,
+                                                     n_terms=2, degree=2)
     return FL.SlopeField(ctx, comps)
 
 
@@ -43,15 +44,15 @@ def random_slope_field(prob, rng):
 def test_slope_field_requires_all_components():
     prob = problem("1/2*y(1;1,1)^2", r=2)
     with pytest.raises(InputError):
-        FL.SlopeField(prob.ctx, {(1, (1, 1)): Expr.const(prob.ctx, 1)})
+        FL.SlopeField(prob.ctx, {jet(1, (1, 1)): Expr.const(prob.ctx, 1)})
 
 
 def test_slope_field_rejects_high_order_dependence():
     prob = problem("1/2*y(1;1,1)^2", r=2)
     with pytest.raises(InputError):
         FL.SlopeField(prob.ctx, {
-            (1, (1, 1)): parse_expr("y(1;1,1)", prob.ctx),
-            (1, (1, 1, 1)): Expr.const(prob.ctx, 0),
+            jet(1, (1, 1)): parse_expr("y(1;1,1)", prob.ctx),
+            jet(1, (1, 1, 1)): Expr.const(prob.ctx, 0),
         })
 
 
@@ -65,7 +66,7 @@ def test_constant_field_is_geodesic():
 
 def test_linear_field_is_not_geodesic():
     prob, lep, _ = free_particle()
-    w = FL.SlopeField(prob.ctx, {(1, (1,)): parse_expr("y(1)", prob.ctx)})
+    w = FL.SlopeField(prob.ctx, {jet(1, (1,)): parse_expr("y(1)", prob.ctx)})
     rep = FL.geodesic_check(w, lep)
     assert rep.status == "nonzero"
     # w* d rho = -y dy ^ dx = y dx ^ dy
@@ -77,7 +78,7 @@ def test_linear_field_is_not_geodesic():
 def test_zero_lagrangian_any_field_geodesic():
     prob = problem("0")
     lep = V.poincare_cartan(prob)
-    w = FL.SlopeField(prob.ctx, {(1, (1,)): parse_expr("y(1)^2", prob.ctx)})
+    w = FL.SlopeField(prob.ctx, {jet(1, (1,)): parse_expr("y(1)^2", prob.ctx)})
     assert FL.geodesic_check(w, lep).status == "zero"
 
 
@@ -85,7 +86,7 @@ def test_oscillator_cotangent_field_geodesic():
     prob = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
     lep = V.poincare_cartan(prob)
     w = FL.SlopeField(prob.ctx,
-                      {(1, (1,)): parse_expr("y(1)*cos(x(1))/sin(x(1))", prob.ctx)})
+                      {jet(1, (1,)): parse_expr("y(1)*cos(x(1))/sin(x(1))", prob.ctx)})
     assert FL.geodesic_check(w, lep).is_geodesic
 
 
@@ -93,7 +94,7 @@ def test_probable_zero_status_for_disguised_constant():
     # 2 sin x cos x - sin(2x) + 1 is the constant 1, but not structurally
     prob, lep, _ = free_particle()
     w = FL.SlopeField(prob.ctx, {
-        (1, (1,)): parse_expr("2*sin(x(1))*cos(x(1)) - sin(2*x(1)) + 1", prob.ctx)})
+        jet(1, (1,)): parse_expr("2*sin(x(1))*cos(x(1)) - sin(2*x(1)) + 1", prob.ctx)})
     rep = FL.geodesic_check(w, lep)
     assert rep.status == "probable-zero"
     assert rep.is_geodesic
@@ -105,8 +106,8 @@ def test_pullback_derivative_commutation(corpus):
         lep = V.poincare_cartan(prob)
         w = random_slope_field(prob, rng)
         rho = lep.realize()
-        lhs = F.ext_d(FL.pull_through(rho, w))
-        rhs = FL.pull_through(F.ext_d(rho), w)
+        lhs = F.ext_d(F.pullback(rho, w.components))
+        rhs = F.pullback(F.ext_d(rho), w.components)
         assert lhs == rhs, prob.L
 
 
@@ -122,13 +123,13 @@ def test_primitive_free_particle():
 def test_primitive_of_zero_form():
     prob = problem("0")
     lep = V.poincare_cartan(prob)
-    w = FL.SlopeField(prob.ctx, {(1, (1,)): parse_expr("x(1)", prob.ctx)})
+    w = FL.SlopeField(prob.ctx, {jet(1, (1,)): parse_expr("x(1)", prob.ctx)})
     assert FL.hj_primitive(w, lep).is_zero()
 
 
 def test_primitive_rejects_non_closed():
     prob, lep, _ = free_particle()
-    w = FL.SlopeField(prob.ctx, {(1, (1,)): parse_expr("y(1)", prob.ctx)})
+    w = FL.SlopeField(prob.ctx, {jet(1, (1,)): parse_expr("y(1)", prob.ctx)})
     with pytest.raises(InputError):
         FL.hj_primitive(w, lep)
 
@@ -137,7 +138,7 @@ def test_primitive_rejects_transcendental():
     prob = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
     lep = V.poincare_cartan(prob)
     w = FL.SlopeField(prob.ctx,
-                      {(1, (1,)): parse_expr("y(1)*cos(x(1))/sin(x(1))", prob.ctx)})
+                      {jet(1, (1,)): parse_expr("y(1)*cos(x(1))/sin(x(1))", prob.ctx)})
     with pytest.raises(UnsupportedSymbolicError):
         FL.hj_primitive(w, lep)
 
@@ -165,7 +166,7 @@ def test_excess_free_particle():
     prob, lep, w = free_particle()
     wd = FL.weierstrass(prob, lep, w)
     assert_sym_equal(wd.excess, parse_expr("1/2*(y(1;1) - 1)^2", prob.ctx))
-    assert wd.horizontal_matches()
+    assert wd.horizontal_matches
 
 
 def test_excess_vanishes_on_the_field():
@@ -210,23 +211,23 @@ def test_excess_density_identity_on_corpus(corpus):
     for prob in corpus[:8]:
         lep = V.poincare_cartan(prob)
         w = random_slope_field(prob, rng)
-        assert FL.weierstrass(prob, lep, w).horizontal_matches(), prob.L
+        assert FL.weierstrass(prob, lep, w).horizontal_matches, prob.L
 
 
 # -- integrals -------------------------------------------------------------------------------
 
 def test_action_examples():
     osc = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
-    gamma = N.Section.of_base(osc.ctx, {1: parse_expr("sin(x(1))", osc.ctx)})
+    gamma = {1: parse_expr("sin(x(1))", osc.ctx)}
     val = N.action_value(osc, gamma, interval(0.0, math.pi, 3000))
     assert abs(val) <= 1e-6
 
     unit = problem("1")
-    g2 = N.Section.of_base(unit.ctx, {1: Expr.const(unit.ctx, 0)})
+    g2 = {1: Expr.const(unit.ctx, 0)}
     assert N.action_value(unit, g2, interval(0.25, 1.75, 100)) == pytest.approx(1.5)
 
     free, lep, w = free_particle()
-    g3 = N.Section.of_base(free.ctx, {1: parse_expr("x(1)", free.ctx)})
+    g3 = {1: parse_expr("x(1)", free.ctx)}
     assert N.action_value(free, g3, interval(0.0, 1.0, 2001)) == pytest.approx(0.5, abs=1e-8)
 
 
@@ -235,8 +236,8 @@ def test_action_examples():
 def test_compatibility_residual():
     prob, lep, w = free_particle()
     ctx = prob.ctx
-    good = N.Section.of_base(ctx, {1: parse_expr("x(1) + 3", ctx)})
-    bad = N.Section.of_base(ctx, {1: parse_expr("x(1)^2", ctx)})
+    good = {1: parse_expr("x(1) + 3", ctx)}
+    bad = {1: parse_expr("x(1)^2", ctx)}
     dom = interval(0.0, 1.0, 11)
     assert FL.compatibility_residual(w, good, dom) <= 1e-12
     assert FL.compatibility_residual(w, bad, dom) >= 0.5
@@ -248,27 +249,35 @@ def test_field_compatible_sections_are_extremal():
     ctx = prob.ctx
     dom = interval(0.0, 1.0, 9)
     for shift in ("0", "1", "-1/2"):
-        gamma = N.Section.of_base(ctx, {1: parse_expr(f"x(1) + {shift}", ctx)})
+        gamma = {1: parse_expr(f"x(1) + {shift}", ctx)}
         assert FL.compatibility_residual(w, gamma, dom) <= 1e-9
         assert FL.extremal_residual_via_field(prob, gamma, dom) <= 1e-8
 
     # oscillator with the cotangent field: A sin x is compatible and extremal
     osc = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
     wt = FL.SlopeField(osc.ctx,
-                       {(1, (1,)): parse_expr("y(1)*cos(x(1))/sin(x(1))", osc.ctx)})
+                       {jet(1, (1,)): parse_expr("y(1)*cos(x(1))/sin(x(1))", osc.ctx)})
     dom2 = N.IntegrationDomain((0.3,), (1.3,), 9)
     for amp in ("1", "2"):
-        gamma = N.Section.of_base(osc.ctx, {1: parse_expr(f"{amp}*sin(x(1))", osc.ctx)})
+        gamma = {1: parse_expr(f"{amp}*sin(x(1))", osc.ctx)}
         assert FL.compatibility_residual(wt, gamma, dom2) <= 1e-9
         assert FL.extremal_residual_via_field(osc, gamma, dom2) <= 1e-8
 
 
 # -- certificates ----------------------------------------------------------------------------
 
+def certificate(prob, lep, w, gamma, domain):
+    """The certificate at the CLI's default tolerances."""
+    return FL.minimum_certificate(
+        prob, lep, w, FL.weierstrass(prob, lep, w), gamma, domain,
+        compat_tol=DEFAULT_TOLERANCES["compatibility"],
+        pivot_tol=DEFAULT_TOLERANCES["definiteness_pivot"])
+
+
 def test_certificate_free_particle_passes():
     prob, lep, w = free_particle()
-    gamma = N.Section.of_base(prob.ctx, {1: parse_expr("x(1)", prob.ctx)})
-    cert = FL.minimum_certificate(prob, lep, w, gamma, interval(0.0, 1.0, 9))
+    gamma = {1: parse_expr("x(1)", prob.ctx)}
+    cert = certificate(prob, lep, w, gamma, interval(0.0, 1.0, 9))
     assert all(c.passed for c in cert.conditions)
     assert "not prove" in cert.caveat
 
@@ -276,12 +285,11 @@ def test_certificate_free_particle_passes():
 def test_certificate_indefinite_density_fails_definiteness():
     prob = problem("1/2*(y(1;1)^2 - y(1;2)^2)", n=2)
     lep = V.poincare_cartan(prob)
-    w = FL.SlopeField(prob.ctx, {(1, (1,)): Expr.const(prob.ctx, 1),
-                                 (1, (2,)): Expr.const(prob.ctx, 1)})
-    gamma = N.Section.of_base(prob.ctx,
-                              {1: parse_expr("x(1) + x(2)", prob.ctx)})
+    w = FL.SlopeField(prob.ctx, {jet(1, (1,)): Expr.const(prob.ctx, 1),
+                                 jet(1, (2,)): Expr.const(prob.ctx, 1)})
+    gamma = {1: parse_expr("x(1) + x(2)", prob.ctx)}
     dom = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 5)
-    cert = FL.minimum_certificate(prob, lep, w, gamma, dom)
+    cert = certificate(prob, lep, w, gamma, dom)
     failed = {c.name for c in cert.conditions if not c.passed}
     assert "hessian-positive-definite" in failed
     assert "excess-nonnegative" in failed
@@ -290,9 +298,9 @@ def test_certificate_indefinite_density_fails_definiteness():
 def test_certificate_zero_lagrangian_zero_margin():
     prob = problem("0")
     lep = V.poincare_cartan(prob)
-    w = FL.SlopeField(prob.ctx, {(1, (1,)): Expr.const(prob.ctx, 0)})
-    gamma = N.Section.of_base(prob.ctx, {1: Expr.const(prob.ctx, 0)})
-    cert = FL.minimum_certificate(prob, lep, w, gamma, interval(0.0, 1.0, 5))
+    w = FL.SlopeField(prob.ctx, {jet(1, (1,)): Expr.const(prob.ctx, 0)})
+    gamma = {1: Expr.const(prob.ctx, 0)}
+    cert = certificate(prob, lep, w, gamma, interval(0.0, 1.0, 5))
     by_name = {c.name: c for c in cert.conditions}
     assert by_name["excess-nonnegative"].passed
     assert not by_name["hessian-positive-definite"].passed  # zero matrix
@@ -300,9 +308,9 @@ def test_certificate_zero_lagrangian_zero_margin():
 
 def test_certificate_rejects_incompatible_section():
     prob, lep, w = free_particle()
-    gamma = N.Section.of_base(prob.ctx, {1: parse_expr("x(1)^2", prob.ctx)})
+    gamma = {1: parse_expr("x(1)^2", prob.ctx)}
     with pytest.raises(InputError):
-        FL.minimum_certificate(prob, lep, w, gamma, interval(0.0, 1.0, 5))
+        certificate(prob, lep, w, gamma, interval(0.0, 1.0, 5))
 
 
 def test_radial_homotopy_rejects_quotients():
@@ -321,8 +329,8 @@ def test_second_order_field_with_quotient_components():
     ctx = prob.ctx
     lep = V.poincare_cartan(prob)
     w = FL.SlopeField(ctx, {
-        (1, (1, 1)): parse_expr("y(1;1)/x(1)", ctx),
-        (1, (1, 1, 1)): Expr.const(ctx, 0),
+        jet(1, (1, 1)): parse_expr("y(1;1)/x(1)", ctx),
+        jet(1, (1, 1, 1)): Expr.const(ctx, 0),
     })
     rep = FL.geodesic_check(w, lep)
     assert rep.status == "zero"
@@ -334,7 +342,7 @@ def test_second_order_field_with_quotient_components():
 
     dom = N.IntegrationDomain((1.0,), (2.0,), 9)
     for a, b in (("0", "1"), ("2", "-1/2")):
-        gamma = N.Section.of_base(ctx, {1: parse_expr(f"{a} + {b}*x(1)^2", ctx)})
+        gamma = {1: parse_expr(f"{a} + {b}*x(1)^2", ctx)}
         assert FL.compatibility_residual(w, gamma, dom) <= 1e-9
         assert FL.extremal_residual_via_field(prob, gamma, dom) <= 1e-8
 

@@ -10,7 +10,7 @@ import pytest
 from jetvar import legendre as LG
 from jetvar import multiindex as mi
 from jetvar import varcalc as V
-from jetvar.cli import ProblemFile
+from jetvar.cli import DEFAULT_TOLERANCES, ProblemFile
 from jetvar.errors import (DegeneracyError, InputError,
                            UnsupportedSymbolicError)
 from jetvar.symcore import ChartContext, Expr, base, jet, mom, parse_expr
@@ -23,6 +23,8 @@ def problem(text, n=1, m=1, r=1):
 
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+RANK_REL = DEFAULT_TOLERANCES["rank_rel"]
+PIVOT = DEFAULT_TOLERANCES["definiteness_pivot"]
 
 
 def full_point(ctx, rng, order=None):
@@ -37,7 +39,7 @@ def full_point(ctx, rng, order=None):
 def test_regularity_second_order_top_block():
     prob = problem("1/2*y(1;1,1)^2", r=2)
     pt = full_point(prob.ctx, random.Random(1))
-    rep = LG.regularity_report(prob, pt)
+    rep = LG.regularity_report(prob, pt, RANK_REL)
     assert rep.blocks[2].numeric.tolist() == [[1.0]]
     assert rep.regular
 
@@ -45,7 +47,7 @@ def test_regularity_second_order_top_block():
 def test_regularity_linear_top_jet_fails():
     prob = problem("y(1;1,1)*y(1;1)", r=2)
     pt = full_point(prob.ctx, random.Random(2))
-    rep = LG.regularity_report(prob, pt)
+    rep = LG.regularity_report(prob, pt, RANK_REL)
     assert rep.blocks[2].numeric.tolist() == [[0.0]]
     assert not rep.regular
 
@@ -53,7 +55,7 @@ def test_regularity_linear_top_jet_fails():
 def test_regularity_laplace_identity_block():
     prob = problem("1/2*(y(1;1)^2 + y(1;2)^2)", n=2)
     pt = full_point(prob.ctx, random.Random(3))
-    rep = LG.regularity_report(prob, pt)
+    rep = LG.regularity_report(prob, pt, RANK_REL)
     assert np.allclose(rep.blocks[1].numeric, np.eye(2))
     assert rep.regular
 
@@ -83,9 +85,10 @@ def weighted_second_partials(prob, s):
             total = total + d2 * Fraction(sign * mi.count(Lam), mi.count(KL))
         return total
 
-    rows = [(nu, P) for nu in range(1, ctx.m + 1) for P in mi.tuples(ctx.n, s)]
-    cols = [(sigma, K) for sigma in range(1, ctx.m + 1) for K in mi.tuples(ctx.n, 2 * r - s)]
-    return rows, cols, [[entry(nu, P, sigma, K) for sigma, K in cols] for nu, P in rows]
+    rows = [jet(nu, P) for nu in range(1, ctx.m + 1) for P in mi.tuples(ctx.n, s)]
+    cols = [mom(sigma, K) for sigma in range(1, ctx.m + 1)
+            for K in mi.tuples(ctx.n, 2 * r - s)]
+    return rows, cols, [[entry(y.sigma, y.J, p.sigma, p.J) for p in cols] for y in rows]
 
 
 def test_momenta_blocks_equal_weighted_second_partials(corpus):
@@ -96,9 +99,8 @@ def test_momenta_blocks_equal_weighted_second_partials(corpus):
     cases = list(corpus[:12]) + shipped + [
         problem("(y(1;1,1)+y(1;2,2))^2/(1+y(1;1)^2+y(1;2)^2)", n=2, r=2)]
     for prob in cases:
-        table = V.momenta(prob)
         for s in range(prob.ctx.r, 2 * prob.ctx.r):
-            assert LG.momenta_block(table, s) == weighted_second_partials(prob, s), (prob.L, s)
+            assert LG.momenta_block(prob, s) == weighted_second_partials(prob, s), (prob.L, s)
 
 
 # -- definiteness -------------------------------------------------------------------
@@ -106,15 +108,15 @@ def test_momenta_blocks_equal_weighted_second_partials(corpus):
 def test_definiteness_examples():
     rng = random.Random(4)
     p1 = problem("1/2*y(1;1)^2")
-    M, pd, _ = LG.hessian_definiteness(p1, full_point(p1.ctx, rng))
+    M, pd, _ = LG.hessian_definiteness(p1, full_point(p1.ctx, rng), PIVOT)
     assert M.tolist() == [[1.0]] and pd
 
     p2 = problem("1/2*(y(1;1)^2 - y(1;2)^2)", n=2)
-    M2, pd2, _ = LG.hessian_definiteness(p2, full_point(p2.ctx, rng))
+    M2, pd2, _ = LG.hessian_definiteness(p2, full_point(p2.ctx, rng), PIVOT)
     assert sorted(np.diag(M2).tolist()) == [-1.0, 1.0] and not pd2
 
     p3 = problem("1/2*y(1;1,1)^2", r=2)
-    M3, pd3, _ = LG.hessian_definiteness(p3, full_point(p3.ctx, rng))
+    M3, pd3, _ = LG.hessian_definiteness(p3, full_point(p3.ctx, rng), PIVOT)
     assert M3.tolist() == [[1.0]] and pd3
 
 
@@ -143,7 +145,7 @@ def test_definiteness_agrees_with_eigenvalue_oracle():
                 factor = Fraction(1, 2) if i == j else Fraction(1)
                 L = L + Expr.coord(ctx, jet(s, A)) * Expr.coord(ctx, jet(nu, B)) * (q * factor)
         prob = V.LagrangianProblem(ctx, L)
-        got, pd, _ = LG.hessian_definiteness(prob, full_point(ctx, rng))
+        got, pd, _ = LG.hessian_definiteness(prob, full_point(ctx, rng), PIVOT)
         assert np.allclose(got, M)
         eig_pd = bool(np.all(np.linalg.eigvalsh(M) > 1e-12))
         assert pd == eig_pd
@@ -171,8 +173,8 @@ def test_chart_second_order_example():
     data = LG.legendre_chart(prob)
     assert_sym_equal(data.H,
                      parse_expr("1/2*P(1;1,1)^2 + P(1;1)*y(1;1)", prob.ctx))
-    assert_sym_equal(data.inverse[(1, (1, 1))], parse_expr("P(1;1,1)", prob.ctx))
-    assert_sym_equal(data.inverse[(1, (1, 1, 1))], parse_expr("-P(1;1)", prob.ctx))
+    assert_sym_equal(data.inverse[jet(1, (1, 1))], parse_expr("P(1;1,1)", prob.ctx))
+    assert_sym_equal(data.inverse[jet(1, (1, 1, 1))], parse_expr("-P(1;1)", prob.ctx))
 
 
 def test_chart_degenerate_error():
@@ -191,17 +193,16 @@ def test_chart_roundtrip_momenta(quadratic_corpus):
     # back the momentum coordinates, identically
     for prob in quadratic_corpus:
         data = LG.legendre_chart(prob)
-        subs = LG.inverse_subs(prob.ctx, data.inverse)
-        for (s, K), e in V.momenta(prob).entries.items():
-            back = e.subs(subs)
-            assert back.equal_exact(Expr.coord(prob.ctx, mom(s, K))), (prob.L, s, K)
+        for p, e in V.momenta(prob).items():
+            back = e.subs(data.inverse)
+            assert back.equal_exact(Expr.coord(prob.ctx, p)), (prob.L, p)
 
 
 def test_chart_first_order_field_theory():
     # n = 2, r = 1 inversion is a single square layer
     prob = problem("1/2*(y(1;1)^2 + y(1;2)^2) + y(1)*x(1)", n=2)
     data = LG.legendre_chart(prob)
-    assert_sym_equal(data.inverse[(1, (1,))], parse_expr("P(1;1)", prob.ctx))
+    assert_sym_equal(data.inverse[jet(1, (1,))], parse_expr("P(1;1)", prob.ctx))
     got = data.H
     want = parse_expr("1/2*(P(1;1)^2 + P(1;2)^2) - y(1)*x(1)", prob.ctx)
     assert_sym_equal(got, want)

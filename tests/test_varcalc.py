@@ -10,7 +10,7 @@ from jetvar import numerics as N
 from jetvar import varcalc as V
 from jetvar.errors import (ContactOrderError, DegreeError, InadmissibleGError,
                            InputError, VerticalityError)
-from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr, vel
+from jetvar.symcore import ChartContext, Expr, base, jet, mom, parse_expr, vel
 from conftest import (alternating_sum_euler_lagrange, assert_sym_equal, interval,
                       prolonged_horizontalization, random_polynomial, scalar_form)
 
@@ -25,24 +25,24 @@ def problem(text, n=1, m=1, r=1):
 def test_momenta_second_order_example():
     prob = problem("1/2*y(1;1,1)^2", r=2)
     P = V.momenta(prob)
-    assert_sym_equal(P[(1, (1, 1))], parse_expr("y(1;1,1)", prob.ctx))
-    assert_sym_equal(P[(1, (1,))], parse_expr("-y(1;1,1,1)", prob.ctx))
+    assert_sym_equal(P[mom(1, (1, 1))], parse_expr("y(1;1,1)", prob.ctx))
+    assert_sym_equal(P[mom(1, (1,))], parse_expr("-y(1;1,1,1)", prob.ctx))
 
 
 def test_momenta_mechanics_example():
     prob = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
-    assert_sym_equal(V.momenta(prob)[(1, (1,))], parse_expr("y(1;1)", prob.ctx))
+    assert_sym_equal(V.momenta(prob)[mom(1, (1,))], parse_expr("y(1;1)", prob.ctx))
 
 
 def test_momenta_zero_lagrangian():
     prob = problem("0", r=2)
-    assert all(e.is_zero() for e in V.momenta(prob).entries.values())
+    assert all(e.is_zero() for e in V.momenta(prob).values())
 
 
 def test_momenta_order_bound(corpus):
     for prob in corpus:
-        for (s, K), e in V.momenta(prob).entries.items():
-            assert e.max_jet_order() <= 2 * prob.ctx.r - len(K)
+        for p, e in V.momenta(prob).items():
+            assert e.max_jet_order() <= 2 * prob.ctx.r - p.order
 
 
 def test_momenta_top_level_is_weighted_gradient(corpus):
@@ -51,7 +51,7 @@ def test_momenta_top_level_is_weighted_gradient(corpus):
         for s in range(1, prob.ctx.m + 1):
             for K in mi.tuples(prob.ctx.n, prob.ctx.r):
                 want = prob.L.partial(jet(s, K)) * Fraction(1, mi.count(K))
-                assert P[(s, K)] == want
+                assert P[mom(s, K)] == want
 
 
 # -- Euler-Lagrange ----------------------------------------------------------------
@@ -129,8 +129,8 @@ def test_poincare_cartan_mechanics_shape():
 def test_poincare_cartan_second_order_coefficients():
     prob = problem("1/2*y(1;1,1)^2", r=2)
     lep = V.poincare_cartan(prob)
-    assert_sym_equal(lep.coefficient(1, 1, ()), parse_expr("-y(1;1,1,1)", prob.ctx))
-    assert_sym_equal(lep.coefficient(1, 1, (1,)), parse_expr("y(1;1,1)", prob.ctx))
+    assert_sym_equal(lep.f[vel(1, (), 1)], parse_expr("-y(1;1,1,1)", prob.ctx))
+    assert_sym_equal(lep.f[vel(1, (1,), 1)], parse_expr("y(1;1,1)", prob.ctx))
 
 
 def test_poincare_cartan_zero_lagrangian():
@@ -141,8 +141,8 @@ def test_coefficients_are_weighted_momenta(corpus):
     for prob in corpus:
         lep = V.poincare_cartan(prob)
         P = V.momenta(prob)
-        for (s, i, J), e in lep.f.items():
-            want = P[(s, mi.merge(J, i))] * mi.count(J)
+        for v, e in lep.f.items():
+            want = P[mom(v.sigma, mi.merge(v.J, v.i))] * mi.count(v.J)
             assert e == want
 
 
@@ -251,8 +251,8 @@ def test_extended_lagrangian_zero():
 def test_hamilton_table_free_particle():
     prob = problem("1/2*y(1;1)^2")
     tab = V.hamilton_form(V.poincare_cartan(prob))
-    assert_sym_equal(tab[(1, ())], parse_expr("-v(1;1|1)", prob.ctx))
-    assert_sym_equal(tab[(1, (1,))], parse_expr("v(1;|1) - y(1;1)", prob.ctx))
+    assert_sym_equal(tab.entries[jet(1)], parse_expr("-v(1;1|1)", prob.ctx))
+    assert_sym_equal(tab.entries[jet(1, (1,))], parse_expr("v(1;|1) - y(1;1)", prob.ctx))
 
 
 def test_hamilton_table_zero_lagrangian():
@@ -266,8 +266,8 @@ def test_hamilton_table_higher_entries_are_holonomy_defects():
     prob = problem("1/2*y(1;1,1)^2", r=2)
     tab = V.hamilton_form(V.poincare_cartan(prob))
     ctx = prob.ctx
-    assert_sym_equal(tab[(1, (1, 1))], parse_expr("v(1;1|1) - y(1;1,1)", ctx))
-    assert_sym_equal(tab[(1, (1, 1, 1))], parse_expr("y(1;1) - v(1;|1)", ctx))
+    assert_sym_equal(tab.entries[jet(1, (1, 1))], parse_expr("v(1;1|1) - y(1;1,1)", ctx))
+    assert_sym_equal(tab.entries[jet(1, (1, 1, 1))], parse_expr("y(1;1) - v(1;|1)", ctx))
 
 
 def _velocity_degree(e):
@@ -306,9 +306,8 @@ def test_hamilton_defining_property(corpus):
         comps = {s: Expr.coord(ctx, jet(s, ())) ** 2 + Expr.const(ctx, s)
                  for s in range(1, ctx.m + 1)}
         pro = V.prolong_vector_field(ctx, comps, 2 * ctx.r - 1)
-        vec = {jet(s, J): e for (s, J), e in pro.items()}
         rhs_expr = F.horizontal_density(
-            prolonged_horizontalization(F.interior_product(vec, drho)))
+            prolonged_horizontalization(F.interior_product(pro, drho)))
         for _ in range(10):
             point = {base(i): rng.uniform(-1, 1) for i in range(1, ctx.n + 1)}
             for s, J in ctx.jets(max_order=2 * ctx.r - 1):
@@ -322,13 +321,13 @@ def test_hamilton_defining_property(corpus):
 
 def _table_along(tab, section):
     """Each Hamilton-table entry, exactly, with the jets bound to the
-    section's components and v(s;J|p) to their x(p)-partials."""
-    ctx = section.ctx
+    section's components ``{jet(s, J): Expr}`` and v(s;J|p) to their
+    x(p)-partials."""
     binding = {}
-    for (sigma, J), comp in section.components.items():
-        binding[jet(sigma, J)] = comp
-        for p in range(1, ctx.n + 1):
-            binding[vel(sigma, J, p)] = comp.partial(base(p))
+    for y, comp in section.items():
+        binding[y] = comp
+        for p in range(1, comp.ctx.n + 1):
+            binding[vel(y.sigma, y.J, p)] = comp.partial(base(p))
     return {key: e.subs(binding) for key, e in tab.entries.items()}
 
 
@@ -337,22 +336,19 @@ def test_hamilton_extremal_residual_examples():
     prob = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
     ctx = prob.ctx
     tab = V.hamilton_form(V.poincare_cartan(prob))
-    sine = N.jet_prolong_section(
-        N.Section.of_base(ctx, {1: parse_expr("sin(x(1))", ctx)}), 1)
-    assert _table_along(tab, sine) == {(1, ()): 0, (1, (1,)): 0}
+    sine = N.jet_prolong_section(ctx, {1: parse_expr("sin(x(1))", ctx)}, 1)
+    assert _table_along(tab, sine) == {jet(1): 0, jet(1, (1,)): 0}
 
     # a section that is not holonomic: v(1;|1) - y(1;1) = 1 - 2
     free = problem("1/2*y(1;1)^2")
     tabf = V.hamilton_form(V.poincare_cartan(free))
-    broken = N.Section(free.ctx, {(1, ()): parse_expr("x(1)", free.ctx),
-                                  (1, (1,)): parse_expr("2", free.ctx)})
-    assert _table_along(tabf, broken) == {(1, ()): 0, (1, (1,)): -1}
+    broken = {jet(1): parse_expr("x(1)", free.ctx), jet(1, (1,)): parse_expr("2", free.ctx)}
+    assert _table_along(tabf, broken) == {jet(1): 0, jet(1, (1,)): -1}
 
     zero = problem("0")
     tz = V.hamilton_form(V.poincare_cartan(zero))
-    square = N.jet_prolong_section(
-        N.Section.of_base(zero.ctx, {1: parse_expr("x(1)^2", zero.ctx)}), 1)
-    assert _table_along(tz, square) == {(1, ()): 0, (1, (1,)): 0}
+    square = N.jet_prolong_section(zero.ctx, {1: parse_expr("x(1)^2", zero.ctx)}, 1)
+    assert _table_along(tz, square) == {jet(1): 0, jet(1, (1,)): 0}
 
 
 # -- vector field prolongation --------------------------------------------------------
@@ -360,11 +356,11 @@ def test_hamilton_extremal_residual_examples():
 def test_prolong_vector_field_examples():
     ctx = ChartContext(1, 1, 2)
     const = V.prolong_vector_field(ctx, {1: Expr.const(ctx, 1)}, 3)
-    assert all(e.is_zero() for (s, J), e in const.items() if J)
+    assert all(e.is_zero() for y, e in const.items() if y.J)
     lin = V.prolong_vector_field(ctx, {1: parse_expr("y(1)", ctx)}, 2)
-    assert_sym_equal(lin[(1, (1,))], parse_expr("y(1;1)", ctx))
+    assert_sym_equal(lin[jet(1, (1,))], parse_expr("y(1;1)", ctx))
     xfield = V.prolong_vector_field(ctx, {1: parse_expr("x(1)", ctx)}, 1)
-    assert_sym_equal(xfield[(1, (1,))], Expr.const(ctx, 1))
+    assert_sym_equal(xfield[jet(1, (1,))], Expr.const(ctx, 1))
 
 
 def test_prolong_vector_field_rejects_nonvertical():
@@ -378,7 +374,7 @@ def test_prolong_vector_field_rejects_nonvertical():
 def test_first_variation_harmonic_oscillator():
     prob = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
     ctx = prob.ctx
-    gamma = N.Section.of_base(ctx, {1: parse_expr("sin(x(1))", ctx)})
+    gamma = {1: parse_expr("sin(x(1))", ctx)}
     fv = N.first_variation_check(prob, V.poincare_cartan(prob),
                                  {1: Expr.const(ctx, 1)}, gamma,
                                  interval(0.0, 1.0, 10 ** 4))
@@ -389,7 +385,7 @@ def test_first_variation_extremal_with_compact_variation():
     # variation vanishing at the boundary: both terms nearly cancel on an extremal
     prob = problem("1/2*y(1;1)^2 - 1/2*y(1)^2")
     ctx = prob.ctx
-    gamma = N.Section.of_base(ctx, {1: parse_expr("sin(x(1))", ctx)})
+    gamma = {1: parse_expr("sin(x(1))", ctx)}
     xi = {1: parse_expr("(x(1)*(1-x(1)))^3", ctx)}
     fv = N.first_variation_check(prob, V.poincare_cartan(prob), xi, gamma,
                                  interval(0.0, 1.0, 4000))
@@ -400,7 +396,7 @@ def test_first_variation_extremal_with_compact_variation():
 def test_first_variation_zero_lagrangian():
     prob = problem("0")
     ctx = prob.ctx
-    gamma = N.Section.of_base(ctx, {1: parse_expr("x(1)^2", ctx)})
+    gamma = {1: parse_expr("x(1)^2", ctx)}
     fv = N.first_variation_check(prob, V.poincare_cartan(prob),
                                  {1: Expr.const(ctx, 1)}, gamma,
                                  interval(0.0, 1.0, 100))
@@ -412,7 +408,7 @@ def test_first_variation_exact_beyond_quadratic_densities():
     # carries its t^2 truncation, the chain-rule left side does not
     prob = problem("1/4*y(1;1)^4")
     ctx = prob.ctx
-    gamma = N.Section.of_base(ctx, {1: parse_expr("x(1)", ctx)})
+    gamma = {1: parse_expr("x(1)", ctx)}
     fv = N.first_variation_check(prob, V.poincare_cartan(prob),
                                  {1: parse_expr("x(1)", ctx)}, gamma,
                                  interval(0.0, 1.0, 11))
@@ -455,7 +451,7 @@ def test_first_variation_two_base_dimensions():
     # boundary term carries the whole variation
     prob = problem("1/2*(y(1;1)^2 + y(1;2)^2)", n=2)
     ctx = prob.ctx
-    gamma = N.Section.of_base(ctx, {1: parse_expr("x(1)^2 - x(2)^2", ctx)})
+    gamma = {1: parse_expr("x(1)^2 - x(2)^2", ctx)}
     xi = {1: parse_expr("x(1)", ctx)}
     dom = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 201)
     fv = N.first_variation_check(prob, V.poincare_cartan(prob), xi, gamma, dom)
