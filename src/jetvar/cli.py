@@ -75,7 +75,7 @@ DEFAULT_TOLERANCES = {
 class ProblemFile:
     """Parsed problem definition with validated cross-references."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, tol=()):
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         cp.optionxform = str
         try:
@@ -99,12 +99,25 @@ class ProblemFile:
             raise InputError("[lagrangian] block needs an L entry")
         self.problem = V.LagrangianProblem(self.ctx, parse_expr(ltext, self.ctx))
         self.cp = cp
-        self.tolerances = dict(DEFAULT_TOLERANCES)
-        if "tolerances" in cp:
-            for key, val in cp["tolerances"].items():
-                if key not in self.tolerances:
-                    raise InputError(f"unknown tolerance key {key!r}")
-                self.tolerances[key] = _number(val, f"tolerance {key}")
+        self.tolerances = self._tolerances(tol)
+
+    def _tolerances(self, tol) -> dict:
+        """The defaults, overridden by the [tolerances] entries and then by
+        the ``KEY=VAL`` options ``tol``. Each value must be finite and >= 0."""
+        items = list(self.cp["tolerances"].items()) if "tolerances" in self.cp else []
+        for item in tol:
+            if "=" not in item:
+                raise InputError(f"bad --tol {item!r}; expected KEY=VAL")
+            items.append(item.split("=", 1))
+        tolerances = dict(DEFAULT_TOLERANCES)
+        for key, val in items:
+            if key not in tolerances:
+                raise InputError(f"unknown tolerance key {key!r}")
+            value = _number(val, f"tolerance {key}")
+            if not (math.isfinite(value) and value >= 0):
+                raise InputError(f"tolerance {key} = {val} must be finite and >= 0")
+            tolerances[key] = value
+        return tolerances
 
     def digest(self) -> dict:
         ctx = self.ctx
@@ -530,14 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args) -> tuple[dict, int]:
     try:
-        pf = ProblemFile(args.file)
-        for item in args.tol:
-            if "=" not in item:
-                raise InputError(f"bad --tol {item!r}; expected KEY=VAL")
-            key, val = item.split("=", 1)
-            if key not in pf.tolerances:
-                raise InputError(f"unknown tolerance key {key!r}")
-            pf.tolerances[key] = _number(val, f"tolerance {key}")
+        pf = ProblemFile(args.file, args.tol)
         rep = COMMANDS[args.command](pf, args)
         data = rep.finalize()
         code = data["exit_code"]

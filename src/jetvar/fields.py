@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import forms
-from . import multiindex as mi
 from . import numerics
 from .errors import InputError, UnsupportedSymbolicError
 from .forms import DiffForm
@@ -51,13 +50,10 @@ class SlopeField:
             for c in e.coords():
                 if c.kind == "x" or (c.kind == "y" and c.order <= r - 1):
                     continue
-                raise InputError(
-                    f"slope component for ({y.sigma},{y.J}) depends on {c.text()}")
-        for sigma in range(1, ctx.m + 1):
-            for k in range(r, 2 * r):
-                for K in mi.tuples(ctx.n, k):
-                    if jet(sigma, K) not in self.components:
-                        raise InputError(f"slope field misses component ({sigma},{K})")
+                raise InputError(f"slope component for {y.text()} depends on {c.text()}")
+        for y in ctx.coords(jet, range(r, 2 * r)):
+            if y not in self.components:
+                raise InputError(f"slope field misses component {y.text()}")
 
     def top_subs_map(self) -> dict:
         """Only the order-r components (composition into order-r functions)."""
@@ -163,13 +159,11 @@ def weierstrass(prob: LagrangianProblem, lep: LepageanForm, w: SlopeField) -> We
     E = forms.omega_0(ctx).scaled(prob.L) - forms.pullback(lep.realize(), w.components)
     top = w.top_subs_map()
     excess = prob.L - prob.L.subs(top)
-    for sigma in range(1, ctx.m + 1):
-        for A in mi.tuples(ctx.n, ctx.r):
-            y = jet(sigma, A)
-            slope = prob.L.partial(y).subs(top)
-            if slope.is_zero():
-                continue
-            excess = excess - slope * (Expr.coord(ctx, y) - top[y])
+    for y in ctx.coords(jet, (ctx.r,)):
+        slope = prob.L.partial(y).subs(top)
+        if slope.is_zero():
+            continue
+        excess = excess - slope * (Expr.coord(ctx, y) - top[y])
     return WeierstrassData(E, excess)
 
 
@@ -276,8 +270,8 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     identities_ok = at_field.is_zero()
     for i in range(1, ctx.n + 1):
         identities_ok &= wd.excess.partial(base(i)).subs(top).is_zero()
-    for s, J in ctx.jets(max_order=ctx.r):
-        identities_ok &= wd.excess.partial(jet(s, J)).subs(top).is_zero()
+    for y in ctx.coords(jet, range(ctx.r + 1)):
+        identities_ok &= wd.excess.partial(y).subs(top).is_zero()
     report.add("excess-vanishing-identities", bool(identities_ok),
                "excess and its first partials vanish at the field")
 

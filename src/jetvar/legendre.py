@@ -66,12 +66,6 @@ class RegularityReport:
         return all(b.max_rank for b in self.blocks.values())
 
 
-def _labels(ctx: ChartContext, kind, length: int) -> list:
-    """``kind(sigma, K)`` for every fiber and every K of the given length."""
-    return [kind(sigma, K) for sigma in range(1, ctx.m + 1)
-            for K in mi.tuples(ctx.n, length)]
-
-
 def momenta_block(prob: LagrangianProblem, s: int):
     """Block s of the momenta Jacobian as ``(rows, cols, entries)``.
 
@@ -81,8 +75,8 @@ def momenta_block(prob: LagrangianProblem, s: int):
     """
     ctx = prob.ctx
     P = momenta(prob)
-    rows = _labels(ctx, jet, s)
-    cols = _labels(ctx, mom, 2 * ctx.r - s)
+    rows = ctx.coords(jet, (s,))
+    cols = ctx.coords(mom, (2 * ctx.r - s,))
     return rows, cols, [[P[c].partial(row) for c in cols] for row in rows]
 
 
@@ -119,7 +113,7 @@ def regularity_report(prob: LagrangianProblem, point: dict,
 def hessian_entries(prob: LagrangianProblem):
     """The jets of order r and the top-order Hessian d2L/dy^s_A dy^nu_B
     between them, row by row."""
-    labels = _labels(prob.ctx, jet, prob.ctx.r)
+    labels = prob.ctx.coords(jet, (prob.ctx.r,))
     return labels, [[prob.L.partial(a).partial(b) for b in labels] for a in labels]
 
 
@@ -213,39 +207,32 @@ def legendre_chart(prob: LagrangianProblem) -> LegendreChartData:
         for p, coeffs in zip(relations, zip(*block)):
             if any(c.max_jet_order() >= r + layer for c in coeffs):
                 raise UnsupportedSymbolicError(
-                    f"momentum relation for P({p.sigma};{p.J}) is not affine in "
+                    f"momentum relation for {p.text()} is not affine in "
                     f"order-{r + layer} jets")
             A.append([c.subs(inverse) for c in coeffs])
             base_part = P[p].subs(zero_top).subs(inverse)
             rhs.append(Expr.coord(ctx, p) - base_part)
         inverse.update(zip(unknowns, solve_linear_system(A, rhs, ctx, layer=layer)))
     H = -prob.L.subs(inverse)
-    for sigma, K in ctx.momenta_indices():
-        y = jet(sigma, K)
-        yK = Expr.coord(ctx, y) if len(K) < r else inverse[y]
-        H = H + Expr.coord(ctx, mom(sigma, K)) * yK * mi.count(K)
+    for p in ctx.coords(mom, range(1, r + 1)):
+        y = jet(p.sigma, p.J)
+        yK = Expr.coord(ctx, y) if p.order < r else inverse[y]
+        H = H + Expr.coord(ctx, p) * yK * mi.count(p.J)
     return LegendreChartData(prob, inverse, H, _canonical_equations(ctx, H))
 
 
 def _canonical_equations(ctx: ChartContext, H: Expr) -> dict:
-    r = ctx.r
     groups: dict = {"fiber0": [], "fiber": [], "momenta": []}
-    for sigma in range(1, ctx.m + 1):
-        for k in range(0, r):
-            for J in mi.tuples(ctx.n, k):
-                NJ = Fraction(mi.count(J))
-                dterms = [(NJ, mom(sigma, mi.merge(J, i)), i)
-                          for i in range(1, ctx.n + 1)]
-                eq = HddEquation(f"dH/dy({sigma};{','.join(map(str, J))})",
-                                 H.partial(jet(sigma, J)), dterms)
-                groups["fiber0" if k == 0 else "fiber"].append(eq)
-        for k in range(1, r + 1):
-            for K in mi.tuples(ctx.n, k):
-                dterms = [(-Fraction(mi.count(J)), jet(sigma, J), i)
-                          for J, i in mi.parent_pairs(K)]
-                groups["momenta"].append(HddEquation(
-                    f"dH/dP({sigma};{','.join(map(str, K))})",
-                    H.partial(mom(sigma, K)), dterms))
+    for y in ctx.coords(jet, range(ctx.r)):
+        NJ = Fraction(mi.count(y.J))
+        dterms = [(NJ, mom(y.sigma, mi.merge(y.J, i)), i) for i in range(1, ctx.n + 1)]
+        groups["fiber" if y.J else "fiber0"].append(HddEquation(
+            f"dH/dy({y.sigma};{','.join(map(str, y.J))})", H.partial(y), dterms))
+    for p in ctx.coords(mom, range(1, ctx.r + 1)):
+        dterms = [(-Fraction(mi.count(J)), jet(p.sigma, J), i)
+                  for J, i in mi.parent_pairs(p.J)]
+        groups["momenta"].append(HddEquation(
+            f"dH/dP({p.sigma};{','.join(map(str, p.J))})", H.partial(p), dterms))
     return groups
 
 
@@ -283,14 +270,12 @@ class Trajectory:
 
 
 def _state_coords(ctx: ChartContext):
-    ys = [jet(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(ctx.r)]
-    ps = [mom(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(1, ctx.r + 1)]
-    return ys, ps
+    return ctx.coords(jet, range(ctx.r)), ctx.coords(mom, range(1, ctx.r + 1))
 
 
 def _top_coords(ctx: ChartContext):
     """Jets of order r .. 2r-1 that a trajectory reconstructs, per fiber."""
-    return [jet(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(ctx.r, 2 * ctx.r)]
+    return ctx.coords(jet, range(ctx.r, 2 * ctx.r))
 
 
 def hdd_integrate(source, init: dict, x0: float, x1: float, step: float) -> Trajectory:
@@ -409,7 +394,7 @@ def _newton_flow(prob: LagrangianProblem):
         known = known + unknowns
         names[f"_newton{layer}"] = _newton_loop(ctx, layer, known, relations, jac)
         targets.append([n_ys + ps.index(c) for c in cols])
-    dL_inputs = [base(1)] + ys + [jet(s, (1,) * r) for s in range(1, m + 1)]
+    dL_inputs = [base(1)] + ys + ctx.coords(jet, (r,))
     dL = [prob.L.partial(jet(c.sigma, c.J[1:])) for c in ps]
 
     def solve(lines, layer, args, state, tag):
@@ -509,14 +494,13 @@ def holonomy_residual_column(traj: Trajectory, prob: LagrangianProblem):
     xs = traj.xs
     col = np.zeros_like(xs)
     interior = slice(1, -1)
-    for s in range(1, ctx.m + 1):
-        for k in range(2 * ctx.r - 1):
-            lower = traj.columns.get(jet(s, (1,) * k))
-            upper = traj.columns.get(jet(s, (1,) * (k + 1)))
-            if lower is None or upper is None:
-                continue
-            d, interior = _grid_derivative(traj.h, lower)
-            col = np.maximum(col, np.abs(d - upper))
+    for y in ctx.coords(jet, range(2 * ctx.r - 1)):
+        lower = traj.columns.get(y)
+        upper = traj.columns.get(jet(y.sigma, y.J + (1,)))
+        if lower is None or upper is None:
+            continue
+        d, interior = _grid_derivative(traj.h, lower)
+        col = np.maximum(col, np.abs(d - upper))
     return col, interior
 
 

@@ -47,29 +47,11 @@ def tuples(n: int, k: int):
     return itertools.combinations_with_replacement(range(1, n + 1), k)
 
 
-def up_to(n: int, k: int):
-    """All canonical multi-indices of length 0..k over 1..n."""
-    for length in range(k + 1):
-        yield from tuples(n, length)
-
-
-def remove_one(J: MultiIndex, v: int) -> MultiIndex:
-    """Remove a single occurrence of ``v`` from ``J``."""
-    out = list(J)
-    out.remove(v)
-    return tuple(out)
-
-
-def distinct_values(J: MultiIndex):
-    """Values of ``J`` without repetition, in increasing order."""
-    return sorted(set(J))
-
-
 def parent_pairs(K: MultiIndex):
-    """Distinct pairs ``(J, i)`` with ``merge(J, i) == K``.
+    """Distinct pairs ``(J, i)`` with ``merge(J, i) == K``, ``i`` increasing.
 
     Summing ``count(J)`` over these pairs gives ``count(K)``.
     """
-    for v in distinct_values(K):
-        yield remove_one(K, v), v
-
+    for i in sorted(set(K)):
+        at = K.index(i)
+        yield K[:at] + K[at + 1:], i

@@ -267,7 +267,7 @@ def first_variation_check(prob: LagrangianProblem, lep: LepageanForm, xi: dict,
         if not isinstance(e, Expr):
             e = Expr.const(ctx, e)
         direction[sigma] = e.subs(along)
-    # Terms in prolongation order (sigma ascending, then J in up_to order):
+    # Terms in prolongation order (ChartContext.coords: sigma, |J|, then J):
     # their order sets the summation order of the integrand's floats.
     lhs = quadrature(Expr.sum(ctx, (
         prob.L.partial(c).subs(along) * e

@@ -22,6 +22,12 @@ text (:meth:`ChartContext.atom_text`) and sort key
 or function atom's argument is rendered and sorted once, not again in every
 term that holds the atom. These caches live as long as the context; each
 CLI job builds its own.
+
+Every family of coordinates the theory indexes (the jets of some orders,
+the momenta) is enumerated by :meth:`ChartContext.coords`, in
+:meth:`Coord.sort_key` order: fiber, then multi-index length, then the
+multi-index itself. Tables built from one family, and the float sums taken
+over them, therefore come out in the same order in every module.
 """
 
 from __future__ import annotations
@@ -269,16 +275,8 @@ class ChartContext:
 
     # -- coordinate enumeration -------------------------------------------
 
-    def jets(self, max_order: int | None = None, min_order: int = 0):
-        """All (sigma, J) with min_order <= |J| <= max_order."""
-        top = self.max_order if max_order is None else max_order
-        for sigma in range(1, self.m + 1):
-            for k in range(min_order, top + 1):
-                for J in mi.tuples(self.n, k):
-                    yield sigma, J
-
-    def momenta_indices(self):
-        for sigma in range(1, self.m + 1):
-            for k in range(1, self.r + 1):
-                for J in mi.tuples(self.n, k):
-                    yield sigma, J
+    def coords(self, kind, orders) -> list:
+        """``kind(s, K)`` for each fiber s, each length in ``orders`` and each
+        canonical K of that length, in :meth:`Coord.sort_key` order."""
+        return [kind(s, K) for s in range(1, self.m + 1) for k in sorted(orders)
+                for K in mi.tuples(self.n, k)]

@@ -338,7 +338,9 @@ class Expr:
             return True
         diff = self - other
         rng = random.Random(20831)
-        coords = diff.coords()
+        # Both sides' coordinates: one may cancel from the difference.
+        ids = self.coord_support_ids() | other.coord_support_ids()
+        coords = [self.ctx.atom(a) for a in sorted(ids)]
         samples = 8
         done = 0
         attempts = 0

@@ -40,7 +40,7 @@ from . import multiindex as mi
 from .errors import (ContactOrderError, DegreeError, InadmissibleGError,
                      InputError, VerticalityError)
 from .forms import DiffForm
-from .symcore import ChartContext, Expr, base, jet, mom, vel
+from .symcore import ChartContext, Expr, jet, mom, vel
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,12 @@ def _recursion(prob: LagrangianProblem, g: GSpec) -> dict:
     r = ctx.r
     entries = {}
     for k in range(r, 0, -1):
-        for sigma in range(1, ctx.m + 1):
-            for K in mi.tuples(ctx.n, k):
-                e = prob.L.partial(jet(sigma, K)) * Fraction(1, mi.count(K))
-                if k < r:
-                    for i in range(1, ctx.n + 1):
-                        e = e - _shifted(entries, g, sigma, i, K).total_derivative(i)
-                entries[mom(sigma, K)] = e
+        for p in ctx.coords(mom, (k,)):
+            e = prob.L.partial(jet(p.sigma, p.J)) * Fraction(1, mi.count(p.J))
+            if k < r:
+                for i in range(1, ctx.n + 1):
+                    e = e - _shifted(entries, g, p.sigma, i, p.J).total_derivative(i)
+            entries[p] = e
     return entries
 
 
@@ -133,30 +132,31 @@ class GSpec:
             raise InadmissibleGError(
                 "no free coefficients exist for first-order problems")
         for (sigma, i, J), e in self.entries.items():
+            key = _g_text(sigma, i, J)
             k = len(J) + 1
             if not 2 <= k <= r:
-                raise InadmissibleGError(
-                    f"entry level {k} outside 2..{r} for key ({sigma},{i},{J})")
+                raise InadmissibleGError(f"entry level {k} outside 2..{r} for {key}")
             if not 1 <= i <= ctx.n or not 1 <= sigma <= ctx.m:
-                raise InadmissibleGError(f"index out of range in ({sigma},{i},{J})")
+                raise InadmissibleGError(f"index out of range in {key}")
             for c in e.coords():
                 if c.kind not in ("x", "y"):
-                    raise InadmissibleGError(
-                        f"entry ({sigma},{i},{J}) depends on {c.text()}")
+                    raise InadmissibleGError(f"entry {key} depends on {c.text()}")
             if e.max_jet_order() > 2 * r - 1 - k:
                 raise InadmissibleGError(
-                    f"entry ({sigma},{i},{J}) has jet order {e.max_jet_order()} "
-                    f"> {2 * r - 1 - k}")
-        for sigma in range(1, ctx.m + 1):
-            for k in range(2, r + 1):
-                for K in mi.tuples(ctx.n, k):
-                    total = Expr.const(ctx, 0)
-                    for J, i in mi.parent_pairs(K):
-                        total = total + self.get(sigma, i, J, ctx) * mi.count(J)
-                    if not total.is_zero():
-                        raise InadmissibleGError(
-                            f"weighted symmetrization nonzero at sigma={sigma}, K={K}: "
-                            f"{total}")
+                    f"entry {key} has jet order {e.max_jet_order()} > {2 * r - 1 - k}")
+        for y in ctx.coords(jet, range(2, r + 1)):
+            total = Expr.const(ctx, 0)
+            for J, i in mi.parent_pairs(y.J):
+                total = total + self.get(y.sigma, i, J, ctx) * mi.count(J)
+            if not total.is_zero():
+                raise InadmissibleGError(
+                    f"weighted symmetrization of the entries g({y.sigma};i|J) with "
+                    f"J+i = {','.join(map(str, y.J))} is nonzero: {total}")
+
+
+def _g_text(sigma: int, i: int, J) -> str:
+    """A free-table key as the user writes it: ``g(1;2|1,1)``."""
+    return f"g({sigma};{i}|{','.join(map(str, J))})"
 
 
 @dataclass
@@ -200,10 +200,9 @@ def _coefficients(prob: LagrangianProblem, g: GSpec) -> dict:
     P = _recursion(prob, g) if g.entries else prob._momenta
     f: dict = {}
     for k in range(ctx.r, 0, -1):
-        for sigma in range(1, ctx.m + 1):
-            for J in mi.tuples(ctx.n, k - 1):
-                for i in range(1, ctx.n + 1):
-                    f[vel(sigma, J, i)] = _shifted(P, g, sigma, i, J) * mi.count(J)
+        for y in ctx.coords(jet, (k - 1,)):
+            for i in range(1, ctx.n + 1):
+                f[vel(y.sigma, y.J, i)] = _shifted(P, g, y.sigma, i, y.J) * mi.count(y.J)
     return f
 
 
@@ -262,26 +261,18 @@ def lepagean_defect(rho: DiffForm, prob: LagrangianProblem) -> DefectReport:
         raise ContactOrderError(
             f"form has contact order {dec.contact_order()} > 1")
     mismatch = forms.horizontal_density(dec.horizontal) - prob.L
-    p1 = forms.contact_part(forms.ext_d(rho), 1)
-    dx_block = tuple(forms.d_(base(i)) for i in range(1, ctx.n + 1))
+    # Each term of the 1-contact part is dx_1^..^dx_n^om(s;J), one per (s, J),
+    # with a nonzero coefficient; om^dx_1^..^dx_n takes the sign (-1)^n.
     el = {}
     defect = {}
-    seen = set()
-    for covs in p1.terms:
-        wc = [cv for cv in covs if cv.kind == "w"]
-        if len(wc) != 1:
-            continue
-        key = (wc[0].coord.sigma, wc[0].coord.J)
-        if key in seen:
-            continue
-        seen.add(key)
-        coeff = p1.coefficient((wc[0],) + dx_block)
-        if coeff.is_zero():
-            continue
-        if key[1]:
-            defect[key] = coeff
+    for covs, coeff in forms.contact_part(forms.ext_d(rho), 1).terms.items():
+        om = covs[-1].coord
+        if ctx.n % 2:
+            coeff = -coeff
+        if om.J:
+            defect[(om.sigma, om.J)] = coeff
         else:
-            el[key[0]] = coeff
+            el[om.sigma] = coeff
     return DefectReport(mismatch, el, defect)
 
 
@@ -318,42 +309,35 @@ def hamilton_form(lep: LepageanForm) -> HamiltonFormTable:
     ctx = lep.ctx
     Lt = extended_lagrangian(lep)
     entries = {}
-    for nu in range(1, ctx.m + 1):
-        for k in range(0, 2 * ctx.r):
-            for P in mi.tuples(ctx.n, k):
-                c = jet(nu, P)
-                e = Lt.partial(c)
-                for q in range(1, ctx.n + 1):
-                    dv = Lt.partial(vel(nu, P, q))
-                    if dv.is_zero():
-                        continue
-                    e = e - dv.prolonged_total_derivative(q)
-                entries[c] = e
+    for c in ctx.coords(jet, range(2 * ctx.r)):
+        e = Lt.partial(c)
+        for q in range(1, ctx.n + 1):
+            dv = Lt.partial(vel(c.sigma, c.J, q))
+            if dv.is_zero():
+                continue
+            e = e - dv.prolonged_total_derivative(q)
+        entries[c] = e
     return HamiltonFormTable(entries, Lt)
 
 
 def prolong_vector_field(ctx: ChartContext, xi: dict, order: int) -> dict:
     """Components ``{jet(s, J): d_J xi^s}``, |J| <= order, of the jet
-    prolongation of a vertical field.
+    prolongation of a vertical field, in :meth:`ChartContext.coords` order.
 
-    ``xi`` maps sigma to a component in (x, y). Fibers run in ascending
-    sigma, each J in :func:`jetvar.multiindex.up_to` order, and the
-    component at J is one formal derivative of the one at its parent J[:-1].
+    ``xi`` maps sigma to a component in (x, y). The component at J is one
+    formal derivative of the one at its parent J[:-1].
     """
-    comps = {}
-    for sigma in sorted(xi):
-        e = xi[sigma]
-        if not isinstance(e, Expr):
-            e = Expr.const(ctx, e)
+    xi = {s: e if isinstance(e, Expr) else Expr.const(ctx, e) for s, e in sorted(xi.items())}
+    for e in xi.values():
         for c in e.coords():
             if c.kind == "x" or (c.kind == "y" and c.order == 0):
                 continue
             raise VerticalityError(
                 f"field component contains {c.text()}; only base and order-0 "
                 "fiber coordinates are allowed")
-        by_J = {(): e}
-        for J in mi.up_to(ctx.n, order):
-            if J:
-                by_J[J] = by_J[J[:-1]].total_derivative(J[-1])
-            comps[jet(sigma, J)] = by_J[J]
+    comps, by_J = {}, {}
+    for y in ctx.coords(jet, range(order + 1)):
+        if y.sigma in xi:
+            e = by_J[y.sigma, y.J[:-1]].total_derivative(y.J[-1]) if y.J else xi[y.sigma]
+            comps[y] = by_J[y.sigma, y.J] = e
     return comps

@@ -101,10 +101,10 @@ def test_criterion_04_hamilton_defining_property(corpus):
             rhs_expr = F.horizontal_density(
                 prolonged_horizontalization(F.interior_product(pro, drho)))
             point = {base(i): rng.uniform(-1, 1) for i in range(1, ctx.n + 1)}
-            for s, J in ctx.jets(max_order=2 * ctx.r - 1):
-                point[jet(s, J)] = rng.uniform(-1, 1)
+            for y in ctx.coords(jet, range(2 * ctx.r)):
+                point[y] = rng.uniform(-1, 1)
                 for p in range(1, ctx.n + 1):
-                    point[vel(s, J, p)] = rng.uniform(-1, 1)
+                    point[vel(y.sigma, y.J, p)] = rng.uniform(-1, 1)
             lhs = sum(pro[key].eval(point) * tab.entries[key].eval(point)
                       for key in tab.entries)
             assert abs(lhs - rhs_expr.eval(point)) <= 1e-9
@@ -146,8 +146,8 @@ def test_criterion_06_regularity_and_definiteness():
         ctx = ChartContext(n, 1, r)
         prob = V.LagrangianProblem(ctx, parse_expr(text, ctx))
         pt = {base(i): 0.1 * i for i in range(1, n + 1)}
-        for s, J in ctx.jets(max_order=r):
-            pt[jet(s, J)] = rng.uniform(-1, 1)
+        for y in ctx.coords(jet, range(r + 1)):
+            pt[y] = rng.uniform(-1, 1)
         assert LG.regularity_report(prob, pt, DEFAULT_TOLERANCES["rank_rel"]).regular
     ctx = ChartContext(1, 1, 2)
     lin = V.LagrangianProblem(ctx, parse_expr("y(1;1,1)*y(1;1)", ctx))
@@ -174,8 +174,8 @@ def test_criterion_06_regularity_and_definiteness():
                 L = L + Expr.coord(ctx, jet(s, A)) * Expr.coord(ctx, jet(nu, B)) * factor
         prob = V.LagrangianProblem(ctx, L)
         pt = {base(i): 0.0 for i in range(1, n + 1)}
-        for s, J in ctx.jets(max_order=r):
-            pt[jet(s, J)] = rng.uniform(-1, 1)
+        for y in ctx.coords(jet, range(r + 1)):
+            pt[y] = rng.uniform(-1, 1)
         got, pd, _ = LG.hessian_definiteness(prob, pt,
                                              DEFAULT_TOLERANCES["definiteness_pivot"])
         assert np.allclose(got, M)

@@ -42,9 +42,9 @@ def make_table(ctx):
     table = {}
     for i in range(1, ctx.n + 1):
         table[ctx.coord_id(base(i))] = sympy.Symbol(f"x{i}")
-    for s, J in ctx.jets():
-        name = "y" + str(s) + "_" + "".join(map(str, J))
-        table[ctx.coord_id(jet(s, J))] = sympy.Symbol(name)
+    for y in ctx.coords(jet, range(ctx.max_order + 1)):
+        name = "y" + str(y.sigma) + "_" + "".join(map(str, y.J))
+        table[ctx.coord_id(y)] = sympy.Symbol(name)
     return table
 
 
@@ -52,7 +52,7 @@ def test_arithmetic_matches_cas():
     ctx = ChartContext(2, 2, 2)
     rng = random.Random(60)
     table = make_table(ctx)
-    atoms = [base(1), base(2)] + [jet(s, J) for s, J in ctx.jets(max_order=2)]
+    atoms = [base(1), base(2)] + ctx.coords(jet, range(3))
     for _ in range(15):
         a = random_polynomial(ctx, rng, atoms, n_terms=4, degree=3)
         b = random_polynomial(ctx, rng, atoms, n_terms=3, degree=2)
@@ -65,7 +65,7 @@ def test_partials_match_cas():
     ctx = ChartContext(2, 1, 2)
     rng = random.Random(61)
     table = make_table(ctx)
-    atoms = [base(1), base(2)] + [jet(1, J) for _, J in ctx.jets(max_order=2)]
+    atoms = [base(1), base(2)] + ctx.coords(jet, range(3))
     for _ in range(10):
         e = random_polynomial(ctx, rng, atoms, n_terms=4, degree=3)
         se = to_sympy(e, table)
@@ -80,15 +80,15 @@ def test_formal_derivative_matches_cas_chain_rule():
     ctx = ChartContext(2, 1, 2, max_order=3)
     rng = random.Random(62)
     table = make_table(ctx)
-    atoms = [base(1), base(2)] + [jet(1, J) for _, J in ctx.jets(max_order=2)]
+    atoms = [base(1), base(2)] + ctx.coords(jet, range(3))
     for _ in range(8):
         e = random_polynomial(ctx, rng, atoms, n_terms=4, degree=3)
         se = to_sympy(e, table)
         for i in (1, 2):
             want = sympy.diff(se, table[ctx.coord_id(base(i))])
-            for s, J in ctx.jets(max_order=2):
-                up = table[ctx.coord_id(jet(s, mi.merge(J, i)))]
-                want += up * sympy.diff(se, table[ctx.coord_id(jet(s, J))])
+            for y in ctx.coords(jet, range(3)):
+                up = table[ctx.coord_id(jet(y.sigma, mi.merge(y.J, i)))]
+                want += up * sympy.diff(se, table[ctx.coord_id(y)])
             got = to_sympy(e.total_derivative(i), table)
             assert got == sympy.expand(want)
 
@@ -114,7 +114,7 @@ def test_quotient_calculus_matches_cas():
     ctx = ChartContext(1, 1, 2, max_order=3)
     rng = random.Random(63)
     table = make_table(ctx)
-    atoms = [base(1)] + [jet(1, J) for _, J in ctx.jets(max_order=2)]
+    atoms = [base(1)] + ctx.coords(jet, range(3))
     for _ in range(6):
         e, parts = random_quotient(ctx, rng, atoms)
         se = mirror(e, table)
@@ -124,7 +124,7 @@ def test_quotient_calculus_matches_cas():
             got = mirror(e.partial(c), table)
             assert vanishes(got - sympy.diff(se, table[ctx.coord_id(c)]))
         want = sympy.diff(se, table[ctx.coord_id(base(1))])
-        for s, J in ctx.jets(max_order=2):
-            up = table[ctx.coord_id(jet(s, mi.merge(J, 1)))]
-            want += up * sympy.diff(se, table[ctx.coord_id(jet(s, J))])
+        for y in ctx.coords(jet, range(3)):
+            up = table[ctx.coord_id(jet(y.sigma, mi.merge(y.J, 1)))]
+            want += up * sympy.diff(se, table[ctx.coord_id(y)])
         assert vanishes(mirror(e.total_derivative(1), table) - want)

@@ -204,6 +204,12 @@ GAMMA = "[gamma]\ny(1) = \"sin(x(1))\"\n\n"
     ("verify-extremal", GAMMA + "[domain]\nresolution = sixty\n", ()),
     ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n\n[tolerances]\nholonomy = oops\n", ()),
     ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--tol", "holonomy=abc")),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n\n[tolerances]\nholonomy = nan\n", ()),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n\n[tolerances]\nholonomy = inf\n", ()),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n\n[tolerances]\nholonomy = -1\n", ()),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--tol", "holonomy=nan")),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--tol", "holonomy=inf")),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--tol", "holonomy=-1")),
     ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n\n[domain]\nlower = 1\n", ()),
     ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--x0", "abc")),
     ("verify-extremal", GAMMA + "[domain]\nresolution = 50\n", ("--x1", "1..2")),
@@ -220,6 +226,8 @@ GAMMA = "[gamma]\ny(1) = \"sin(x(1))\"\n\n"
     ("first-variation", GAMMA + "[variation]\ny(1) = \"1\"\n\n[domain]\nresolution = 50\n",
      ("--eps", "1e-5")),
 ], ids=["domain-lower", "domain-resolution", "tolerances-block", "tol-option",
+        "tolerances-nan", "tolerances-inf", "tolerances-negative",
+        "tol-nan", "tol-inf", "tol-negative",
         "duplicate-block", "x0-option", "x1-option", "step-option",
         "resolution-option", "eps-option", "resolution-zero", "domain-nan",
         "domain-inf", "gamma-key", "delta-key", "field-key", "variation-key",
@@ -647,3 +655,20 @@ def test_hj_non_closed_field_exit_2_with_report(tmp_path):
     assert code == 2
     assert not data["checks"]["closed"]["pass"]
     assert data["exit_code"] == 2
+
+
+@pytest.mark.parametrize("command,text,code,message", [
+    ("legendre", None, 3, "momentum relation for P(1;1) is not affine in order-1 jets"),
+    ("field-check", "[problem]\nn = 1\nm = 1\nr = 2\n\n[lagrangian]\nL = \"1/2*y(1;1,1)^2\"\n\n"
+                    "[field]\ny(1;1,1,1) = \"0\"\n", 1, "slope field misses component y(1;1,1)"),
+    ("derive", "[problem]\nn = 2\nm = 1\nr = 2\n\n[lagrangian]\n"
+               "L = \"1/2*(y(1;1,1)^2 + y(1;2,2)^2)\"\n\n[g]\ng(1;3|1) = \"y(1)\"\n",
+     1, "index out of range in g(1;3|1)"),
+], ids=["legendre-momentum", "field-missing-jet", "g-entry"])
+def test_messages_print_coordinate_text(tmp_path, command, text, code, message):
+    path = prob_path("minimal_surface.prob")
+    if text is not None:
+        path = tmp_path / "p.prob"
+        path.write_text(text)
+    data, got = run(build_parser().parse_args([command, str(path)]))
+    assert got == code and data["error"]["message"] == message

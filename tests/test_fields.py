@@ -29,7 +29,7 @@ def free_particle():
 def random_slope_field(prob, rng):
     ctx = prob.ctx
     atoms = [base(i) for i in range(1, ctx.n + 1)]
-    atoms += [jet(s, J) for s, J in ctx.jets(max_order=ctx.r - 1)]
+    atoms += ctx.coords(jet, range(ctx.r))
     comps = {}
     for s in range(1, ctx.m + 1):
         for k in range(ctx.r, 2 * ctx.r):
@@ -197,12 +197,12 @@ def test_excess_identities_on_corpus(corpus):
         assert wd.excess.subs(top).is_zero()
         for i in range(1, ctx.n + 1):
             assert wd.excess.partial(base(i)).subs(top).is_zero()
-        for s, J in ctx.jets(max_order=ctx.r):
-            assert wd.excess.partial(jet(s, J)).subs(top).is_zero()
-        for s, A in ctx.jets(max_order=ctx.r, min_order=ctx.r):
-            for nu, B in ctx.jets(max_order=ctx.r, min_order=ctx.r):
-                got = wd.excess.partial(jet(s, A)).partial(jet(nu, B)).subs(top)
-                want = prob.L.partial(jet(s, A)).partial(jet(nu, B)).subs(top)
+        for y in ctx.coords(jet, range(ctx.r + 1)):
+            assert wd.excess.partial(y).subs(top).is_zero()
+        for a in ctx.coords(jet, (ctx.r,)):
+            for b in ctx.coords(jet, (ctx.r,)):
+                got = wd.excess.partial(a).partial(b).subs(top)
+                want = prob.L.partial(a).partial(b).subs(top)
                 assert got.equal_exact(want)
 
 

@@ -5,6 +5,10 @@ aside) must be used by the package's own code: its name must occur as a
 ``Name`` or as the attribute of an ``Attribute`` node in the parsed
 source. A name that occurs only in a docstring or a comment does not count.
 Code that only tests reach belongs in ``tests/``.
+
+Every module-level import of a module other than a package ``__init__``
+must be used in that module, as a ``Name`` (which is also the root of any
+``Attribute`` chain); ``from __future__ import annotations`` is exempt.
 """
 
 import ast
@@ -80,3 +84,46 @@ def test_scan_ignores_names_in_docstrings_and_comments():
     unused, defined = unused_definitions({"m.py": source})
     assert unused == ["m.py:3 Table.part"]
     assert defined == {"Table", "Table.part", "Table.used", "caller"}
+
+
+def unused_imports(sources: dict) -> list:
+    """Module-level imports that no ``Name`` node of their module uses, as
+    ``path:line name``; package ``__init__`` modules re-export and are skipped.
+
+    ``sources`` maps a path to its source text."""
+    unused = []
+    for path, text in sources.items():
+        if pathlib.PurePath(path).name == "__init__.py":
+            continue
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{path}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_used_in_src():
+    sources = {str(f.relative_to(SRC)): f.read_text() for f in sorted(SRC.rglob("*.py"))}
+    unused = unused_imports(sources)
+    assert not unused, "imported but not used: " + ", ".join(unused)
+
+
+def test_import_scan_flags_unused_module_level_imports():
+    source = ('from __future__ import annotations\n'
+              'import json\n'
+              'import os.path\n'
+              'from . import forms as F\n'
+              'from .symcore import base, jet\n'
+              'def f():\n'
+              '    import math\n'
+              '    """json is named here only."""\n'
+              '    return os.path.join(F.name, jet(1))\n')
+    assert unused_imports({"m.py": source, "pkg/__init__.py": "import json\n"}) == [
+        "m.py:2 json", "m.py:5 base"]

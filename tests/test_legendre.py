@@ -29,8 +29,8 @@ PIVOT = DEFAULT_TOLERANCES["definiteness_pivot"]
 
 def full_point(ctx, rng, order=None):
     pt = {base(i): rng.uniform(-1, 1) for i in range(1, ctx.n + 1)}
-    for s, J in ctx.jets(max_order=order or ctx.r):
-        pt[jet(s, J)] = rng.uniform(-1, 1)
+    for y in ctx.coords(jet, range((order or ctx.r) + 1)):
+        pt[y] = rng.uniform(-1, 1)
     return pt
 
 

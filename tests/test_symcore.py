@@ -566,6 +566,27 @@ def test_probable_equality_for_transcendental(ctx):
     assert not e.probably_equal(Expr.const(ctx, 2))
 
 
+def test_probable_equality_when_a_coordinate_cancels():
+    # x(1) cancels from the difference, but each side still needs its value
+    ctx = ChartContext(1, 1, 1)
+    lhs = parse_expr("x(1) + sin(y(1))", ctx)
+    assert not lhs.probably_equal(parse_expr("x(1) + cos(y(1))", ctx))
+    square = parse_expr("x(1) + sin(y(1))^2", ctx)
+    assert square.probably_equal(parse_expr("x(1) + 1 - cos(y(1))^2", ctx))
+
+
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3), st.data())
+def test_coords_lists_a_family_once_in_sort_order(n, m, r, data):
+    ctx = ChartContext(n, m, r)
+    kind, lengths = data.draw(st.sampled_from([(jet, range(2 * r)), (mom, range(1, r + 1))]))
+    orders = data.draw(st.lists(st.sampled_from(lengths), unique=True))
+    got = ctx.coords(kind, orders)
+    assert got == sorted(got, key=Coord.sort_key)
+    assert len(set(got)) == len(got) == m * sum(math.comb(n + k - 1, k) for k in orders)
+    for c in got:
+        ctx.coord_id(c)  # each one is a coordinate of the chart
+
+
 def test_interned_function_atoms_share_identity(ctx):
     a = parse_expr("sin(y(1) + 1)", ctx)
     b = parse_expr("sin(1 + y(1))", ctx)

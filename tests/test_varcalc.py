@@ -238,8 +238,8 @@ def test_extended_lagrangian_holonomic_substitution(corpus):
     for prob in corpus:
         ctx = prob.ctx
         lt = V.extended_lagrangian(V.poincare_cartan(prob))
-        hol = {vel(s, J, i): Expr.coord(ctx, jet(s, mi.merge(J, i)))
-               for s, J in ctx.jets(max_order=2 * ctx.r - 1)
+        hol = {vel(y.sigma, y.J, i): Expr.coord(ctx, jet(y.sigma, mi.merge(y.J, i)))
+               for y in ctx.coords(jet, range(2 * ctx.r))
                for i in range(1, ctx.n + 1)}
         assert lt.subs(hol) == prob.L
 
@@ -310,10 +310,10 @@ def test_hamilton_defining_property(corpus):
             prolonged_horizontalization(F.interior_product(pro, drho)))
         for _ in range(10):
             point = {base(i): rng.uniform(-1, 1) for i in range(1, ctx.n + 1)}
-            for s, J in ctx.jets(max_order=2 * ctx.r - 1):
-                point[jet(s, J)] = rng.uniform(-1, 1)
+            for y in ctx.coords(jet, range(2 * ctx.r)):
+                point[y] = rng.uniform(-1, 1)
                 for p in range(1, ctx.n + 1):
-                    point[vel(s, J, p)] = rng.uniform(-1, 1)
+                    point[vel(y.sigma, y.J, p)] = rng.uniform(-1, 1)
             lhs = sum(pro[key].eval(point) * tab.entries[key].eval(point)
                       for key in tab.entries)
             assert abs(lhs - rhs_expr.eval(point)) <= 1e-9
