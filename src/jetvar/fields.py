@@ -46,7 +46,8 @@ class SlopeField:
         r = ctx.r
         for y, e in self.components.items():
             if not r <= y.order <= 2 * r - 1:
-                raise InputError(f"slope component order {y.order} outside {r}..{2 * r - 1}")
+                raise InputError(f"slope component {y.text()} has order {y.order} "
+                                 f"outside {r}..{2 * r - 1}")
             for c in e.coords():
                 if c.kind == "x" or (c.kind == "y" and c.order <= r - 1):
                     continue
@@ -96,7 +97,6 @@ def hj_primitive(w: SlopeField, lep: LepageanForm) -> DiffForm:
     star-shaped chart is exact. The identity dS = w-pullback is verified
     before returning.
     """
-    ctx = lep.ctx
     wr = forms.pullback(lep.realize(), w.components)
     for c in wr.terms.values():
         if not c.is_polynomial():
@@ -112,7 +112,8 @@ def hj_primitive(w: SlopeField, lep: LepageanForm) -> DiffForm:
 
 
 def _radial_homotopy(a: DiffForm) -> DiffForm:
-    """Radial (star-shaped chart) homotopy: d(K a) + K(d a) = a for p >= 1.
+    """Radial (star-shaped chart) homotopy: d(K a) + K(d a) = a for p >= 1,
+    on polynomial coefficients (checked by :func:`hj_primitive`).
 
     For a monomial coefficient of total degree d in a p-form term, the
     parameter integral contributes the factor 1/(p + d).
@@ -122,9 +123,6 @@ def _radial_homotopy(a: DiffForm) -> DiffForm:
     p = a.degree
     pairs = []
     for covs, coeff in a.terms.items():
-        if not coeff.is_polynomial():
-            raise UnsupportedSymbolicError(
-                "radial homotopy needs polynomial coefficients")
         scaled = Expr(ctx, K.poly_radial_scale(coeff.num, p))
         for s, cov in enumerate(covs):
             factor = Expr.coord(ctx, cov.coord) * scaled
@@ -144,7 +142,7 @@ class WeierstrassData:
     @cached_property
     def horizontal_matches(self) -> bool:
         """Does the horizontal density of the form equal the excess function?"""
-        density = forms.horizontal_density(forms.horizontalization(self.form))
+        density = forms.horizontal_density(forms.contact_decompose(self.form, 0)[0])
         return density.equal_exact(self.excess)
 
 

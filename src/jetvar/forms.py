@@ -22,14 +22,13 @@ float evaluation, which sums terms in that order, gives the same numbers.
 The contact decomposition is a change of 1-form basis: each jet
 differential splits as dy^s_J = om^s_J + y^s_{J+l} dx^l, and collecting
 terms by the number of contact factors gives the horizontal part and the
-k-contact parts. Re-expanding reproduces the input exactly. When one part
-is needed, :func:`contact_part` stops expanding a product once it holds
-more contact factors than that part has.
+k-contact parts. Re-expanding reproduces the input exactly. Asked for the
+parts up to some k, :func:`contact_decompose` stops expanding a product
+once it holds more than k contact factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from ._poly import poly_neg, rat_add
@@ -50,9 +49,6 @@ class Cov:
         self.coord = coord
         self.key = (4, coord.sigma, len(coord.J), coord.J) if kind == "w" else coord.sort_key()
         self._hash = hash(self.key)
-
-    def sort_key(self):
-        return self.key
 
     def __eq__(self, other):
         return isinstance(other, Cov) and self.key == other.key
@@ -210,13 +206,6 @@ class DiffForm:
             return Expr.const(self.ctx, 0)
         return c if sign > 0 else -c
 
-    def cov_kinds(self) -> set:
-        kinds = set()
-        for covs in self.terms:
-            for cov in covs:
-                kinds.add(cov.kind if cov.kind == "w" else cov.coord.kind)
-        return kinds
-
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda kv: tuple(c.key for c in kv[0]))
 
@@ -311,21 +300,6 @@ def omega_contact(ctx: ChartContext, sigma: int, J=()) -> DiffForm:
 
 # -- contact decomposition ----------------------------------------------------
 
-@dataclass
-class ContactDecomposition:
-    """Horizontal part plus the k-contact parts of a form."""
-
-    horizontal: DiffForm
-    contact_parts: list  # index k-1 holds the k-contact part
-
-    def contact_order(self) -> int:
-        order = 0
-        for k, p in enumerate(self.contact_parts, start=1):
-            if not p.is_zero():
-                order = k
-        return order
-
-
 def _products(a: DiffForm, image, most=None):
     """The products of expanding each term of ``a`` with every covector
     replaced by a 1-form, in order, as ``(covectors, coefficient, number of
@@ -370,7 +344,7 @@ def _contact_split(a: DiffForm):
     Needs jets one order above the differentials present, so it raises on
     order overflow, and raises on covectors other than dx, dy and om."""
     ctx = a.ctx
-    bad = a.cov_kinds() - {"x", "y", "w"}
+    bad = {cov.coord.kind for covs in a.terms for cov in covs if cov.kind != "w"} - {"x", "y"}
     if bad:
         raise InputError(f"contact decomposition undefined for {sorted(bad)} covectors")
 
@@ -386,27 +360,17 @@ def _contact_split(a: DiffForm):
     return split
 
 
-def contact_decompose(a: DiffForm) -> ContactDecomposition:
-    """Split a form into horizontal and k-contact parts by substituting
-    dy^s_J = om^s_J + y^s_{J+l} dx^l."""
-    buckets = [{} for _ in range(a.degree + 1)]
-    for covs, coeff in _substitute(a, _contact_split(a)).terms.items():
-        buckets[sum(1 for cv in covs if cv.kind == "w")][covs] = coeff
-    parts = [DiffForm._normalized(a.ctx, a.degree, terms) for terms in buckets]
-    return ContactDecomposition(parts[0], parts[1:])
-
-
-def contact_part(a: DiffForm, k: int) -> DiffForm:
-    """The k-contact part of a form, as :func:`contact_decompose` splits it,
-    without expanding the products that hold more than k contact factors."""
-    return _collect(a.ctx, a.degree,
-                    ((covs, e) for covs, e, kw in _products(a, _contact_split(a), most=k)
-                     if kw == k))
-
-
-def horizontalization(a: DiffForm) -> DiffForm:
-    """h(a): substitute dy^s_J by y^s_{J+l} dx^l throughout."""
-    return contact_part(a, 0)
+def contact_decompose(a: DiffForm, most: int | None = None) -> list:
+    """The k-contact parts of a form for k = 0..``most`` (default: its
+    degree), by substituting dy^s_J = om^s_J + y^s_{J+l} dx^l; part 0 is
+    the horizontal part h(a). Products with more than ``most`` contact
+    factors are never expanded."""
+    if most is None:
+        most = a.degree
+    buckets = [[] for _ in range(most + 1)]
+    for covs, e, k in _products(a, _contact_split(a), most):
+        buckets[k].append((covs, e))
+    return [_collect(a.ctx, a.degree, pairs) for pairs in buckets]
 
 
 def pullback(a: DiffForm, subst: dict) -> DiffForm:

@@ -144,8 +144,7 @@ def positive_definite(M: np.ndarray, pivot_tol: float) -> bool:
 
 # -- symbolic linear algebra ---------------------------------------------------
 
-def solve_linear_system(A: list, b: list, ctx: ChartContext,
-                        layer: int | None = None) -> list:
+def solve_linear_system(A: list, b: list, layer: int | None = None) -> list:
     """Exact Gauss-Jordan solve of a square system with expression entries.
 
     Pivots are chosen structurally nonzero; the inversion is generic (valid
@@ -212,7 +211,7 @@ def legendre_chart(prob: LagrangianProblem) -> LegendreChartData:
             A.append([c.subs(inverse) for c in coeffs])
             base_part = P[p].subs(zero_top).subs(inverse)
             rhs.append(Expr.coord(ctx, p) - base_part)
-        inverse.update(zip(unknowns, solve_linear_system(A, rhs, ctx, layer=layer)))
+        inverse.update(zip(unknowns, solve_linear_system(A, rhs, layer=layer)))
     H = -prob.L.subs(inverse)
     for p in ctx.coords(mom, range(1, r + 1)):
         y = jet(p.sigma, p.J)

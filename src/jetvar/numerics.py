@@ -26,6 +26,8 @@ from .symcore import ChartContext, Evaluator, Expr, base
 from . import forms
 from .varcalc import LagrangianProblem, LepageanForm, prolong_vector_field
 
+_MAX_POINTS = 10 ** 7  # grid-point budget of one domain (resolution ** n)
+
 
 @dataclass(frozen=True)
 class IntegrationDomain:
@@ -44,6 +46,11 @@ class IntegrationDomain:
             raise InputError("domain needs lower < upper componentwise")
         if self.resolution < 2:
             raise InputError("resolution must be at least 2")
+        n = len(self.lower)
+        points = self.resolution ** n
+        if points > _MAX_POINTS:
+            raise InputError(f"resolution {self.resolution} on n = {n} axes gives {points} "
+                             f"grid points, more than {_MAX_POINTS}: lower the resolution")
 
     @property
     def dim(self) -> int:

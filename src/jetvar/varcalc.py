@@ -56,7 +56,7 @@ class LagrangianProblem:
                 raise InputError(f"Lagrangian may not contain {c.text()}")
             if c.kind == "y" and c.order > self.ctx.r:
                 raise InputError(
-                    f"Lagrangian of order {c.order} exceeds declared order {self.ctx.r}")
+                    f"Lagrangian of declared order {self.ctx.r} contains {c.text()}")
 
     @cached_property
     def _momenta(self) -> dict:
@@ -256,16 +256,16 @@ def lepagean_defect(rho: DiffForm, prob: LagrangianProblem) -> DefectReport:
                           *(cov.coord.order for cov in covs if cov.coord.kind == "y"),
                           0)
     ctx.ensure_max_order(max(max_support + 2, 2 * ctx.r))
-    dec = forms.contact_decompose(rho)
-    if dec.contact_order() > 1:
-        raise ContactOrderError(
-            f"form has contact order {dec.contact_order()} > 1")
-    mismatch = forms.horizontal_density(dec.horizontal) - prob.L
+    parts = forms.contact_decompose(rho)
+    order = max((k for k, part in enumerate(parts) if not part.is_zero()), default=0)
+    if order > 1:
+        raise ContactOrderError(f"form has contact order {order} > 1")
+    mismatch = forms.horizontal_density(parts[0]) - prob.L
     # Each term of the 1-contact part is dx_1^..^dx_n^om(s;J), one per (s, J),
     # with a nonzero coefficient; om^dx_1^..^dx_n takes the sign (-1)^n.
     el = {}
     defect = {}
-    for covs, coeff in forms.contact_part(forms.ext_d(rho), 1).terms.items():
+    for covs, coeff in forms.contact_decompose(forms.ext_d(rho), 1)[1].terms.items():
         om = covs[-1].coord
         if ctx.n % 2:
             coeff = -coeff

@@ -126,8 +126,8 @@ def prolonged_horizontalization(a):
     return F._substitute(a, image)
 
 
-def reconstruct(dec):
-    """Independent oracle: the form a contact decomposition came from.
+def reconstruct(parts):
+    """Independent oracle: the form the contact parts came from.
 
     Each k-contact part re-expands om^s_J -> dy^s_J - y^s_{J+l} dx^l and is
     added to the horizontal part.
@@ -137,7 +137,7 @@ def reconstruct(dec):
             F.omega_contact(part.ctx, cov.coord.sigma, cov.coord.J)
             if cov.kind == "w" else None))
 
-    return F.form_sum([dec.horizontal, *map(expand, dec.contact_parts)])
+    return F.form_sum([parts[0], *map(expand, parts[1:])])
 
 
 def interval(a, b, resolution=100):

@@ -260,7 +260,7 @@ def test_criterion_09_forms_engine():
         coeff = random_polynomial(c1, rng2, [base(1), jet(1, ()), jet(1, (1,))],
                                   n_terms=3, degree=2)
         a = F.DiffForm(c1, 1, {(F.d_(jet(1, (1,))),): coeff})
-        h = F.horizontalization(a)
+        h = F.contact_decompose(a, 0)[0]
         pro = N.jet_prolong_section(c1, gamma, 3)
         lhs = F.horizontal_density(F.pullback(a, pro))
         rhs = F.horizontal_density(F.pullback(h, pro))

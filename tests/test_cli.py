@@ -225,16 +225,22 @@ GAMMA = "[gamma]\ny(1) = \"sin(x(1))\"\n\n"
     ("first-variation", GAMMA + "[variation]\ny(1;1) = \"1\"\n", ()),
     ("first-variation", GAMMA + "[variation]\ny(1) = \"1\"\n\n[domain]\nresolution = 50\n",
      ("--eps", "1e-5")),
+    ("verify-extremal", GAMMA + "[domain]\nresolution = 10000001\n", ()),
+    ("verify-extremal", "[problem]\nn = 2\nm = 1\nr = 1\n\n[lagrangian]\n"
+                        "L = \"1/2*(y(1;1)^2 + y(1;2)^2)\"\n\n[gamma]\ny(1) = \"x(1)\"\n",
+     ("--resolution", "3163")),
 ], ids=["domain-lower", "domain-resolution", "tolerances-block", "tol-option",
         "tolerances-nan", "tolerances-inf", "tolerances-negative",
         "tol-nan", "tol-inf", "tol-negative",
         "duplicate-block", "x0-option", "x1-option", "step-option",
         "resolution-option", "eps-option", "resolution-zero", "domain-nan",
         "domain-inf", "gamma-key", "delta-key", "field-key", "variation-key",
-        "eps-removed"])
+        "eps-removed", "grid-over-budget-n1", "grid-over-budget-n2"])
 def test_malformed_input_is_input_error(tmp_path, command, blocks, extra):
+    # blocks that open with their own [problem] replace the n = 1 header
     f = tmp_path / "bad.prob"
-    f.write_text("[problem]\nn = 1\nm = 1\nr = 1\n\n"
+    f.write_text(blocks if blocks.startswith("[problem]") else
+                 "[problem]\nn = 1\nm = 1\nr = 1\n\n"
                  "[lagrangian]\nL = \"1/2*y(1;1)^2 - 1/2*y(1)^2\"\n\n" + blocks)
     code, data, _ = run_cli(command, str(f), *extra)
     assert code == 1
@@ -664,7 +670,12 @@ def test_hj_non_closed_field_exit_2_with_report(tmp_path):
     ("derive", "[problem]\nn = 2\nm = 1\nr = 2\n\n[lagrangian]\n"
                "L = \"1/2*(y(1;1,1)^2 + y(1;2,2)^2)\"\n\n[g]\ng(1;3|1) = \"y(1)\"\n",
      1, "index out of range in g(1;3|1)"),
-], ids=["legendre-momentum", "field-missing-jet", "g-entry"])
+    ("field-check", "[problem]\nn = 1\nm = 1\nr = 2\n\n[lagrangian]\nL = \"1/2*y(1;1,1)^2\"\n\n"
+                    "[field]\ny(1;1) = \"0\"\n", 1, "slope component y(1;1) has order 1 outside 2..3"),
+    ("derive", "[problem]\nn = 1\nm = 1\nr = 1\n\n[lagrangian]\nL = \"y(1;1)^2 + y(1;1,1)\"\n",
+     1, "Lagrangian of declared order 1 contains y(1;1,1)"),
+], ids=["legendre-momentum", "field-missing-jet", "g-entry", "field-component-order",
+        "lagrangian-order"])
 def test_messages_print_coordinate_text(tmp_path, command, text, code, message):
     path = prob_path("minimal_surface.prob")
     if text is not None:

@@ -313,12 +313,11 @@ def test_certificate_rejects_incompatible_section():
         certificate(prob, lep, w, gamma, interval(0.0, 1.0, 5))
 
 
-def test_radial_homotopy_rejects_quotients():
-    ctx = ChartContext(1, 1, 1)
-    a = F.DiffForm(ctx, 1,
-                   {(F.d_(jet(1, ())),): parse_expr("1/(y(1)+2)", ctx)})
+def test_primitive_rejects_quotients():
+    prob, lep, _ = free_particle()
+    w = FL.SlopeField(prob.ctx, {jet(1, (1,)): parse_expr("1/(y(1)+2)", prob.ctx)})
     with pytest.raises(UnsupportedSymbolicError):
-        FL._radial_homotopy(a)
+        FL.hj_primitive(w, lep)
 
 
 def test_second_order_field_with_quotient_components():

@@ -127,16 +127,16 @@ def test_d_leibniz_over_wedge(ctx):
 def test_contact_split_of_dy():
     c1 = ChartContext(1, 1, 1, max_order=2)
     dec = F.contact_decompose(dy(c1, 1))
-    assert dec.horizontal == dx(c1, 1).scaled(parse_expr("y(1;1)", c1))
-    assert dec.contact_parts == [F.DiffForm(c1, 1, {(F.w_(1, ()),): Expr.const(c1, 1)})]
+    assert dec[0] == dx(c1, 1).scaled(parse_expr("y(1;1)", c1))
+    assert dec[1:] == [F.DiffForm(c1, 1, {(F.w_(1, ()),): Expr.const(c1, 1)})]
 
 
 def test_horizontal_form_untouched(ctx):
     L = parse_expr("y(1;1)^2 + x(2)", ctx)
     lw = F.omega_0(ctx).scaled(L)
     dec = F.contact_decompose(lw)
-    assert dec.horizontal == lw
-    assert all(p.is_zero() for p in dec.contact_parts)
+    assert dec[0] == lw
+    assert all(p.is_zero() for p in dec[1:])
 
 
 def test_first_order_expansion_matches_hand_computation():
@@ -146,7 +146,7 @@ def test_first_order_expansion_matches_hand_computation():
     L = parse_expr("1/2*y(1;1)^2 - y(1)^3", c1)
     f = parse_expr("y(1;1) + y(1)", c1)
     rho = F.omega_0(c1).scaled(L) + F.omega_contact(c1, 1, ()).scaled(f)
-    p1 = F.contact_decompose(F.ext_d(rho)).contact_parts[0]
+    p1 = F.contact_decompose(F.ext_d(rho))[1]
     dxc = F.d_(base(1))
     got0 = p1.coefficient((F.w_(1, ()), dxc))
     got1 = p1.coefficient((F.w_(1, (1,)), dxc))
@@ -218,7 +218,7 @@ def test_horizontalization_agrees_with_section_pullback():
         coeff = random_polynomial(c1, rng, [base(1), jet(1), jet(1, (1,))],
                                   n_terms=3, degree=2)
         a = dy(c1, 1, (1,)).scaled(coeff)  # n-form for n = 1
-        h = F.horizontalization(a)
+        h = F.contact_decompose(a, 0)[0]
         lhs = F.horizontal_density(F.pullback(a, pro))
         rhs = F.horizontal_density(F.pullback(h, pro))
         for xval in (0.1, 0.5, 0.9):
@@ -229,7 +229,7 @@ def test_horizontalization_agrees_with_section_pullback():
 
 def _ref_sort(covs):
     """Sorted factors and the sign of the permutation, or (None, 0)."""
-    lst = [(c.sort_key(), c) for c in covs]
+    lst = [(c.key, c) for c in covs]
     sign = 1
     for i in range(1, len(lst)):
         item = lst[i]
@@ -377,11 +377,14 @@ def test_form_operations_match_per_term_accumulation(seed, p, q):
     parts = [_ref_form(p, ((k, e) for k, e in expanded.terms.items()
                            if sum(cv.kind == "w" for cv in k) == j)) for j in range(p + 1)]
     dec = F.contact_decompose(a)
-    got = [dec.horizontal, *dec.contact_parts]
+    assert len(dec) == p + 1
+    for got, want in zip(dec, parts):
+        _assert_same(got, want)
     for k in range(p + 2):
-        want = parts[k] if k <= p else _ref_form(p, ())
-        _assert_same(got[k] if k <= p else F.DiffForm(ctx, p), want)
-        _assert_same(F.contact_part(a, k), want)
+        got = F.contact_decompose(a, k)
+        assert len(got) == k + 1
+        for j in range(k + 1):
+            _assert_same(got[j], parts[j] if j <= p else _ref_form(p, ()))
 
     def unsplit(cov):
         co = cov.coord

@@ -47,3 +47,4 @@ def test_traced_jobs_run_and_count(tmp_path):
     assert out["codes"] == [0, 0, 0]
     assert out["metrics"]["legendre.hdd_integrate.total_s"] > 0
     assert out["metrics"]["numerics.quadrature.points"] > 0
+    assert out["metrics"]["forms.contact_decompose.total_s"] > 0
