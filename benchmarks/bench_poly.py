@@ -14,16 +14,18 @@ text of every expression the report prints. ``defect_stress`` is the check
 of the canonical equivalent of that quotient alone: ``realize`` and
 ``lepagean_defect`` (the equivalent's coefficients are computed once,
 outside the timed region). Four numeric workloads run generated float
-code at many points (the problem and chart setup is done once, outside the
+code (the problem and chart setup is done once, outside the
 timed region, except in ``laplace_first_variation_201``):
 
-* ``laplace_action_201``: trapezoid quadrature of the Laplace action
-  integrand along a section, as in ``verify-extremal``, on a 201^2 grid;
+* ``laplace_action_201``: Gauss-Legendre quadrature of the Laplace action
+  integrand along a section, as in ``verify-extremal``, on a domain of
+  resolution 201. The integrand is a quadratic polynomial, so it takes 2
+  nodes per axis, not 201;
 * ``laplace_first_variation_201``: what ``jetvar first-variation`` computes
   for a harmonic section of the Laplace density and a quadratic variation
-  on a 201^2 grid: the canonical equivalent, the left-side integrand, the
-  interior and boundary terms (symbolic setup included) and their
-  quadratures;
+  on a domain of resolution 201: the canonical equivalent, the left-side
+  integrand, the interior and boundary terms (symbolic setup included) and
+  their quadratures, each on a few nodes per axis;
 * ``ho_hdd_integrate``: RK4 on the harmonic oscillator's canonical
   equations over [0, 1] at step 2.5e-4 (4000 steps), with recovery of y';
 * ``newton_hdd_integrate``: RK4 on the anharmonic density

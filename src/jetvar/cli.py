@@ -29,7 +29,12 @@ Problem files are INI blocks with quoted expression strings::
     [domain]
     lower = 0
     upper = 1
-    resolution = 1000
+    resolution = 1000  ; default: the largest k <= 1000 with k^n <= 10^6
+
+``resolution`` is the number of points per axis of residual grids. Quadrature
+(the action, the first variation) integrates a polynomial integrand exactly
+with a few Gauss-Legendre nodes per axis, whatever the resolution, and any
+other integrand with about ``resolution`` nodes per axis.
 
 Point and init files are plain ``coordinate = value`` lines. Exit codes:
 0 success, 1 input validation (usage errors included), 2 a computed check
@@ -191,9 +196,12 @@ class ProblemFile:
                 raise InputError(f"[domain] {key} has {len(values)} bounds; "
                                  f"expected 1 or n = {n}")
             bounds.append(tuple(values * n if len(values) == 1 else values))
-        res = (_number(blk.get("resolution", "1000"), "[domain] resolution", int)
-               if resolution is None else resolution)
-        return N.IntegrationDomain(*bounds, res)
+        if resolution is None and "resolution" in blk:
+            resolution = _number(blk["resolution"], "[domain] resolution", int)
+        elif resolution is None:
+            # the largest k <= 1000 whose grid, k^n points, is at most 10^6
+            resolution = next((k for k in range(1000, 1, -1) if k ** n <= 10 ** 6), 2)
+        return N.IntegrationDomain(*bounds, resolution)
 
 
 def _unquote(text: str | None) -> str | None:

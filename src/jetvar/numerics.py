@@ -5,11 +5,14 @@ A base section is ``{s: gamma^s(x)}``; its prolongation
 ``{jet(s, J): Expr}`` maps, which substitute and pull back as they are.
 
 This is where arrays live. :func:`grid` runs an evaluator's generated code
-on numpy arrays; quadrature over the box and over its 2n faces (one
-trapezoid rule per axis), residual grids and the variational checks built
-on them (action, first variation) evaluate whole grids at once, in any base
-dimension. Trajectories are integrated on Python floats by the generated
-RK4 steps of :mod:`jetvar.legendre`.
+on numpy arrays; quadrature over the box and over its 2n faces, residual
+grids and the variational checks built on them (action, first variation)
+evaluate whole grids at once, in any base dimension. Quadrature takes one
+Gauss-Legendre rule per axis: a polynomial integrand gets the few nodes
+that integrate it exactly, any other about ``resolution`` nodes in 5-point
+panels. Residual grids sample ``resolution`` uniform points per axis, the
+box's faces included. Trajectories are integrated on Python floats by the
+generated RK4 steps of :mod:`jetvar.legendre`.
 
 numpy is imported inside the functions that use it, here and in
 :mod:`jetvar.legendre` and :mod:`jetvar.fields`, so importing the CLI loads
@@ -18,6 +21,7 @@ none and a symbolic command such as ``derive`` never pays its start-up.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +39,7 @@ class IntegrationDomain:
 
     lower: tuple
     upper: tuple
-    resolution: int = 100  # points per axis
+    resolution: int = 100  # points per axis of a residual grid; see quadrature
 
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
@@ -143,22 +147,65 @@ def grid(ev: Evaluator, *arrays) -> list:
     return out
 
 
-def _trapezoid(vals: np.ndarray, axes) -> float:
-    """Tensor-product trapezoid rule of grid values, one axis at a time."""
+_PANEL = 5  # nodes of one panel of the composite rule
+
+
+@functools.cache
+def _legendre(k: int):
+    """The k-point Gauss-Legendre nodes and weights on [-1, 1]."""
     import numpy as np
-    for ax in axes:
-        vals = np.trapezoid(vals, ax, axis=0)
+    return np.polynomial.legendre.leggauss(k)
+
+
+def _axis_rule(a: float, b: float, degree: int | None, resolution: int):
+    """Gauss-Legendre nodes and weights on [a, b] for one axis.
+
+    An integrand polynomial of ``degree`` in this axis takes ``degree//2 + 1``
+    nodes, which integrate it exactly up to rounding, unless that is more
+    than ``resolution``. Any other integrand takes ``ceil(resolution/5)``
+    equal panels of the 5-point rule.
+    """
+    import numpy as np
+    if degree is not None and degree // 2 + 1 <= resolution:
+        k, panels = degree // 2 + 1, 1
+    else:
+        k, panels = _PANEL, -(-resolution // _PANEL)
+    t, w = _legendre(k)
+    h = (b - a) / panels
+    mid = a + h * (np.arange(panels) + 0.5)
+    return (mid[:, None] + h / 2 * t).ravel(), np.tile(h / 2 * w, panels)
+
+
+def _integral(integrand: Expr, domain: IntegrationDomain, face=(None, None)) -> float:
+    """Tensor-product Gauss-Legendre integral of a base function over the box.
+
+    ``face = (i, (nodes, weights))`` puts its own rule on axis i. The
+    weights are contracted one axis at a time, the last axis first.
+    """
+    import numpy as np
+    coords = base_coords(domain.dim)
+    degrees = integrand.degrees(coords) or [None] * domain.dim
+    rules = [face[1] if i == face[0] else _axis_rule(a, b, d, domain.resolution)
+             for i, (a, b, d) in enumerate(zip(domain.lower, domain.upper, degrees))]
+    points = np.meshgrid(*(nodes for nodes, _ in rules), indexing="ij", sparse=True)
+    vals = grid(Evaluator([integrand], coords), *points)[0]
+    for _, weights in reversed(rules):
+        vals = vals @ weights
     return float(vals)
 
 
 def quadrature(integrand: Expr, domain: IntegrationDomain) -> float:
-    """Tensor-product trapezoid rule over the box."""
+    """Tensor-product Gauss-Legendre rule over the box.
+
+    A polynomial integrand is integrated exactly up to rounding, with
+    ``d_i//2 + 1`` nodes on axis i for its largest exponent ``d_i`` of x_i;
+    any other integrand takes about ``domain.resolution`` nodes per axis in
+    5-point panels (see :func:`_axis_rule`).
+    """
     for c in integrand.coords():
         if c.kind != "x":
             raise InputError(f"integrand must be a base function, found {c.text()}")
-    axes, grids = domain.mesh()
-    vals = grid(Evaluator([integrand], base_coords(domain.dim)), *grids)[0]
-    return _trapezoid(vals, axes)
+    return _integral(integrand, domain)
 
 
 def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> float:
@@ -166,9 +213,10 @@ def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> floa
 
     With f_i the coefficient of dx_1..^i..dx_n (dx_i left out), the integral
     is the sum over i of (-1)^(i-1) [f_i on the face x_i = b_i minus f_i on
-    the face x_i = a_i], each face an (n-1)-box on the domain's own axes.
-    For n = 1 the faces are the two endpoints and the integral is the
-    endpoint difference of the 0-form. Any other term raises.
+    the face x_i = a_i], each face integrated over the other axes by the
+    rules of :func:`quadrature`. For n = 1 the faces are the two endpoints
+    and the integral is the endpoint difference of the 0-form. Any other
+    term raises.
     """
     import numpy as np
     n = domain.dim
@@ -178,15 +226,11 @@ def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> floa
     faces = [tuple(forms.d_(c) for c in coords[:i] + coords[i + 1:]) for i in range(n)]
     if any(covs not in faces for covs in form.terms):
         raise InputError("boundary integrand must be a combination of dx_1..^i..dx_n")
-    axes = domain.axes()
     total = 0.0
     for i in range(n):
-        face_axes = axes[:i] + axes[i + 1:]
-        face = np.meshgrid(*face_axes, indexing="ij")
-        f = Evaluator([form.coefficient(faces[i])], coords)
-        upper, lower = (_trapezoid(grid(f, *face[:i], x_i, *face[i:])[0], face_axes)
-                        for x_i in (domain.upper[i], domain.lower[i]))
-        total += (-1) ** i * (upper - lower)
+        # axis i takes the two faces, weighted +1 (x_i = b_i) and -1 (x_i = a_i)
+        ends = (np.array([domain.upper[i], domain.lower[i]]), np.array([1.0, -1.0]))
+        total += (-1) ** i * _integral(form.coefficient(faces[i]), domain, (i, ends))
     return total
 
 

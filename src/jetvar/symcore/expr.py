@@ -156,6 +156,20 @@ class Expr:
         """True when the expression is a polynomial in coordinates alone."""
         return all(self.ctx.is_coord(a) for a in K.poly_support(self.num))
 
+    def degrees(self, coords) -> list[int] | None:
+        """The largest exponent of each of ``coords``, or None unless the
+        expression is a polynomial in coordinates alone."""
+        if not self.is_polynomial():
+            return None
+        pos = {self.ctx.coord_id(c): i for i, c in enumerate(coords)}
+        out = [0] * len(coords)
+        for mono in self.num:
+            for aid, k in mono:
+                i = pos.get(aid)
+                if i is not None and k > out[i]:
+                    out[i] = k
+        return out
+
     def has_transcendental(self) -> bool:
         """True when a function atom occurs; reciprocals of rational
         arguments count as rational."""

@@ -3,7 +3,8 @@
 Random polynomial expressions are mirrored into sympy symbols; arithmetic,
 partial derivatives and formal derivatives must agree after expansion.
 Random quotients are mirrored with each reciprocal atom as 1/D; their
-derivatives must agree after cancellation. Skipped when sympy is
+derivatives must agree after cancellation. Quadrature of random
+polynomials must agree with the exact integral. Skipped when sympy is
 unavailable.
 """
 
@@ -11,10 +12,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
 from jetvar import multiindex as mi
+from jetvar import numerics as N
 from jetvar.symcore import ChartContext, Expr, base, jet
 from conftest import random_polynomial
 
@@ -128,3 +131,28 @@ def test_quotient_calculus_matches_cas():
             up = table[ctx.coord_id(jet(y.sigma, mi.merge(y.J, 1)))]
             want += up * sympy.diff(se, table[ctx.coord_id(y)])
         assert vanishes(mirror(e.total_derivative(1), table) - want)
+
+
+_MONOMIAL = st.tuples(st.integers(-9, 9), st.integers(0, 6), st.integers(0, 6))
+_EDGE = st.tuples(st.integers(-8, 8), st.integers(1, 8))  # lower and width, in quarters
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_MONOMIAL, min_size=1, max_size=6), _EDGE, _EDGE)
+def test_quadrature_of_polynomials_matches_cas(monomials, edge1, edge2):
+    # per-axis degree <= 6 on a rational box: Gauss-Legendre nodes are exact
+    ctx = ChartContext(2, 1, 1)
+    x1, x2 = sympy.symbols("x1 x2")
+    box = [(Fraction(lo, 4), Fraction(lo + width, 4)) for lo, width in (edge1, edge2)]
+    e = Expr.const(ctx, 0)
+    for c, k1, k2 in monomials:
+        e = e + c * Expr.coord(ctx, base(1)) ** k1 * Expr.coord(ctx, base(2)) ** k2
+    exact = sympy.integrate(sum(c * x1 ** k1 * x2 ** k2 for c, k1, k2 in monomials),
+                            (x1, *box[0]), (x2, *box[1]))
+    # relative to the integral of the terms' absolute values, so that
+    # cancelling terms do not ask for more than rounding allows
+    scale = sum(abs(c) * max(abs(a) for a in box[0]) ** k1
+                * max(abs(a) for a in box[1]) ** k2 for c, k1, k2 in monomials)
+    scale *= (box[0][1] - box[0][0]) * (box[1][1] - box[1][0])
+    dom = N.IntegrationDomain(*zip(*((float(a), float(b)) for a, b in box)), 10)
+    assert abs(N.quadrature(e, dom) - float(exact)) <= 1e-12 * float(scale)

@@ -184,8 +184,38 @@ def test_first_variation_three_base_dimensions(tmp_path):
     assert res["interior"] == 0
 
 
+def test_first_variation_of_polynomial_section_is_exact(tmp_path):
+    # Laplace density, a quadratic section and a quadratic variation: both
+    # sides are 65/3, and Gauss-Legendre nodes integrate them exactly
+    f = tmp_path / "laplace_poly.prob"
+    f.write_text("[problem]\nn = 2\nm = 1\nr = 1\n\n[lagrangian]\n"
+                 "L = \"1/2*(y(1;1)^2 + y(1;2)^2)\"\n\n"
+                 "[gamma]\ny(1) = \"3*x(1)^2 - 3*x(2)^2 + 2*x(1)*x(2)\"\n\n"
+                 "[variation]\ny(1) = \"5*x(1)*x(2) + 3*x(1)^2\"\n\n"
+                 "[domain]\nlower = 0\nupper = 1\nresolution = 201\n")
+    code, data, _ = run_cli("first-variation", str(f))
+    assert code == 0
+    res = data["results"]
+    assert abs(res["lhs"] - res["rhs"]) < 1e-9
+    assert res["lhs"] == pytest.approx(65 / 3, rel=1e-14)
+
+
+def test_default_resolution_fits_the_grid_budget_at_n3(tmp_path):
+    # no [domain] resolution: n = 3 takes 100 points per axis (100^3 <= 10^6)
+    f = tmp_path / "laplace3.prob"
+    f.write_text("[problem]\nn = 3\nm = 1\nr = 1\n\n[lagrangian]\n"
+                 "L = \"1/2*(y(1;1)^2 + y(1;2)^2 + y(1;3)^2)\"\n\n"
+                 "[gamma]\ny(1) = \"x(1)*x(2)*x(3)\"\n\n"
+                 "[domain]\nlower = 0\nupper = 1\n")
+    code, data, _ = run_cli("verify-extremal", str(f))
+    assert code == 0
+    # the action is 3 * 1/2 * (1/3)^2 = 1/6
+    assert data["results"]["action"] == pytest.approx(1 / 6, rel=1e-14)
+
+
 def test_tolerance_override_changes_outcome():
-    code, data, _ = run_cli("first-variation", HO, "--tol",
+    # one 5-point panel leaves the sin integrand's two sides about 1e-13 apart
+    code, data, _ = run_cli("first-variation", HO, "--resolution", "2", "--tol",
                             "first_variation=1e-15")
     assert code == 2
     assert not data["checks"]["first_variation"]["pass"]

@@ -57,13 +57,41 @@ def test_quadrature_unit_square():
     assert N.quadrature(Expr.const(c2, 1), dom) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_quadrature_halving_step_quarters_error(ctx):
-    e = parse_expr("x(1)^2", ctx)
-    exact = 1 / 3
-    err = []
-    for res in (101, 201):
-        err.append(abs(N.quadrature(e, interval(0.0, 1.0, res)) - exact))
-    assert err[0] / err[1] == pytest.approx(4.0, rel=0.05)
+def test_quadrature_exact_on_polynomials(ctx):
+    # d//2 + 1 Gauss-Legendre nodes per axis integrate degree d exactly
+    for k in range(10):
+        got = N.quadrature(parse_expr(f"x(1)^{k}", ctx), interval(-0.5, 1.5, 10))
+        assert got == pytest.approx((1.5 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1),
+                                    rel=1e-14, abs=1e-14)
+    c2 = ChartContext(2, 1, 1)
+    dom = N.IntegrationDomain((0.0, -1.0), (2.0, 1.0), 10)
+    # integral of x1^5 x2^4 over [0, 2] x [-1, 1] is (64/6) * (2/5)
+    got = N.quadrature(parse_expr("x(1)^5*x(2)^4", c2), dom)
+    assert got == pytest.approx(64 / 6 * 2 / 5, rel=1e-14, abs=1e-14)
+
+
+def test_quadrature_composite_order(ctx):
+    # a transcendental integrand takes ceil(resolution/5) panels of the
+    # 5-point rule, whose error falls as h^10: doubling the panels (2 -> 4)
+    # divides it by about 2^10
+    e = parse_expr("exp(4*x(1))", ctx)
+    exact = (math.exp(4) - 1) / 4
+    err = [abs(N.quadrature(e, interval(0.0, 1.0, res)) - exact) for res in (10, 20)]
+    assert err[0] / err[1] > 500
+
+
+def test_quadrature_nodes_stay_within_resolution(ctx, monkeypatch):
+    # x1^4001 would take 2001 exact nodes: at resolution 100 it takes the
+    # composite rule's 20 panels of 5 nodes, and the node rule is never
+    # built for more nodes than the resolution
+    built = []
+    rule = N._legendre
+    monkeypatch.setattr(N, "_legendre", lambda k: built.append(k) or rule(k))
+    nodes, weights = N._axis_rule(0.0, 1.0, 4001, 100)
+    assert len(nodes) == len(weights) == 100
+    assert max(built) <= 100
+    N.quadrature(parse_expr("x(1)^4001", ctx), interval(0.0, 1.0, 100))
+    assert max(built) <= 100
 
 
 def test_boundary_quadrature_interval(ctx):
@@ -93,7 +121,7 @@ BOUNDARY_FORMS = {
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_boundary_matches_stokes(n):
-    # multilinear coefficients keep the trapezoid rule exact on both sides
+    # polynomial coefficients are integrated exactly on both sides
     c = ChartContext(n, 1, 1)
     form = F.DiffForm(c, n - 1, {
         tuple(F.d_(base(i)) for i in covs): parse_expr(text, c)
