@@ -35,7 +35,8 @@ timed region, except in ``laplace_first_variation_201``):
   of the stage at it, and the last sample has its own (the momenta and the
   generated solver are built inside ``hdd_integrate``, so they are timed).
 
-Prints the best-of-N wall time of each workload:
+Prints the best-of-N wall time of each workload, and for
+``quotient_report`` also the number of characters of text it renders:
 
     python benchmarks/bench_poly.py [--repeat N]
 
@@ -178,12 +179,13 @@ def newton_hdd_integrate():
 
 
 def best_time(fn, repeat):
-    best = float("inf")
+    """Best wall time of ``repeat`` calls, and what the last call returned."""
+    best, out = float("inf"), None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn()
+        out = fn()
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, out
 
 
 def main() -> int:
@@ -200,7 +202,9 @@ def main() -> int:
                  "newton_hdd_integrate": newton_hdd_integrate()}
     width = max(len(n) for n in workloads)
     for name, fn in workloads.items():
-        print(f"{name:<{width}}  {best_time(fn, args.repeat):>9.4f}s")
+        best, out = best_time(fn, args.repeat)
+        size = f"  {sum(map(len, out)):>9} chars" if name == "quotient_report" else ""
+        print(f"{name:<{width}}  {best:>9.4f}s{size}")
     return 0
 
 

@@ -27,7 +27,8 @@ and cached on the expression, so the momenta, the Euler-Lagrange
 expressions, exterior derivatives and the Hamilton table walk each
 expression once however many partials they take. Canonical text
 (:meth:`Expr.__str__`) reads each atom's text and sort key from per-atom
-caches of the context.
+caches of the context, and writes the terms that share a reciprocal part
+as one group, ``(N)*(D)^-k``.
 
 Numeric evaluation has one path: a compiled evaluator
 (:class:`jetvar.symcore.evaluator.Evaluator`) built once per expression set
@@ -64,6 +65,7 @@ from .context import (_RECIP, RESIDUE_PRIME, ChartContext, Coord, FuncAtom, base
 from .evaluator import Evaluator
 
 _ONE = {K.ONE_MONO: (1, 1)}
+_AT_ZERO = {"exp": 1, "sin": 0, "cos": 1}  # functions folded at argument 0
 
 
 def _as_rat(value):
@@ -105,6 +107,8 @@ class Expr:
             return arg._inverse()
         if name == "ln" and arg.is_one():
             return cls.const(ctx, 0)
+        if name in _AT_ZERO and not arg.num:
+            return cls.const(ctx, _AT_ZERO[name])
         if name == "sqrt" and arg.is_constant():
             q = arg.as_fraction()
             if q >= 0:
@@ -515,48 +519,95 @@ class Expr:
         return tuple(sorted(items))
 
     def __str__(self):
-        """Canonical text; the reciprocal atom of D to the power k is (D)^-k.
+        """Canonical text. The reciprocal atom of D to the power k is
+        ``(D)^-k``, and the terms that share one reciprocal part print as one
+        group, ``(N)*(D1)^-k1*(D2)^-k2`` with N the canonical text of their
+        other factors::
 
-        Atom texts and sort keys come from the context's per-atom caches,
-        looked up once per distinct atom of the render."""
+            (8*y(1;1)*y(1;1,1)*v(1;|1) - 8*y(1;1)^2*y(1;1,1))*(y(1;1)^2 + 1)^-3
+              + (-2*y(1;1,1) + 2*v(1;1|1))*(y(1;1)^2 + 1)^-2
+
+        Terms are ordered by descending degree, then by their factors in
+        :meth:`ChartContext.atom_sort_key` order, where reciprocal atoms
+        come last. A group prints where its first term does; a group of one
+        term, and every term free of reciprocals, prints as a plain term.
+
+        The atoms are sorted once per render, with their texts read from
+        the context's per-atom caches, and terms are sorted on the atoms'
+        ranks; each group's reciprocal text is built once."""
         if not self.num:
             return "0"
         ctx = self.ctx
-        recips = ctx._recip_ids
-        atoms = {a for mono in self.num for a, _ in mono}
-        key = {a: ctx.atom_sort_key(a) for a in atoms}
-        atom_text = {a: ctx.atom_text(a) for a in atoms}
-        rendered = []
+        present = {a for mono in self.num for a, _ in mono}
+        atoms = sorted(present, key=ctx.atom_sort_key)
+        rank = dict(zip(atoms, range(len(atoms))))
+        texts = list(map(ctx.atom_text, atoms))
+        first_recip = len(atoms) - len(present & ctx._recip_ids)  # reciprocals sort last
+        terms = []
         for mono, coeff in self.num.items():
-            tm = tuple(sorted((key[a], e, a) for a, e in mono))
-            deg = sum(e for a, e in mono)
-            rendered.append((-deg, tm, coeff))
-        rendered.sort()  # monomials differ in tm, so the coefficient never decides
-        parts = []
-        for _, tm, (cn, cd) in rendered:
+            deg = 0
+            tm = []
+            for a, e in mono:
+                deg += e
+                tm.append((rank[a], e))
+            tm.sort()
+            terms.append((-deg, tm, coeff))
+        terms.sort()  # monomials differ in tm, so the coefficient never decides
+        parts = []   # (sign, body) of each plain term and each group, in print order
+        groups = {}  # reciprocal part -> (its index in parts, [(factor texts, coefficient)])
+        for _, tm, coeff in terms:
             factors = []
-            for _, exp, aid in tm:
-                text = atom_text[aid]
-                if aid in recips:
-                    factors.append(f"{text}^-{exp}")
+            tail = []
+            for r, e in tm:
+                if r < first_recip:
+                    factors.append(texts[r] if e == 1 else f"{texts[r]}^{e}")
                 else:
-                    factors.append(text if exp == 1 else f"{text}^{exp}")
-            mag = abs(cn)
-            body = "*".join(factors)
-            if not factors:
-                body = f"{mag}" if cd == 1 else f"{mag}/{cd}"
-            elif not (mag == 1 and cd == 1):
-                coef = f"{mag}" if cd == 1 else f"{mag}/{cd}"
-                body = f"{coef}*{body}"
-            parts.append(("-" if cn < 0 else "+", body))
-        sign, body = parts[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+                    tail.append((r, e))
+            if not tail:
+                parts.append(_term_text(factors, coeff))
+                continue
+            tail = tuple(tail)
+            group = groups.get(tail)
+            if group is None:
+                group = groups[tail] = (len(parts), [])
+                parts.append(None)  # the group prints where its first term does
+            group[1].append((factors, coeff))
+        for tail, (i, members) in groups.items():
+            recip = "*".join([f"{texts[r]}^-{e}" for r, e in tail])
+            if len(members) == 1:
+                factors, coeff = members[0]
+                factors.append(recip)
+                parts[i] = _term_text(factors, coeff)
+            else:
+                inner = _join_terms([_term_text(f, c) for f, c in members])
+                parts[i] = ("+", f"({inner})*{recip}")
+        return _join_terms(parts)
 
     def __repr__(self):
         return f"Expr({self})"
+
+
+def _term_text(factors, coeff):
+    """``(sign, body)`` of one term: its factor texts times the coefficient."""
+    cn, cd = coeff
+    mag = abs(cn)
+    coef = f"{mag}" if cd == 1 else f"{mag}/{cd}"
+    if not factors:
+        body = coef
+    elif mag == 1 and cd == 1:
+        body = "*".join(factors)
+    else:
+        body = f"{coef}*" + "*".join(factors)
+    return ("-" if cn < 0 else "+"), body
+
+
+def _join_terms(parts):
+    """The text of a sum of ``(sign, body)`` terms."""
+    sign, body = parts[0]
+    text = body if sign == "+" else f"-{body}"
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 def _residue(ctx, num) -> int:

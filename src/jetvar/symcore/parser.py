@@ -15,8 +15,10 @@ Grammar (whitespace insignificant, indices positive decimal integers)::
 
 Rationals are written with the division operator (``1/2``); decimal
 literals are converted to exact fractions. ``a/b^k`` is read as ``a*b^-k``,
-so ``N/(D)^k`` holds one reciprocal atom of ``D``. Jet indices may be
-written in any order and are sorted into the canonical representative.
+so ``N/(D)^k`` holds one reciprocal atom of ``D``, and the grouped terms of
+canonical text, ``(N)*(D)^-k``, are products like any other. Jet indices
+may be written in any order and are sorted into the canonical
+representative.
 """
 
 from __future__ import annotations

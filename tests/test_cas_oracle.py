@@ -3,7 +3,9 @@
 Random polynomial expressions are mirrored into sympy symbols; arithmetic,
 partial derivatives and formal derivatives must agree after expansion.
 Random quotients are mirrored with each reciprocal atom as 1/D; their
-derivatives must agree after cancellation. Quadrature of random
+derivatives must agree after cancellation, and their canonical text, which
+writes each shared reciprocal part once, must parse back to the same
+quotient in a context that interns atoms in another order. Quadrature of random
 polynomials must agree with the exact integral. Skipped when sympy is
 unavailable.
 """
@@ -18,18 +20,23 @@ sympy = pytest.importorskip("sympy")
 
 from jetvar import multiindex as mi
 from jetvar import numerics as N
-from jetvar.symcore import ChartContext, Expr, base, jet
+from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr
 from conftest import random_polynomial
 
 
 def mirror(e, table):
     """Mirror an expression into sympy via the atom table; a reciprocal
-    atom becomes 1/D."""
+    atom becomes 1/D and a function atom the sympy function."""
     total = sympy.Integer(0)
     for mono, (cn, cd) in e.num.items():
         term = sympy.Rational(cn, cd)
         for aid, exp in mono:
-            atom = table[aid] if aid in table else 1 / mirror(e.ctx.atom(aid).arg, table)
+            if aid in table:
+                atom = table[aid]
+            else:
+                fa = e.ctx.atom(aid)
+                arg = mirror(fa.arg, table)
+                atom = 1 / arg if fa.name == "recip" else getattr(sympy, fa.name)(arg)
             term *= atom ** exp
         total += term
     return total
@@ -131,6 +138,48 @@ def test_quotient_calculus_matches_cas():
             up = table[ctx.coord_id(jet(y.sigma, mi.merge(y.J, 1)))]
             want += up * sympy.diff(se, table[ctx.coord_id(y)])
         assert vanishes(mirror(e.total_derivative(1), table) - want)
+
+
+def shared_quotient(ctx, rng, coords):
+    """A polynomial plus N*R for several reciprocal parts R: powers of 1/D
+    with D = 1 + y^2 + x*(random), of 1/sqrt(1 + y(1;1)^2), and their product.
+    Each N has at least two terms, so terms share every reciprocal part."""
+    x, y = (Expr.coord(ctx, c) for c in coords[:2])
+    D = 1 + y ** 2 + x * random_polynomial(ctx, rng, coords, n_terms=2, degree=1)
+    S = Expr.func(ctx, "sqrt", 1 + Expr.coord(ctx, jet(1, (1,))) ** 2)
+    parts = [D ** -rng.randint(1, 2), S ** -rng.randint(1, 3), D ** -1 * S ** -1]
+    e = random_polynomial(ctx, rng, coords, n_terms=2, degree=2)
+    for R in parts:
+        N = (x + y) * (1 + random_polynomial(ctx, rng, coords, n_terms=2, degree=1,
+                                             allow_const=False))
+        e = e + N * R
+    return e
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_grouped_quotient_text_matches_cas(seed):
+    ctx = ChartContext(1, 1, 2)
+    coords = [base(1), jet(1), jet(1, (1,)), jet(1, (1, 1))]
+    table = make_table(ctx)
+    e = shared_quotient(ctx, random.Random(seed), coords)
+    text = str(e)
+    recips = [a for a in ctx._recip_ids if any(a == b for mono in e.num for b, _ in mono)]
+    assert len(recips) == 2
+    for aid in recips:
+        holders = [mono for mono in e.num if any(a == aid for a, _ in mono)]
+        parts = {tuple((a, k) for a, k in mono if a in ctx._recip_ids) for mono in holders}
+        shown = text.count(ctx.atom_text(aid) + "^-")
+        assert shown == len(parts) < len(holders)
+    # Another context interns the coordinates in reverse order, after a
+    # function atom: the text parses to the same quotient there.
+    fresh = ChartContext(1, 1, 2)
+    Expr.func(fresh, "cos", Expr.coord(fresh, base(1)))
+    for c in reversed(coords):
+        fresh.coord_id(c)
+    again = parse_expr(text, fresh)
+    assert str(again) == text
+    assert sympy.expand(mirror(again, make_table(fresh)) - mirror(e, table)) == 0
 
 
 _MONOMIAL = st.tuples(st.integers(-9, 9), st.integers(0, 6), st.integers(0, 6))

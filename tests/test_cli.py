@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from jetvar.cli import DEFAULT_TOLERANCES, build_parser, main, run
+from jetvar.cli import DEFAULT_TOLERANCES, ProblemFile, build_parser, main, run
 from jetvar.symcore import ChartContext, parse_expr
 from conftest import child_env, run_jetvar
 
@@ -365,6 +365,25 @@ def test_derive_matches_golden_report(name):
                      indent=2, sort_keys=True) + "\n"
     with open(os.path.join(GOLDEN, name + ".json")) as fh:
         assert got == fh.read()
+
+
+def _texts(entry):
+    """Every string of a report entry: a string or a nested dict of them."""
+    if isinstance(entry, str):
+        return [entry]
+    return [t for value in entry.values() for t in _texts(value)]
+
+
+@pytest.mark.parametrize("name", sorted(f[:-len(".json")] for f in os.listdir(GOLDEN)))
+def test_golden_derive_text_is_canonical(name):
+    """Each expression a derive golden records prints back to itself after a
+    parse in its problem's context: the recorded text is canonical."""
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        data = json.load(fh)
+    texts = _texts(data["results"]) + _texts(data["checks"]["defect_zero"]["detail"])
+    ctx = ProblemFile(prob_path(name + ".prob")).ctx
+    for text in texts:
+        assert str(parse_expr(text, ctx)) == text
 
 
 HDD_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "hdd")

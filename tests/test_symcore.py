@@ -593,6 +593,19 @@ def test_interned_function_atoms_share_identity(ctx):
     assert a == b
 
 
+def test_functions_fold_at_exact_arguments(ctx):
+    for text, value in (("exp(0)", 1), ("sin(0)", 0), ("cos(0)", 1), ("ln(1)", 0),
+                        ("sqrt(9/4)", Fraction(3, 2)), ("exp(y(1) - y(1))", 1),
+                        ("sin(2*x(1) - x(1) - x(1))", 0)):
+        e = parse_expr(text, ctx)
+        assert e == value and e.is_constant(), text
+    assert (parse_expr("exp(0)", ctx) - 1).is_zero()
+    assert (parse_expr("cos(0)^2 + sin(0)", ctx) - 1).is_zero()
+    assert not ctx._func_ids  # a folded function interns no atom
+    assert str(parse_expr("exp(0*y(1)) + cos(x(1) - x(1))*y(1)", ctx)) == "y(1) + 1"
+    assert not parse_expr("exp(1)", ctx).is_constant()
+
+
 def test_context_validation():
     with pytest.raises(IndexRangeError):
         ChartContext(0, 1, 1)
