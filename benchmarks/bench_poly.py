@@ -13,19 +13,23 @@ same pipeline plus the momenta and the extended density, then the canonical
 text of every expression the report prints. ``defect_stress`` is the check
 of the canonical equivalent of that quotient alone: ``realize`` and
 ``lepagean_defect`` (the equivalent's coefficients are computed once,
-outside the timed region). Four numeric workloads run generated float
-code (the problem and chart setup is done once, outside the
-timed region, except in ``laplace_first_variation_201``):
+outside the timed region). Five numeric workloads run generated float
+code or exact quadrature (the problem and chart setup is done once, outside
+the timed region, except in ``laplace_first_variation_201``):
 
-* ``laplace_action_201``: Gauss-Legendre quadrature of the Laplace action
-  integrand along a section, as in ``verify-extremal``, on a domain of
-  resolution 201. The integrand is a quadratic polynomial, so it takes 2
-  nodes per axis, not 201;
+* ``laplace_action_201``: quadrature of the Laplace action integrand along
+  a section, as in ``verify-extremal``, on a domain of resolution 201. The
+  integrand is a quadratic polynomial, so it is integrated in closed form,
+  with no generated code and no grid;
 * ``laplace_first_variation_201``: what ``jetvar first-variation`` computes
   for a harmonic section of the Laplace density and a quadratic variation
   on a domain of resolution 201: the canonical equivalent, the left-side
   integrand, the interior and boundary terms (symbolic setup included) and
-  their quadratures, each on a few nodes per axis;
+  their quadratures, each polynomial and so in closed form;
+* ``ho_action_13000``: quadrature of the harmonic oscillator's action
+  integrand along ``sin(x(1))`` on [0, 1] at resolution 13,000. The
+  integrand is transcendental, so it takes 2,600 panels of the 5-point
+  Gauss-Legendre rule: 13,000 nodes of generated array code;
 * ``ho_hdd_integrate``: RK4 on the harmonic oscillator's canonical
   equations over [0, 1] at step 2.5e-4 (4000 steps), with recovery of y';
 * ``newton_hdd_integrate``: RK4 on the anharmonic density
@@ -35,7 +39,7 @@ timed region, except in ``laplace_first_variation_201``):
   of the stage at it, and the last sample has its own (the momenta and the
   generated solver are built inside ``hdd_integrate``, so they are timed).
 
-Prints the best-of-N wall time of each workload, and for
+Prints the best-of-N wall time of each workload in milliseconds, and for
 ``quotient_report`` also the number of characters of text it renders:
 
     python benchmarks/bench_poly.py [--repeat N]
@@ -162,6 +166,14 @@ def laplace_first_variation_201():
                                            gamma, domain)
 
 
+def ho_action_13000():
+    ctx = ChartContext(1, 1, 1)
+    prob = V.LagrangianProblem(ctx, parse_expr("1/2*y(1;1)^2 - 1/2*y(1)^2", ctx))
+    integrand = prob.L.subs(N.jet_prolong_section(ctx, {1: parse_expr("sin(x(1))", ctx)}, 1))
+    domain = N.IntegrationDomain((0.0,), (1.0,), 13000)
+    return lambda: N.quadrature(integrand, domain)
+
+
 def ho_hdd_integrate():
     ctx = ChartContext(1, 1, 1)
     prob = V.LagrangianProblem(ctx, parse_expr("1/2*y(1;1)^2 - 1/2*y(1)^2", ctx))
@@ -198,13 +210,14 @@ def main() -> int:
                  "quotient_report": quotient_report, "defect_stress": defect_stress(),
                  "laplace_action_201": laplace_action_201(),
                  "laplace_first_variation_201": laplace_first_variation_201(),
+                 "ho_action_13000": ho_action_13000(),
                  "ho_hdd_integrate": ho_hdd_integrate(),
                  "newton_hdd_integrate": newton_hdd_integrate()}
     width = max(len(n) for n in workloads)
     for name, fn in workloads.items():
         best, out = best_time(fn, args.repeat)
         size = f"  {sum(map(len, out)):>9} chars" if name == "quotient_report" else ""
-        print(f"{name:<{width}}  {best:>9.4f}s{size}")
+        print(f"{name:<{width}}  {best * 1e3:>10.3f} ms{size}")
     return 0
 
 

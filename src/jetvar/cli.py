@@ -32,9 +32,9 @@ Problem files are INI blocks with quoted expression strings::
     resolution = 1000  ; default: the largest k <= 1000 with k^n <= 10^6
 
 ``resolution`` is the number of points per axis of residual grids. Quadrature
-(the action, the first variation) integrates a polynomial integrand exactly
-with a few Gauss-Legendre nodes per axis, whatever the resolution, and any
-other integrand with about ``resolution`` nodes per axis.
+(the action, the first variation) integrates a polynomial integrand in
+closed form, exactly and rounded once, whatever the resolution, and any
+other integrand with about ``resolution`` Gauss-Legendre nodes per axis.
 
 Point and init files are plain ``coordinate = value`` lines. Exit codes:
 0 success, 1 input validation (usage errors included), 2 a computed check

@@ -7,12 +7,14 @@ A base section is ``{s: gamma^s(x)}``; its prolongation
 This is where arrays live. :func:`grid` runs an evaluator's generated code
 on numpy arrays; quadrature over the box and over its 2n faces, residual
 grids and the variational checks built on them (action, first variation)
-evaluate whole grids at once, in any base dimension. Quadrature takes one
-Gauss-Legendre rule per axis: a polynomial integrand gets the few nodes
-that integrate it exactly, any other about ``resolution`` nodes in 5-point
-panels. Residual grids sample ``resolution`` uniform points per axis, the
-box's faces included. Trajectories are integrated on Python floats by the
-generated RK4 steps of :mod:`jetvar.legendre`.
+evaluate whole grids at once, in any base dimension. Quadrature integrates
+a polynomial integrand in closed form: the box's float bounds are exact
+rationals, so is the integral, and it is rounded once, with no evaluator
+and no array. Any other integrand takes about ``resolution`` nodes per axis
+in panels of the 5-point Gauss-Legendre rule. Residual grids sample
+``resolution`` uniform points per axis, the box's faces included.
+Trajectories are integrated on Python floats by the generated RK4 steps of
+:mod:`jetvar.legendre`.
 
 numpy is imported inside the functions that use it, here and in
 :mod:`jetvar.legendre` and :mod:`jetvar.fields`, so importing the CLI loads
@@ -21,12 +23,12 @@ none and a symbolic command such as ``derive`` never pays its start-up.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 from .errors import EvaluationError, InputError, MissingCoordinateError
 from .symcore import ChartContext, Evaluator, Expr, base
+from .symcore.evaluator import _OVERFLOW
 from . import forms
 from .varcalc import LagrangianProblem, LepageanForm, prolong_vector_field
 
@@ -147,60 +149,109 @@ def grid(ev: Evaluator, *arrays) -> list:
     return out
 
 
-_PANEL = 5  # nodes of one panel of the composite rule
+# The 5-point Gauss-Legendre rule on [-1, 1], in closed form: the nodes are
+# 0 and +-1/3 sqrt(5 -+ 2 sqrt(10/7)), the weights 128/225 and (322 +- 13 sqrt(70))/900.
+_INNER, _OUTER = (math.sqrt(5 - 2 * math.sqrt(10 / 7)) / 3,
+                  math.sqrt(5 + 2 * math.sqrt(10 / 7)) / 3)
+_NODES = (-_OUTER, -_INNER, 0.0, _INNER, _OUTER)
+_W_INNER, _W_OUTER = (322 + 13 * math.sqrt(70)) / 900, (322 - 13 * math.sqrt(70)) / 900
+_WEIGHTS = (_W_OUTER, _W_INNER, 128 / 225, _W_INNER, _W_OUTER)
 
 
-@functools.cache
-def _legendre(k: int):
-    """The k-point Gauss-Legendre nodes and weights on [-1, 1]."""
+def _axis_rule(a: float, b: float, resolution: int):
+    """Nodes and weights of ``ceil(resolution/5)`` equal panels of the 5-point
+    Gauss-Legendre rule on [a, b]: about ``resolution`` nodes."""
     import numpy as np
-    return np.polynomial.legendre.leggauss(k)
-
-
-def _axis_rule(a: float, b: float, degree: int | None, resolution: int):
-    """Gauss-Legendre nodes and weights on [a, b] for one axis.
-
-    An integrand polynomial of ``degree`` in this axis takes ``degree//2 + 1``
-    nodes, which integrate it exactly up to rounding, unless that is more
-    than ``resolution``. Any other integrand takes ``ceil(resolution/5)``
-    equal panels of the 5-point rule.
-    """
-    import numpy as np
-    if degree is not None and degree // 2 + 1 <= resolution:
-        k, panels = degree // 2 + 1, 1
-    else:
-        k, panels = _PANEL, -(-resolution // _PANEL)
-    t, w = _legendre(k)
+    panels = -(-resolution // len(_NODES))
     h = (b - a) / panels
     mid = a + h * (np.arange(panels) + 0.5)
-    return (mid[:, None] + h / 2 * t).ravel(), np.tile(h / 2 * w, panels)
+    return ((mid[:, None] + h / 2 * np.array(_NODES)).ravel(),
+            np.tile(h / 2 * np.array(_WEIGHTS), panels))
 
 
-def _integral(integrand: Expr, domain: IntegrationDomain, face=(None, None)) -> float:
-    """Tensor-product Gauss-Legendre integral of a base function over the box.
+def _integral(integrand: Expr, domain: IntegrationDomain, face: int | None = None) -> float:
+    """Integral of a base function over the box; on axis ``face``, the value
+    at the upper bound minus the value at the lower bound instead.
 
-    ``face = (i, (nodes, weights))`` puts its own rule on axis i. The
+    A polynomial integrand whose largest exponent ``d_i`` of x_i has
+    ``d_i//2 + 1 <= resolution`` on every axis but ``face`` is integrated in
+    closed form (:func:`_polynomial_integral`). Any other integrand is
+    evaluated on the tensor product of :func:`_axis_rule`'s panels, whose
     weights are contracted one axis at a time, the last axis first.
     """
-    import numpy as np
     coords = base_coords(domain.dim)
-    degrees = integrand.degrees(coords) or [None] * domain.dim
-    rules = [face[1] if i == face[0] else _axis_rule(a, b, d, domain.resolution)
-             for i, (a, b, d) in enumerate(zip(domain.lower, domain.upper, degrees))]
+    degrees = integrand.degrees(coords)
+    if degrees is not None and all(d // 2 + 1 <= domain.resolution
+                                   for i, d in enumerate(degrees) if i != face):
+        return _polynomial_integral(integrand, coords, domain, face)
+    import numpy as np
+    rules = [(np.array([b, a]), np.array([1.0, -1.0])) if i == face
+             else _axis_rule(a, b, domain.resolution)
+             for i, (a, b) in enumerate(zip(domain.lower, domain.upper))]
     points = np.meshgrid(*(nodes for nodes, _ in rules), indexing="ij", sparse=True)
     vals = grid(Evaluator([integrand], coords), *points)[0]
     for _, weights in reversed(rules):
-        vals = vals @ weights
+        vals = (vals * weights).sum(axis=-1)
     return float(vals)
 
 
-def quadrature(integrand: Expr, domain: IntegrationDomain) -> float:
-    """Tensor-product Gauss-Legendre rule over the box.
+def _polynomial_integral(poly: Expr, coords: list, domain: IntegrationDomain,
+                         face: int | None) -> float:
+    """The exact integral of a polynomial, rounded once to the nearest float.
 
-    A polynomial integrand is integrated exactly up to rounding, with
-    ``d_i//2 + 1`` nodes on axis i for its largest exponent ``d_i`` of x_i;
-    any other integrand takes about ``domain.resolution`` nodes per axis in
-    5-point panels (see :func:`_axis_rule`).
+    Each term c * prod x_i^e_i contributes c times the product of its axes'
+    moments, (b_i^(e_i+1) - a_i^(e_i+1)) / (e_i+1), or b_i^e_i - a_i^e_i on
+    axis ``face``. A float bound is an integer over a power of two, so each
+    term is an integer ratio, and their sum over a common denominator is
+    divided once (int / int rounds correctly). Raises what an evaluator on
+    the box would: a coordinate other than x(1)..x(n) has no value, and a
+    sum beyond float range is an overflow. ``coords`` are x(1)..x(n).
+    """
+    ctx = poly.ctx
+    axis = {ctx.coord_id(c): i for i, c in enumerate(coords)}
+    bounds = []  # (A, B, s): a = A/s and b = B/s, s a power of two
+    for a, b in zip(domain.lower, domain.upper):
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        s = max(ad, bd)
+        bounds.append((an * (s // ad), bn * (s // bd), s))
+    moments: dict = {}
+
+    def moment(i: int, e: int) -> tuple:
+        m = moments.get((i, e))
+        if m is None:
+            A, B, s = bounds[i]
+            m = moments[i, e] = ((B ** e - A ** e, s ** e) if i == face
+                                 else (B ** (e + 1) - A ** (e + 1), (e + 1) * s ** (e + 1)))
+        return m
+
+    nums, dens = [], []
+    for mono, (num, den) in poly.num.items():
+        exps = [0] * len(bounds)
+        for aid, e in mono:
+            i = axis.get(aid)
+            if i is None:
+                raise MissingCoordinateError(f"no value for coordinate {ctx.atom(aid).text()}")
+            exps[i] = e
+        for i, e in enumerate(exps):
+            mn, md = moment(i, e)
+            num *= mn
+            den *= md
+        nums.append(num)
+        dens.append(den)
+    common = math.lcm(*dens)
+    try:
+        return sum(n * (common // d) for n, d in zip(nums, dens)) / common
+    except OverflowError as exc:
+        raise EvaluationError(_OVERFLOW) from exc
+
+
+def quadrature(integrand: Expr, domain: IntegrationDomain) -> float:
+    """Integral of a base function over the box.
+
+    A polynomial integrand with largest exponent ``d_i`` of x_i and
+    ``d_i//2 + 1 <= domain.resolution`` on every axis is integrated exactly
+    and rounded once; any other takes ``ceil(resolution/5)`` panels of the
+    5-point Gauss-Legendre rule per axis (see :func:`_integral`).
     """
     for c in integrand.coords():
         if c.kind != "x":
@@ -218,7 +269,6 @@ def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> floa
     and the integral is the endpoint difference of the 0-form. Any other
     term raises.
     """
-    import numpy as np
     n = domain.dim
     if form.degree != n - 1:
         raise InputError("boundary integrand must have degree n-1")
@@ -226,12 +276,8 @@ def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> floa
     faces = [tuple(forms.d_(c) for c in coords[:i] + coords[i + 1:]) for i in range(n)]
     if any(covs not in faces for covs in form.terms):
         raise InputError("boundary integrand must be a combination of dx_1..^i..dx_n")
-    total = 0.0
-    for i in range(n):
-        # axis i takes the two faces, weighted +1 (x_i = b_i) and -1 (x_i = a_i)
-        ends = (np.array([domain.upper[i], domain.lower[i]]), np.array([1.0, -1.0]))
-        total += (-1) ** i * _integral(form.coefficient(faces[i]), domain, (i, ends))
-    return total
+    return sum((-1) ** i * _integral(form.coefficient(faces[i]), domain, i)
+               for i in range(n))
 
 
 @dataclass

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -186,7 +187,7 @@ def test_first_variation_three_base_dimensions(tmp_path):
 
 def test_first_variation_of_polynomial_section_is_exact(tmp_path):
     # Laplace density, a quadratic section and a quadratic variation: both
-    # sides are 65/3, and Gauss-Legendre nodes integrate them exactly
+    # sides are 65/3, and polynomial integrands are integrated in closed form
     f = tmp_path / "laplace_poly.prob"
     f.write_text("[problem]\nn = 2\nm = 1\nr = 1\n\n[lagrangian]\n"
                  "L = \"1/2*(y(1;1)^2 + y(1;2)^2)\"\n\n"
@@ -197,7 +198,7 @@ def test_first_variation_of_polynomial_section_is_exact(tmp_path):
     assert code == 0
     res = data["results"]
     assert abs(res["lhs"] - res["rhs"]) < 1e-9
-    assert res["lhs"] == pytest.approx(65 / 3, rel=1e-14)
+    assert res["lhs"] == float(Fraction(65, 3))
 
 
 def test_default_resolution_fits_the_grid_budget_at_n3(tmp_path):

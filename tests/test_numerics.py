@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -6,8 +7,8 @@ from jetvar import forms as F
 from jetvar import legendre as LG
 from jetvar import numerics as N
 from jetvar import varcalc as V
-from jetvar.errors import InputError, MissingCoordinateError
-from jetvar.symcore import ChartContext, Expr, base, jet, mom, parse_expr
+from jetvar.errors import EvaluationError, InputError, MissingCoordinateError
+from jetvar.symcore import ChartContext, Evaluator, Expr, base, jet, mom, parse_expr
 from conftest import interval, scalar_form
 
 
@@ -58,16 +59,15 @@ def test_quadrature_unit_square():
 
 
 def test_quadrature_exact_on_polynomials(ctx):
-    # d//2 + 1 Gauss-Legendre nodes per axis integrate degree d exactly
+    # a polynomial integrand is integrated in closed form and rounded once
     for k in range(10):
         got = N.quadrature(parse_expr(f"x(1)^{k}", ctx), interval(-0.5, 1.5, 10))
-        assert got == pytest.approx((1.5 ** (k + 1) - (-0.5) ** (k + 1)) / (k + 1),
-                                    rel=1e-14, abs=1e-14)
+        assert got == float((Fraction(3, 2) ** (k + 1) - Fraction(-1, 2) ** (k + 1)) / (k + 1))
     c2 = ChartContext(2, 1, 1)
     dom = N.IntegrationDomain((0.0, -1.0), (2.0, 1.0), 10)
     # integral of x1^5 x2^4 over [0, 2] x [-1, 1] is (64/6) * (2/5)
     got = N.quadrature(parse_expr("x(1)^5*x(2)^4", c2), dom)
-    assert got == pytest.approx(64 / 6 * 2 / 5, rel=1e-14, abs=1e-14)
+    assert got == float(Fraction(64, 6) * Fraction(2, 5))
 
 
 def test_quadrature_composite_order(ctx):
@@ -81,17 +81,36 @@ def test_quadrature_composite_order(ctx):
 
 
 def test_quadrature_nodes_stay_within_resolution(ctx, monkeypatch):
-    # x1^4001 would take 2001 exact nodes: at resolution 100 it takes the
-    # composite rule's 20 panels of 5 nodes, and the node rule is never
-    # built for more nodes than the resolution
-    built = []
-    rule = N._legendre
-    monkeypatch.setattr(N, "_legendre", lambda k: built.append(k) or rule(k))
-    nodes, weights = N._axis_rule(0.0, 1.0, 4001, 100)
+    # x1^4001 takes the closed form only from resolution 2001 (4001//2 + 1):
+    # at resolution 100 it takes the composite rule's 20 panels of 5 nodes,
+    # never more nodes than the resolution
+    nodes, weights = N._axis_rule(0.0, 1.0, 100)
     assert len(nodes) == len(weights) == 100
-    assert max(built) <= 100
+    built = []
+    rule = N._axis_rule
+    monkeypatch.setattr(N, "_axis_rule", lambda *args: built.append(rule(*args)) or built[-1])
     N.quadrature(parse_expr("x(1)^4001", ctx), interval(0.0, 1.0, 100))
-    assert max(built) <= 100
+    assert built and max(len(nodes) for nodes, _ in built) <= 100
+
+
+def test_closed_form_raises_what_the_evaluator_raises():
+    c2 = ChartContext(2, 1, 1)
+    dom = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 10)
+    # a boundary coefficient that still holds a fiber coordinate
+    form = F.DiffForm(c2, 1, {(F.d_(base(2)),): parse_expr("x(1)*y(1) + x(2)", c2)})
+    with pytest.raises(MissingCoordinateError) as closed:
+        N.boundary_quadrature(form, dom)
+    with pytest.raises(MissingCoordinateError) as evaluated:
+        Evaluator([form.coefficient((F.d_(base(2)),))], N.base_coords(2))(0.5, 0.5)
+    assert str(closed.value) == str(evaluated.value) == "no value for coordinate y(1)"
+    # an integral beyond float range: x1^2 over [0, 1e200]
+    c1 = ChartContext(1, 1, 1)
+    square = parse_expr("x(1)^2", c1)
+    with pytest.raises(EvaluationError) as closed:
+        N.quadrature(square, interval(0.0, 1e200, 10))
+    with pytest.raises(EvaluationError) as evaluated:
+        Evaluator([square], N.base_coords(1))(1e200)
+    assert str(closed.value) == str(evaluated.value)
 
 
 def test_boundary_quadrature_interval(ctx):

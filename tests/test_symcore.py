@@ -617,6 +617,10 @@ def test_symbolic_layers_import_no_numpy():
     quotient = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "quotient_r2.prob")
     numpy_loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')"
     numeric_layers = ("jetvar.numerics", "jetvar.legendre", "jetvar.fields")
+    oscillator = os.path.join(os.path.dirname(__file__), os.pardir, "problems",
+                              "harmonic_oscillator.prob")
+    rule_loaded = ("sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))"
+                   " if 'numpy' in sys.modules else ['numpy']")
     cases = [
         # Arrays live in the numeric modules only; the exact engine loads none.
         ("import jetvar, jetvar.symcore, jetvar.forms, jetvar.varcalc", numpy_loaded),
@@ -625,6 +629,10 @@ def test_symbolic_layers_import_no_numpy():
          f"['derive', {quotient!r}, '--out', os.devnull]) == 0", numpy_loaded),
         # The CLI still imports the numeric modules: tracers look them up by name.
         ("import jetvar.cli", f"[m for m in {numeric_layers!r} if m not in sys.modules]"),
+        # The 5-point rule is in closed form: quadrature on arrays (a sin
+        # integrand) loads numpy but not its polynomial package.
+        ("import jetvar.cli; assert jetvar.cli.main("
+         f"['first-variation', {oscillator!r}, '--out', os.devnull]) == 0", rule_loaded),
     ]
     for code, shown in cases:
         proc = run_python("-c", f"import os, sys; {code}; print({shown})")
