@@ -39,6 +39,12 @@ the timed region, except in ``laplace_first_variation_201``):
   of the stage at it, and the last sample has its own (the momenta and the
   generated solver are built inside ``hdd_integrate``, so they are timed).
 
+The last row, ``cli_import``, is start-up: ``import jetvar.cli`` in fresh
+interpreters on the package this script imports, timed inside each child by
+the snippet that ``perfbench/run.py`` times for ``setup_s``. Children inherit
+the environment, so ``PYTHONDONTWRITEBYTECODE`` decides whether they read
+cached bytecode.
+
 Prints the best-of-N wall time of each workload in milliseconds, and for
 ``quotient_report`` also the number of characters of text it renders:
 
@@ -49,11 +55,14 @@ End-to-end CLI timings and per-layer metrics come from
 """
 
 import argparse
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
 
+import jetvar
 from jetvar import legendre as LG
 from jetvar import multiindex as mi
 from jetvar import numerics as N
@@ -190,6 +199,20 @@ def newton_hdd_integrate():
     return lambda: LG.hdd_integrate(prob, init, 0.0, 1.0, 1.25e-3)
 
 
+# perfbench/run.py's setup_s snippet: argv[1] is the directory holding jetvar
+IMPORT_SNIPPET = ("import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
+                  "import jetvar.cli; print(repr(time.perf_counter() - t))")
+
+
+def cli_import(repeat):
+    """Best of ``repeat`` times of ``import jetvar.cli``, each measured inside
+    a fresh interpreter on the package this script imported."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jetvar.__file__)))
+    return min(float(subprocess.run([sys.executable, "-c", IMPORT_SNIPPET, src],
+                                    capture_output=True, text=True, check=True).stdout)
+               for _ in range(repeat))
+
+
 def best_time(fn, repeat):
     """Best wall time of ``repeat`` calls, and what the last call returned."""
     best, out = float("inf"), None
@@ -218,6 +241,7 @@ def main() -> int:
         best, out = best_time(fn, args.repeat)
         size = f"  {sum(map(len, out)):>9} chars" if name == "quotient_report" else ""
         print(f"{name:<{width}}  {best * 1e3:>10.3f} ms{size}")
+    print(f"{'cli_import':<{width}}  {cli_import(args.repeat) * 1e3:>10.3f} ms")
     return 0
 
 

@@ -17,7 +17,6 @@ they pull forms back as they are; sections are the base sections
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import forms
@@ -30,7 +29,6 @@ from .symcore import ChartContext, Evaluator, Expr, base, jet
 from .varcalc import LagrangianProblem, LepageanForm, euler_lagrange
 
 
-@dataclass
 class SlopeField:
     """Components ``{jet(s, K): w^s_K(x, y_<r)}`` for every r <= |K| <= 2r-1.
 
@@ -38,11 +36,9 @@ class SlopeField:
     space back through the field.
     """
 
-    ctx: ChartContext
-    components: dict
-
-    def __post_init__(self):
-        ctx = self.ctx
+    def __init__(self, ctx: ChartContext, components: dict):
+        self.ctx = ctx
+        self.components = components
         r = ctx.r
         for y, e in self.components.items():
             if not r <= y.order <= 2 * r - 1:
@@ -62,10 +58,10 @@ class SlopeField:
         return {y: e for y, e in self.components.items() if y.order == r}
 
 
-@dataclass
 class GeodesicReport:
-    pulled_derivative: DiffForm
-    status: str  # "zero" | "probable-zero" | "nonzero"
+    def __init__(self, pulled_derivative: DiffForm, status: str):
+        self.pulled_derivative = pulled_derivative
+        self.status = status  # "zero" | "probable-zero" | "nonzero"
 
     @property
     def is_geodesic(self) -> bool:
@@ -132,12 +128,12 @@ def _radial_homotopy(a: DiffForm) -> DiffForm:
     return forms._collect(ctx, p - 1, pairs)
 
 
-@dataclass
 class WeierstrassData:
     """Excess form and excess function of a field."""
 
-    form: DiffForm       # density form on the order-r jet space
-    excess: Expr         # function of the order-r jets and the field composites
+    def __init__(self, form: DiffForm, excess: Expr):
+        self.form = form      # density form on the order-r jet space
+        self.excess = excess  # function of the order-r jets and the field composites
 
     @cached_property
     def horizontal_matches(self) -> bool:
@@ -175,18 +171,19 @@ def compatibility_residual(w: SlopeField, gamma: dict,
     return numerics.residual_grid(diffs, {}, domain).global_max
 
 
-@dataclass
 class CertificateCondition:
-    name: str
-    passed: bool
-    detail: str
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class CertificateReport:
-    conditions: list = field(default_factory=list)
-    caveat: str = ("sampling certificate: conditions were checked on finitely "
-                   "many points, which supports but does not prove minimality")
+    def __init__(self, conditions: list | None = None,
+                 caveat: str = ("sampling certificate: conditions were checked on finitely "
+                                "many points, which supports but does not prove minimality")):
+        self.conditions = [] if conditions is None else conditions
+        self.caveat = caveat
 
     def add(self, name: str, passed: bool, detail: str) -> None:
         self.conditions.append(CertificateCondition(name, passed, detail))
@@ -208,7 +205,7 @@ def minimum_certificate(prob: LagrangianProblem, lep: LepageanForm, w: SlopeFiel
     ctx = prob.ctx
     report = CertificateReport()
 
-    compat = compatibility_residual(w, gamma0, replace(domain, resolution=5))
+    compat = compatibility_residual(w, gamma0, IntegrationDomain(domain.lower, domain.upper, 5))
     if compat > compat_tol:
         raise InputError(
             f"section incompatible with the field: residual {compat:.3e} > {compat_tol}")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import multiindex as mi
@@ -43,23 +42,24 @@ from .varcalc import LagrangianProblem, momenta
 
 # -- regularity ---------------------------------------------------------------
 
-@dataclass
 class RegularityBlock:
-    s: int
-    rows: list            # jet(nu, P) with |P| = s
-    cols: list            # mom(sigma, K) with |K| = 2r - s
-    entries: list         # entries[i][j] : Expr
-    numeric: np.ndarray | None = None
-    rank: int | None = None
+    def __init__(self, s: int, rows: list, cols: list, entries: list,
+                 numeric: np.ndarray | None = None, rank: int | None = None):
+        self.s = s
+        self.rows = rows        # jet(nu, P) with |P| = s
+        self.cols = cols        # mom(sigma, K) with |K| = 2r - s
+        self.entries = entries  # entries[i][j] : Expr
+        self.numeric = numeric
+        self.rank = rank
 
     @property
     def max_rank(self) -> bool:
         return self.rank == min(len(self.rows), len(self.cols))
 
 
-@dataclass
 class RegularityReport:
-    blocks: dict          # s -> RegularityBlock
+    def __init__(self, blocks: dict):
+        self.blocks = blocks  # s -> RegularityBlock
 
     @property
     def regular(self) -> bool:
@@ -172,21 +172,21 @@ def solve_linear_system(A: list, b: list, layer: int | None = None) -> list:
 
 # -- Legendre chart -------------------------------------------------------------
 
-@dataclass
 class HddEquation:
     """One canonical equation: algebraic(delta) + sum c d(comp o delta)/dx^i = 0."""
 
-    label: str
-    algebraic: Expr
-    dterms: list  # (Fraction coefficient, component Coord, base direction)
+    def __init__(self, label: str, algebraic: Expr, dterms: list):
+        self.label = label
+        self.algebraic = algebraic
+        self.dterms = dterms  # (Fraction coefficient, component Coord, base direction)
 
 
-@dataclass
 class LegendreChartData:
-    prob: LagrangianProblem
-    inverse: dict          # jet(sigma, A) -> Expr for r <= |A| <= 2r-1
-    H: Expr
-    equations: dict        # group name -> list[HddEquation]
+    def __init__(self, prob: LagrangianProblem, inverse: dict, H: Expr, equations: dict):
+        self.prob = prob
+        self.inverse = inverse      # jet(sigma, A) -> Expr for r <= |A| <= 2r-1
+        self.H = H
+        self.equations = equations  # group name -> list[HddEquation]
 
 
 def legendre_chart(prob: LagrangianProblem) -> LegendreChartData:
@@ -261,11 +261,11 @@ _NEWTON_TOL = 1e-12    # max |relation residual| accepted by the Newton recovery
 _NEWTON_MAX = 50       # Newton iterations per start point
 
 
-@dataclass
 class Trajectory:
-    xs: np.ndarray
-    h: float       # the equal RK4 step between samples
-    columns: dict  # Coord -> np.ndarray
+    def __init__(self, xs: np.ndarray, h: float, columns: dict):
+        self.xs = xs
+        self.h = h              # the equal RK4 step between samples
+        self.columns = columns  # Coord -> np.ndarray
 
 
 def _state_coords(ctx: ChartContext):

@@ -24,7 +24,6 @@ none and a symbolic command such as ``derive`` never pays its start-up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import EvaluationError, InputError, MissingCoordinateError
 from .symcore import ChartContext, Evaluator, Expr, base
@@ -35,15 +34,13 @@ from .varcalc import LagrangianProblem, LepageanForm, prolong_vector_field
 _MAX_POINTS = 10 ** 7  # grid-point budget of one domain (resolution ** n)
 
 
-@dataclass(frozen=True)
 class IntegrationDomain:
     """Axis-aligned box with a fixed positive orientation."""
 
-    lower: tuple
-    upper: tuple
-    resolution: int = 100  # points per axis of a residual grid; see quadrature
-
-    def __post_init__(self):
+    def __init__(self, lower: tuple, upper: tuple, resolution: int = 100):
+        self.lower = lower
+        self.upper = upper
+        self.resolution = resolution  # points per axis of a residual grid; see quadrature
         if len(self.lower) != len(self.upper):
             raise InputError("domain bounds have mismatched dimensions")
         if not all(math.isfinite(v) for v in (*self.lower, *self.upper)):
@@ -169,21 +166,27 @@ def _axis_rule(a: float, b: float, resolution: int):
             np.tile(h / 2 * np.array(_WEIGHTS), panels))
 
 
+def _closed_form(integrand: Expr, coords: list, domain: IntegrationDomain,
+                 face: int | None) -> bool:
+    """Is ``integrand`` a polynomial whose largest exponent ``d_i`` of x_i has
+    ``d_i//2 + 1 <= resolution`` on every axis but ``face``?"""
+    degrees = integrand.degrees(coords)
+    return degrees is not None and all(d // 2 + 1 <= domain.resolution
+                                       for i, d in enumerate(degrees) if i != face)
+
+
 def _integral(integrand: Expr, domain: IntegrationDomain, face: int | None = None) -> float:
     """Integral of a base function over the box; on axis ``face``, the value
     at the upper bound minus the value at the lower bound instead.
 
-    A polynomial integrand whose largest exponent ``d_i`` of x_i has
-    ``d_i//2 + 1 <= resolution`` on every axis but ``face`` is integrated in
-    closed form (:func:`_polynomial_integral`). Any other integrand is
+    An integrand that :func:`_closed_form` admits is integrated exactly
+    (:func:`_polynomial_terms`) and rounded once. Any other integrand is
     evaluated on the tensor product of :func:`_axis_rule`'s panels, whose
     weights are contracted one axis at a time, the last axis first.
     """
     coords = base_coords(domain.dim)
-    degrees = integrand.degrees(coords)
-    if degrees is not None and all(d // 2 + 1 <= domain.resolution
-                                   for i, d in enumerate(degrees) if i != face):
-        return _polynomial_integral(integrand, coords, domain, face)
+    if _closed_form(integrand, coords, domain, face):
+        return _rounded_sum(_polynomial_terms(integrand, coords, domain, face))
     import numpy as np
     rules = [(np.array([b, a]), np.array([1.0, -1.0])) if i == face
              else _axis_rule(a, b, domain.resolution)
@@ -195,17 +198,17 @@ def _integral(integrand: Expr, domain: IntegrationDomain, face: int | None = Non
     return float(vals)
 
 
-def _polynomial_integral(poly: Expr, coords: list, domain: IntegrationDomain,
-                         face: int | None) -> float:
-    """The exact integral of a polynomial, rounded once to the nearest float.
+def _polynomial_terms(poly: Expr, coords: list, domain: IntegrationDomain,
+                      face: int | None) -> list:
+    """The exact integral of a polynomial as integer ratios ``(num, den)``,
+    one per term.
 
     Each term c * prod x_i^e_i contributes c times the product of its axes'
     moments, (b_i^(e_i+1) - a_i^(e_i+1)) / (e_i+1), or b_i^e_i - a_i^e_i on
     axis ``face``. A float bound is an integer over a power of two, so each
-    term is an integer ratio, and their sum over a common denominator is
-    divided once (int / int rounds correctly). Raises what an evaluator on
-    the box would: a coordinate other than x(1)..x(n) has no value, and a
-    sum beyond float range is an overflow. ``coords`` are x(1)..x(n).
+    term is an integer ratio. Raises what an evaluator on the box would: a
+    coordinate other than x(1)..x(n) has no value. ``coords`` are
+    x(1)..x(n).
     """
     ctx = poly.ctx
     axis = {ctx.coord_id(c): i for i, c in enumerate(coords)}
@@ -224,7 +227,7 @@ def _polynomial_integral(poly: Expr, coords: list, domain: IntegrationDomain,
                                  else (B ** (e + 1) - A ** (e + 1), (e + 1) * s ** (e + 1)))
         return m
 
-    nums, dens = [], []
+    terms = []
     for mono, (num, den) in poly.num.items():
         exps = [0] * len(bounds)
         for aid, e in mono:
@@ -236,11 +239,18 @@ def _polynomial_integral(poly: Expr, coords: list, domain: IntegrationDomain,
             mn, md = moment(i, e)
             num *= mn
             den *= md
-        nums.append(num)
-        dens.append(den)
-    common = math.lcm(*dens)
+        terms.append((num, den))
+    return terms
+
+
+def _rounded_sum(terms: list) -> float:
+    """The sum of integer ratios ``(num, den)`` rounded once to the nearest
+    float: the numerators are added over a common denominator, which divides
+    them once (int / int rounds correctly). A sum beyond float range raises
+    the evaluator's overflow error."""
+    common = math.lcm(*(d for _, d in terms))
     try:
-        return sum(n * (common // d) for n, d in zip(nums, dens)) / common
+        return sum(n * (common // d) for n, d in terms) / common
     except OverflowError as exc:
         raise EvaluationError(_OVERFLOW) from exc
 
@@ -267,7 +277,9 @@ def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> floa
     the face x_i = a_i], each face integrated over the other axes by the
     rules of :func:`quadrature`. For n = 1 the faces are the two endpoints
     and the integral is the endpoint difference of the 0-form. Any other
-    term raises.
+    term raises. When every face is integrated in closed form, the faces'
+    exact terms are added before the one rounding, so the result is the
+    correctly rounded boundary integral.
     """
     n = domain.dim
     if form.degree != n - 1:
@@ -276,15 +288,18 @@ def boundary_quadrature(form: forms.DiffForm, domain: IntegrationDomain) -> floa
     faces = [tuple(forms.d_(c) for c in coords[:i] + coords[i + 1:]) for i in range(n)]
     if any(covs not in faces for covs in form.terms):
         raise InputError("boundary integrand must be a combination of dx_1..^i..dx_n")
-    return sum((-1) ** i * _integral(form.coefficient(faces[i]), domain, i)
-               for i in range(n))
+    coeffs = [form.coefficient(covs) for covs in faces]
+    if all(_closed_form(f, coords, domain, i) for i, f in enumerate(coeffs)):
+        return _rounded_sum([(-num if i % 2 else num, den) for i, f in enumerate(coeffs)
+                             for num, den in _polynomial_terms(f, coords, domain, i)])
+    return sum((-1) ** i * _integral(f, domain, i) for i, f in enumerate(coeffs))
 
 
-@dataclass
 class ResidualSummary:
     """Max-absolute-value summary for a family of residual expressions."""
 
-    entries: dict = field(default_factory=dict)  # name -> (max_abs, argmax point)
+    def __init__(self, entries: dict | None = None):
+        self.entries = {} if entries is None else entries  # name -> (max_abs, argmax point)
 
     @property
     def global_max(self) -> float:
@@ -331,13 +346,13 @@ def action_value(prob: LagrangianProblem, gamma: dict,
     return quadrature(integrand, domain)
 
 
-@dataclass
 class FirstVariation:
     """Both sides of the first variation identity."""
 
-    lhs: float
-    interior: float
-    boundary: float
+    def __init__(self, lhs: float, interior: float, boundary: float):
+        self.lhs = lhs
+        self.interior = interior
+        self.boundary = boundary
 
     @property
     def rhs(self) -> float:

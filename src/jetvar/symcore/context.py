@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
 
 from .. import multiindex as mi
 from ..errors import IndexRangeError, OrderOverflowError
@@ -48,21 +47,29 @@ _RESIDUE_SEED = 61
 _KIND_ORDER = {"x": 0, "y": 1, "v": 2, "P": 3}
 
 
-@dataclass(frozen=True)
 class Coord:
     """A chart coordinate; ``i`` is the base index for kind "x" and the
-    velocity direction for kind "v"."""
+    velocity direction for kind "v".
 
-    kind: str
-    i: int = 0
-    sigma: int = 0
-    J: tuple = ()
+    Immutable by convention, like :class:`jetvar.forms.Cov`: nothing assigns
+    a field after construction, because the hash is computed once there."""
 
-    def __post_init__(self):
+    __slots__ = ("kind", "i", "sigma", "J", "_hash")
+
+    def __init__(self, kind: str, i: int = 0, sigma: int = 0, J: tuple = ()):
+        self.kind = kind
+        self.i = i
+        self.sigma = sigma
+        self.J = J
         # Interning looks coordinates up by hash: compute it once. It is made
         # of integers only, so it is the same in every process.
-        object.__setattr__(self, "_hash",
-                           hash((_KIND_ORDER.get(self.kind, -1), self.i, self.sigma, self.J)))
+        self._hash = hash((_KIND_ORDER.get(kind, -1), i, sigma, J))
+
+    def __eq__(self, other):
+        if not isinstance(other, Coord):
+            return NotImplemented
+        return (self.kind == other.kind and self.i == other.i
+                and self.sigma == other.sigma and self.J == other.J)
 
     def __hash__(self):
         return self._hash

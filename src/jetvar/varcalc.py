@@ -31,7 +31,6 @@ evaluate these objects on grids (action, first variation) are in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,14 +42,12 @@ from .forms import DiffForm
 from .symcore import ChartContext, Expr, jet, mom, vel
 
 
-@dataclass(frozen=True)
 class LagrangianProblem:
     """A Lagrangian density of order at most r on the chart."""
 
-    ctx: ChartContext
-    L: Expr
-
-    def __post_init__(self):
+    def __init__(self, ctx: ChartContext, L: Expr):
+        self.ctx = ctx
+        self.L = L
         for c in self.L.coords():
             if c.kind not in ("x", "y"):
                 raise InputError(f"Lagrangian may not contain {c.text()}")
@@ -107,7 +104,6 @@ def euler_lagrange(prob: LagrangianProblem) -> dict:
     return out
 
 
-@dataclass
 class GSpec:
     """Free coefficient table g^(s; j_k | j_1..j_{k-1}) for 2 <= k <= r.
 
@@ -117,7 +113,8 @@ class GSpec:
     N(J) g^(s; i | J) = 0.
     """
 
-    entries: dict = field(default_factory=dict)  # (sigma, i, canonical J) -> Expr
+    def __init__(self, entries: dict | None = None):
+        self.entries = {} if entries is None else entries  # (sigma, i, canonical J) -> Expr
 
     def get(self, sigma, i, J, ctx) -> Expr:
         e = self.entries.get((sigma, i, J))
@@ -159,7 +156,6 @@ def _g_text(sigma: int, i: int, J) -> str:
     return f"g({sigma};{i}|{','.join(map(str, J))})"
 
 
-@dataclass
 class LepageanForm:
     """An n-form equivalent of the Lagrangian, of contact order <= 1.
 
@@ -170,10 +166,11 @@ class LepageanForm:
     free table.
     """
 
-    prob: LagrangianProblem
-    f: dict
-    correction: dict | None = None
-    _realized: DiffForm | None = None
+    def __init__(self, prob: LagrangianProblem, f: dict, correction: dict | None = None):
+        self.prob = prob
+        self.f = f
+        self.correction = correction
+        self._realized: DiffForm | None = None
 
     @property
     def ctx(self) -> ChartContext:
@@ -227,7 +224,6 @@ def lepagean_from_g(prob: LagrangianProblem, g: GSpec) -> LepageanForm:
     return LepageanForm(prob, f, correction)
 
 
-@dataclass
 class DefectReport:
     """Outcome of testing a candidate n-form for horizontal equivalence.
 
@@ -237,9 +233,10 @@ class DefectReport:
     expressions and are reported separately.
     """
 
-    horizontal_mismatch: Expr
-    euler_lagrange: dict
-    contact_defect: dict
+    def __init__(self, horizontal_mismatch: Expr, euler_lagrange: dict, contact_defect: dict):
+        self.horizontal_mismatch = horizontal_mismatch
+        self.euler_lagrange = euler_lagrange
+        self.contact_defect = contact_defect
 
     @property
     def is_lepagean(self) -> bool:
@@ -291,7 +288,6 @@ def extended_lagrangian(lep: LepageanForm) -> Expr:
     return Expr.sum(ctx, terms)
 
 
-@dataclass
 class HamiltonFormTable:
     """Coefficients of the canonical-equation form on the prolonged space.
 
@@ -300,8 +296,9 @@ class HamiltonFormTable:
     are affine in the velocity atoms.
     """
 
-    entries: dict
-    extended: Expr
+    def __init__(self, entries: dict, extended: Expr):
+        self.entries = entries
+        self.extended = extended
 
 
 def hamilton_form(lep: LepageanForm) -> HamiltonFormTable:

@@ -166,10 +166,11 @@ def child_env():
     return env
 
 
-def run_python(*args):
-    """Run ``python *args`` in a child process on this checkout's package."""
+def run_python(*args, **env):
+    """Run ``python *args`` in a child process on this checkout's package, with
+    the environment variables ``env`` set."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=child_env())
+                          env={**child_env(), **env})
 
 
 def run_jetvar(*args):

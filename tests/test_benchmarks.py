@@ -18,4 +18,5 @@ def test_bench_poly_runs_every_workload():
     assert names == ["poly_stress", "derivation_batch", "rational_derive",
                      "quotient_stress", "quotient_report", "defect_stress",
                      "laplace_action_201", "laplace_first_variation_201",
-                     "ho_action_13000", "ho_hdd_integrate", "newton_hdd_integrate"]
+                     "ho_action_13000", "ho_hdd_integrate", "newton_hdd_integrate",
+                     "cli_import"]

@@ -151,6 +151,20 @@ def test_boundary_matches_stokes(n):
     assert N.boundary_quadrature(form, dom) == pytest.approx(interior, abs=1e-6)
 
 
+def test_boundary_rounds_the_sum_of_its_faces_once():
+    # Laplace along gamma = 1/4*(x1^2 - x2^2) + 1/2*x1*x2, varied by
+    # 1/2*(x1^2 - x2^2): the boundary term is exactly 1/3. Rounding each face
+    # before adding them gave 0.33333333333333337.
+    c2 = ChartContext(2, 1, 1)
+    prob = V.LagrangianProblem(c2, parse_expr("1/2*(y(1;1)^2 + y(1;2)^2)", c2))
+    gamma = {1: parse_expr("1/4*(x(1)^2 - x(2)^2) + 1/2*x(1)*x(2)", c2)}
+    xi = {1: parse_expr("1/2*(x(1)^2 - x(2)^2)", c2)}
+    dom = N.IntegrationDomain((0.0, 0.0), (1.0, 1.0), 201)
+    fv = N.first_variation_check(prob, V.poincare_cartan(prob), xi, gamma, dom)
+    assert fv.boundary == float(Fraction(1, 3))
+    assert fv.lhs == float(Fraction(1, 3))
+
+
 def test_boundary_rejects_wrong_degree():
     c3 = ChartContext(3, 1, 1)
     dom = N.IntegrationDomain((0.0,) * 3, (1.0,) * 3, 5)

@@ -587,6 +587,27 @@ def test_coords_lists_a_family_once_in_sort_order(n, m, r, data):
         ctx.coord_id(c)  # each one is a coordinate of the chart
 
 
+def test_coord_equality_and_hash():
+    # equal coordinates built apart, one pair per kind
+    pairs = [(base(2), Coord("x", i=2)), (jet(1, (2, 1)), jet(1, (1, 2))),
+             (vel(1, (2, 1), 2), Coord("v", i=2, sigma=1, J=(1, 2))),
+             (mom(2, (1,)), Coord("P", sigma=2, J=(1,)))]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+        fields = (a.kind, a.i, a.sigma, a.J)
+        assert a != fields and fields != a
+    assert jet(1, (1,)) != mom(1, (1,)) and jet(1) != jet(2)
+    # interning looks coordinates up by hash, which is made of integers only
+    code = ("from jetvar.symcore import base, jet, mom, vel; "
+            "print([hash(c) for c in (base(1), jet(1, (2, 1)), vel(1, (1,), 2), mom(1, (1,)))])")
+    outs = []
+    for seed in ("1", "2"):
+        proc = run_python("-c", code, PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_interned_function_atoms_share_identity(ctx):
     a = parse_expr("sin(y(1) + 1)", ctx)
     b = parse_expr("sin(1 + y(1))", ctx)
@@ -629,6 +650,9 @@ def test_symbolic_layers_import_no_numpy():
          f"['derive', {quotient!r}, '--out', os.devnull]) == 0", numpy_loaded),
         # The CLI still imports the numeric modules: tracers look them up by name.
         ("import jetvar.cli", f"[m for m in {numeric_layers!r} if m not in sys.modules]"),
+        # Record classes are plain classes: start-up loads no dataclasses
+        # machinery, which imports inspect, ast, dis and tokenize.
+        ("import jetvar.cli", "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"),
         # The 5-point rule is in closed form: quadrature on arrays (a sin
         # integrand) loads numpy but not its polynomial package.
         ("import jetvar.cli; assert jetvar.cli.main("
