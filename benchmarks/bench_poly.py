@@ -39,11 +39,15 @@ the timed region, except in ``laplace_first_variation_201``):
   of the stage at it, and the last sample has its own (the momenta and the
   generated solver are built inside ``hdd_integrate``, so they are timed).
 
-The last row, ``cli_import``, is start-up: ``import jetvar.cli`` in fresh
-interpreters on the package this script imports, timed inside each child by
-the snippet that ``perfbench/run.py`` times for ``setup_s``. Children inherit
-the environment, so ``PYTHONDONTWRITEBYTECODE`` decides whether they read
-cached bytecode.
+The last two rows are start-up: ``import jetvar.cli`` in fresh interpreters
+on a temporary copy of the package this script imports, timed inside each
+child by the snippet that ``perfbench/run.py`` times for ``setup_s``.
+``cli_import_source`` runs with ``PYTHONDONTWRITEBYTECODE=1`` and no bytecode
+for the copy, so every import compiles the package's source, as in the fresh
+checkouts that ``setup_s`` is measured on; ``cli_import_cached`` reads the
+copy's bytecode, written by one untimed import. Neither row depends on the
+caller's ``PYTHONDONTWRITEBYTECODE`` or ``PYTHONPYCACHEPREFIX``, and neither
+writes into the package.
 
 Prints the best-of-N wall time of each workload in milliseconds, and for
 ``quotient_report`` also the number of characters of text it renders:
@@ -57,8 +61,10 @@ End-to-end CLI timings and per-layer metrics come from
 import argparse
 import os
 import random
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -205,12 +211,24 @@ IMPORT_SNIPPET = ("import sys, time; sys.path.insert(0, sys.argv[1]); t = time.p
 
 
 def cli_import(repeat):
-    """Best of ``repeat`` times of ``import jetvar.cli``, each measured inside
-    a fresh interpreter on the package this script imported."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(jetvar.__file__)))
-    return min(float(subprocess.run([sys.executable, "-c", IMPORT_SNIPPET, src],
-                                    capture_output=True, text=True, check=True).stdout)
-               for _ in range(repeat))
+    """Best of ``repeat`` times of ``import jetvar.cli`` from source and from
+    cached bytecode, each measured inside a fresh interpreter on a temporary
+    copy of the package this script imported."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    with tempfile.TemporaryDirectory() as src:
+        shutil.copytree(os.path.dirname(os.path.abspath(jetvar.__file__)),
+                        os.path.join(src, "jetvar"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def seconds(**extra):
+            return float(subprocess.run([sys.executable, "-c", IMPORT_SNIPPET, src],
+                                        env={**env, **extra}, capture_output=True,
+                                        text=True, check=True).stdout)
+
+        source = min(seconds(PYTHONDONTWRITEBYTECODE="1") for _ in range(repeat))
+        seconds()  # writes the copy's bytecode
+        return source, min(seconds() for _ in range(repeat))
 
 
 def best_time(fn, repeat):
@@ -241,7 +259,8 @@ def main() -> int:
         best, out = best_time(fn, args.repeat)
         size = f"  {sum(map(len, out)):>9} chars" if name == "quotient_report" else ""
         print(f"{name:<{width}}  {best * 1e3:>10.3f} ms{size}")
-    print(f"{'cli_import':<{width}}  {cli_import(args.repeat) * 1e3:>10.3f} ms")
+    for name, best in zip(("cli_import_source", "cli_import_cached"), cli_import(args.repeat)):
+        print(f"{name:<{width}}  {best * 1e3:>10.3f} ms")
     return 0
 
 

@@ -36,7 +36,10 @@ Problem files are INI blocks with quoted expression strings::
 closed form, exactly and rounded once, whatever the resolution, and any
 other integrand with about ``resolution`` Gauss-Legendre nodes per axis.
 
-Point and init files are plain ``coordinate = value`` lines. Exit codes:
+Point and init files are plain ``coordinate = value`` lines; a coordinate
+given twice, there or in a block, is an input error. The numeric modules
+(``numerics``, ``legendre``, ``fields``) are registered at import and run on
+their first use, so ``derive`` never runs them. Exit codes:
 0 success, 1 input validation (usage errors included), 2 a computed check
 failed, 3 degenerate or non-regular problem, 141 stdout closed before the
 report was written (128 + SIGPIPE).
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import importlib.util
 import json
 import math
 import os
@@ -53,15 +57,32 @@ import re
 import sys
 import time
 
-from . import fields as FL
 from . import forms
-from . import legendre as LG
 from . import multiindex as mi
-from . import numerics as N
 from . import varcalc as V
 from .errors import (DegeneracyError, InputError, JetvarError, ParseError,
                      UnsupportedSymbolicError)
 from .symcore import ChartContext, Coord, Expr, parse_expr
+
+
+def _lazy(name: str):
+    """The submodule ``name``, registered in ``sys.modules`` now and run on
+    its first attribute access (tracers look the numeric layers up there)."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+FL = _lazy("fields")
+LG = _lazy("legendre")
+N = _lazy("numerics")
 
 DEFAULT_TOLERANCES = {
     "holonomy": 1e-6,
@@ -143,6 +164,9 @@ class ProblemFile:
             c = _parse_coord(key, self.ctx)
             if not allowed(c):
                 raise InputError(f"[{block}] keys must be {what}, got {key}")
+            if c in comps:
+                raise InputError(f"duplicate [{block}] entry {key!r}: {c.text()} "
+                                 "is given twice")
             comps[c] = parse_expr(_unquote(val), self.ctx)
         return comps
 
@@ -244,6 +268,8 @@ def read_point_file(path: str, ctx: ChartContext) -> dict:
                 raise InputError(f"{path}:{lineno}: expected 'coordinate = value'")
             key, val = line.split("=", 1)
             c = _parse_coord(key.strip(), ctx)
+            if c in point:
+                raise InputError(f"{path}:{lineno}: {c.text()} is given twice")
             val = val.strip()
             try:
                 point[c] = float(val)

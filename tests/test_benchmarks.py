@@ -19,4 +19,4 @@ def test_bench_poly_runs_every_workload():
                      "quotient_stress", "quotient_report", "defect_stress",
                      "laplace_action_201", "laplace_first_variation_201",
                      "ho_action_13000", "ho_hdd_integrate", "newton_hdd_integrate",
-                     "cli_import"]
+                     "cli_import_source", "cli_import_cached"]

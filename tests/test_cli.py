@@ -657,6 +657,36 @@ def test_derive_with_free_coefficient_table():
     assert data["results"]["coefficient_corrections"]["q(1;2|1)"] == "-y(1)"
 
 
+@pytest.mark.parametrize("command,option,text,message", [
+    ("hdd-solve", "--init", "y(1) = 0\ny(1) = 5\nP(1;1) = 1\n", "values.txt:2: y(1) is given twice"),
+    ("regularity", "--at", "x(1) = 0\ny(1) = 0.1\nP(1;1) = 1\ny(1;1) = 0.2\ny(1;1,1) = 0.3\n"
+                           "P(1;1) = 1\n", "values.txt:6: P(1;1) is given twice"),
+], ids=["init", "point"])
+def test_coordinate_given_twice_in_a_values_file_is_input_error(tmp_path, command, option,
+                                                                 text, message):
+    f = tmp_path / "values.txt"
+    f.write_text(text)
+    prob = QUARTIC if command == "regularity" else HO
+    code, data, _ = run_cli(command, prob, option, str(f),
+                            "--x0", "0", "--x1", "1", "--step", "0.1")
+    assert code == 1
+    assert data["error"]["type"] == "InputError"
+    assert data["error"]["message"].endswith(message)
+
+
+def test_coordinate_given_twice_in_a_block_is_input_error(tmp_path):
+    # the keys differ as text, so the problem file parser keeps both
+    f = tmp_path / "twice.prob"
+    f.write_text("[problem]\nn = 1\nm = 1\nr = 1\n\n"
+                 "[lagrangian]\nL = \"1/2*y(1;1)^2\"\n\n"
+                 "[gamma]\ny(1) = \"x(1)\"\ny( 1 ) = \"x(1)^2\"\n\n"
+                 "[domain]\nresolution = 50\n")
+    code, data, _ = run_cli("verify-extremal", str(f))
+    assert code == 1
+    assert data["error"]["type"] == "InputError"
+    assert data["error"]["message"] == "duplicate [gamma] entry 'y( 1 )': y(1) is given twice"
+
+
 G_R3 = ("[problem]\nn = 2\nm = 1\nr = 3\n\n"
         "[lagrangian]\nL = \"1/2*(y(1;1,1,1)^2 + y(1;2,2,2)^2)\"\n\n[g]\n")
 

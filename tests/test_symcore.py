@@ -648,8 +648,20 @@ def test_symbolic_layers_import_no_numpy():
         # The numeric modules import numpy when they compute; derive never does.
         ("import jetvar.cli; assert jetvar.cli.main("
          f"['derive', {quotient!r}, '--out', os.devnull]) == 0", numpy_loaded),
-        # The CLI still imports the numeric modules: tracers look them up by name.
+        # The CLI registers the numeric modules: tracers look them up by name.
         ("import jetvar.cli", f"[m for m in {numeric_layers!r} if m not in sys.modules]"),
+        # Registered, not run: derive runs none of them (type() does not load
+        # a lazy module, and a run one is a plain module).
+        ("import types, jetvar.cli; assert jetvar.cli.main("
+         f"['derive', {quotient!r}, '--out', os.devnull]) == 0",
+         f"[m for m in {numeric_layers!r} if type(sys.modules[m]) is types.ModuleType]"),
+        # A numeric command runs the module it uses on first use.
+        ("import types, jetvar.cli; assert jetvar.cli.main("
+         f"['first-variation', {oscillator!r}, '--out', os.devnull]) == 0",
+         "[m for m in ('jetvar.numerics',) if type(sys.modules[m]) is not types.ModuleType]"),
+        # A layer imported before the CLI is the one the CLI uses, not a copy.
+        ("import jetvar.numerics as N0, jetvar.cli",
+         "[] if jetvar.cli.N is N0 is sys.modules['jetvar.numerics'] else ['copy']"),
         # Record classes are plain classes: start-up loads no dataclasses
         # machinery, which imports inspect, ast, dis and tokenize.
         ("import jetvar.cli", "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"),
