@@ -9,6 +9,8 @@ A polynomial is a dict mapping monomials to rational coefficients:
 Atom ids are opaque integers interned by the expression layer. The empty
 mono ``()`` is the constant term; the empty dict is the zero polynomial.
 Zero coefficients are never stored, so dict equality is polynomial equality.
+There is one addition, :func:`poly_add_into`: in place, into a dict the
+caller owns.
 """
 
 from math import gcd
@@ -90,23 +92,23 @@ def mono_degree(m):
     return d
 
 
-def poly_add(a, b):
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
+def poly_add_into(acc, b, negate=False):
+    """Add ``b`` (``-b`` if ``negate``) into ``acc`` in place; return ``acc``. A new
+    monomial goes last; one whose sum cancels is deleted (hit again, it goes last)."""
     for m, c in b.items():
-        prev = out.get(m)
-        if prev is None:
-            out[m] = c
+        if negate:
+            c = (-c[0], c[1])
+        prev = acc.get(m)
+        s = c if prev is None else rat_add(prev, c)  # b stores no zero
+        if s[0]:
+            acc[m] = s
         else:
-            s = rat_add(prev, c)
-            if s[0] == 0:
-                del out[m]
-            else:
-                out[m] = s
-    return out
+            del acc[m]
+    return acc
+
+
+def poly_add(a, b):
+    return poly_add_into(dict(a), b)
 
 
 def poly_neg(a):
@@ -114,7 +116,7 @@ def poly_neg(a):
 
 
 def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
+    return poly_add_into(dict(a), b, True)
 
 
 def poly_scale(a, num, den=1):

@@ -37,9 +37,10 @@ closed form, exactly and rounded once, whatever the resolution, and any
 other integrand with about ``resolution`` Gauss-Legendre nodes per axis.
 
 Point and init files are plain ``coordinate = value`` lines; a coordinate
-given twice, there or in a block, is an input error. The numeric modules
-(``numerics``, ``legendre``, ``fields``) are registered at import and run on
-their first use, so ``derive`` never runs them. Exit codes:
+given twice, there or in a block, is an input error. Problem, point and init
+files are read as UTF-8; a value beyond float range counts as non-finite.
+The numeric modules (``numerics``, ``legendre``, ``fields``) are registered
+at import and run on their first use, so ``derive`` never runs them. Exit codes:
 0 success, 1 input validation (usage errors included), 2 a computed check
 failed, 3 degenerate or non-regular problem, 141 stdout closed before the
 report was written (128 + SIGPIPE).
@@ -105,8 +106,8 @@ class ProblemFile:
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         cp.optionxform = str
         try:
-            read = cp.read(path)
-        except configparser.Error as exc:
+            read = cp.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise InputError(f"malformed problem file {path!r}: {exc}") from exc
         if not read:
             raise InputError(f"cannot read problem file {path!r}")
@@ -259,24 +260,31 @@ def _parse_coord(text: str, ctx: ChartContext) -> Coord:
 
 def read_point_file(path: str, ctx: ChartContext) -> dict:
     point = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected 'coordinate = value'")
-            key, val = line.split("=", 1)
-            c = _parse_coord(key.strip(), ctx)
-            if c in point:
-                raise InputError(f"{path}:{lineno}: {c.text()} is given twice")
-            val = val.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"malformed values file {path!r}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#")[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected 'coordinate = value'")
+        key, val = line.split("=", 1)
+        c = _parse_coord(key.strip(), ctx)
+        if c in point:
+            raise InputError(f"{path}:{lineno}: {c.text()} is given twice")
+        val = val.strip()
+        try:
+            point[c] = float(val)
+        except ValueError:
             try:
-                point[c] = float(val)
-            except ValueError:
                 point[c] = float(parse_expr(val, ctx).as_fraction())
-            if not math.isfinite(point[c]):
-                raise InputError(f"{path}:{lineno}: {c.text()} = {val} is not finite")
+            except OverflowError:  # an exact value beyond float range
+                point[c] = math.inf
+        if not math.isfinite(point[c]):
+            raise InputError(f"{path}:{lineno}: {c.text()} = {val} is not finite")
     return point
 
 

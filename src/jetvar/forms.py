@@ -13,7 +13,8 @@ interior product, substitution) builds its result in one pass through one
 collector, :func:`_collect`. It takes the (covectors, coefficient) products
 in the order the operation makes them and sorts each product's factors once:
 a repeated factor drops the product, an odd permutation negates it. It sums
-the polynomials of one key in place, in the order given, drops a key whose
+the polynomials of one key in place with the kernel's one addition
+(:func:`jetvar._poly.poly_add_into`), in the order given, drops a key whose
 sum empties, and tests each final coefficient for zero once. A key hit k
 times thus costs k additions, not k copies of the running sum, and each
 coefficient lists its terms as adding the products one at a time would, so
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from ._poly import poly_neg, rat_add
+from ._poly import poly_add_into
 from .errors import DegreeError, InputError
 from .symcore import ChartContext, Coord, Expr, base, jet
 
@@ -121,20 +122,8 @@ def _collect(ctx: ChartContext, degree: int, pairs) -> "DiffForm":
             continue
         if type(total) is tuple:
             first, first_sign = total
-            total = acc[key] = dict(first.num) if first_sign > 0 else poly_neg(first.num)
-        for mono, c in num.items():
-            if sign < 0:
-                c = (-c[0], c[1])
-            prev = total.get(mono)
-            if prev is None:
-                total[mono] = c
-                continue
-            s = rat_add(prev, c)
-            if s[0]:
-                total[mono] = s
-            else:
-                del total[mono]
-        if not total:
+            total = acc[key] = poly_add_into({}, first.num, first_sign < 0)
+        if not poly_add_into(total, num, sign < 0):
             del acc[key]
     terms = {}
     for key, total in acc.items():

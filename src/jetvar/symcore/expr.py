@@ -221,7 +221,7 @@ class Expr:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return Expr(self.ctx, K.poly_sub(self.num, other.num))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -252,10 +252,10 @@ class Expr:
 
     @staticmethod
     def sum(ctx, terms) -> "Expr":
-        """Fold a sum of expressions into one polynomial."""
+        """Fold a sum of expressions into one polynomial, in place."""
         acc = {}
         for t in terms:
-            acc = K.poly_add(acc, t.num)
+            K.poly_add_into(acc, t.num)
         return Expr(ctx, acc)
 
     # -- zero certificate ----------------------------------------------------
@@ -299,7 +299,7 @@ class Expr:
                 if e > exps.get(aid, 0):
                     part = K.poly_mul(part, K.poly_pow(self.ctx.atom(aid).arg.num,
                                                        e - exps.get(aid, 0)))
-            P = K.poly_add(P, part)
+            K.poly_add_into(P, part)
         for aid, e in top.items():
             Q = K.poly_mul(Q, K.poly_pow(self.ctx.atom(aid).arg.num, e))
         return P, Q
@@ -430,11 +430,11 @@ class Expr:
 
     def _formal_derivative(self, i: int, prolonged: bool) -> "Expr":
         """d/dx^i plus, per jet coordinate y^s_J, its image times the partial:
-        y^s_{J+i} (total derivative) or v(s;J|i) (prolonged)."""
+        y^s_{J+i} (total derivative) or v(s;J|i) (prolonged), summed in place."""
         ctx = self.ctx
         if not 1 <= i <= ctx.n:
             raise InputError(f"base direction {i} outside 1..{ctx.n}")
-        out = self.partial(base(i))
+        terms = [self.partial(base(i))]
         for c in self.coords():
             if c.kind == "x":
                 continue
@@ -455,8 +455,8 @@ class Expr:
                     f"{c.order + 1} > max_order {ctx.max_order}")
             else:
                 image = jet(c.sigma, c.J + (i,))
-            out = out + Expr.coord(ctx, image) * dc
-        return out
+            terms.append(Expr.coord(ctx, image) * dc)
+        return Expr.sum(ctx, terms)
 
     # -- substitution and evaluation ------------------------------------------
 

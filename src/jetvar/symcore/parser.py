@@ -4,7 +4,7 @@ Grammar (whitespace insignificant, indices positive decimal integers)::
 
     expr       := term (('+'|'-') term)*
     term       := factor (('*'|'/') factor)*
-    factor     := ('-' factor) | primary ('^' ['-'] integer)?
+    factor     := '-'* primary ('^' ['-'] integer)?
     primary    := number | coordinate | func '(' expr ')' | '(' expr ')'
     func       := sin | cos | exp | ln | sqrt
     number     := integer | decimal
@@ -18,11 +18,13 @@ literals are converted to exact fractions. ``a/b^k`` is read as ``a*b^-k``,
 so ``N/(D)^k`` holds one reciprocal atom of ``D``, and the grouped terms of
 canonical text, ``(N)*(D)^-k``, are products like any other. Jet indices
 may be written in any order and are sorted into the canonical
-representative.
+representative. Numbers take only the digits ``int`` reads (``str.isdecimal``),
+and parentheses and function calls nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from ..errors import ParseError
@@ -30,6 +32,9 @@ from .context import FUNCTIONS, ChartContext, base, jet, mom, vel
 from .expr import Expr
 
 _PUNCT = set("();,|+-*/^")
+_NUMBER = re.compile(r"\d+(\.\d*)?")  # \d is str.isdecimal: the digits int() reads
+_NAME = re.compile(r"[^\W_]+")  # the str.isalnum characters
+MAX_NESTING = 100  # parentheses and function calls, one inside another
 
 
 class _Token:
@@ -49,25 +54,16 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(_Token("num", Fraction(text[i:j]), i))
-            else:
-                toks.append(_Token("int", int(text[i:j]), i))
-            i = j
+        if c.isdecimal():
+            mo = _NUMBER.match(text, i)
+            toks.append(_Token("num", Fraction(mo[0]), i) if mo[1] else
+                        _Token("int", int(mo[0]), i))
+            i = mo.end()
             continue
         if c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            toks.append(_Token("name", text[i:j], i))
-            i = j
+            mo = _NAME.match(text, i)
+            toks.append(_Token("name", mo[0], i))
+            i = mo.end()
             continue
         if c in _PUNCT:
             toks.append(_Token(c, c, i))
@@ -84,6 +80,7 @@ class _Parser:
         self.ctx = ctx
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -122,10 +119,12 @@ class _Parser:
         return e
 
     def factor(self, sign: int = 1) -> Expr:
-        """A factor raised to ``sign`` times its exponent."""
-        if self.peek().kind == "-":
+        """A factor raised to ``sign`` times its exponent; a run of unary
+        minus signs negates it once if the run is odd."""
+        minus = 0
+        while self.peek().kind == "-":
             self.next()
-            return -self.factor(sign)
+            minus += 1
         e = self.primary()
         k = 1
         if self.peek().kind == "^":
@@ -134,24 +133,29 @@ class _Parser:
                 self.next()
                 sign = -sign
             k = self.expect("int").value
-        return e if sign * k == 1 else e ** (sign * k)
+        e = e if sign * k == 1 else e ** (sign * k)
+        return -e if minus % 2 else e
+
+    def nested(self, t: _Token) -> Expr:
+        """The expression inside parentheses opened at ``t``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", t.pos)
+        e = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return e
 
     def primary(self) -> Expr:
         t = self.next()
-        if t.kind == "int":
-            return Expr.const(self.ctx, t.value)
-        if t.kind == "num":
+        if t.kind in ("int", "num"):
             return Expr.const(self.ctx, t.value)
         if t.kind == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
+            return self.nested(t)
         if t.kind == "name":
             if t.value in FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Expr.func(self.ctx, t.value, arg)
+                return Expr.func(self.ctx, t.value, self.nested(t))
             if t.value in ("x", "y", "v", "P"):
                 return self.coordinate(t)
             raise ParseError(f"unknown name {t.value!r}", t.pos)

@@ -116,10 +116,6 @@ class GSpec:
     def __init__(self, entries: dict | None = None):
         self.entries = {} if entries is None else entries  # (sigma, i, canonical J) -> Expr
 
-    def get(self, sigma, i, J, ctx) -> Expr:
-        e = self.entries.get((sigma, i, J))
-        return e if e is not None else Expr.const(ctx, 0)
-
     def validate(self, prob: LagrangianProblem) -> None:
         ctx = prob.ctx
         r = ctx.r
@@ -142,9 +138,9 @@ class GSpec:
                 raise InadmissibleGError(
                     f"entry {key} has jet order {e.max_jet_order()} > {2 * r - 1 - k}")
         for y in ctx.coords(jet, range(2, r + 1)):
-            total = Expr.const(ctx, 0)
-            for J, i in mi.parent_pairs(y.J):
-                total = total + self.get(y.sigma, i, J, ctx) * mi.count(J)
+            total = Expr.sum(ctx, (self.entries[y.sigma, i, J] * mi.count(J)
+                                   for J, i in mi.parent_pairs(y.J)
+                                   if (y.sigma, i, J) in self.entries))
             if not total.is_zero():
                 raise InadmissibleGError(
                     f"weighted symmetrization of the entries g({y.sigma};i|J) with "
@@ -309,8 +305,8 @@ def hamilton_form(lep: LepageanForm) -> HamiltonFormTable:
     for c in ctx.coords(jet, range(2 * ctx.r)):
         e = Lt.partial(c)
         for q in range(1, ctx.n + 1):
-            dv = Lt.partial(vel(c.sigma, c.J, q))
-            if dv.is_zero():
+            dv = lep.f.get(vel(c.sigma, c.J, q))  # dLt/dv: neither L nor f holds a v
+            if dv is None or dv.is_zero():
                 continue
             e = e - dv.prolonged_total_derivative(q)
         entries[c] = e

@@ -70,6 +70,43 @@ def test_malformed_expression_exit_1(tmp_path):
     assert "position" in data["error"]["message"]
 
 
+@pytest.mark.parametrize("L,position", [
+    ("y(1;1)²", 6),
+    ("(" * 250 + "y(1;1)" + ")" * 250, 100),
+    ("sqrt(" * 250 + "y(1;1)" + ")" * 250, 500),
+    ("sqrt(" * 200 + "y(1;1)" + ")" * 200, 500),
+], ids=["superscript-digit", "parentheses-250", "sqrt-250", "sqrt-200"])
+def test_unparseable_density_is_parse_error(tmp_path, L, position):
+    # each used to end in a traceback: int("²"), or RecursionError in the
+    # parser or, for 200 nested sqrt, later in derive
+    f = tmp_path / "bad.prob"
+    f.write_text(f"[problem]\nn = 1\nm = 1\nr = 1\n\n[lagrangian]\nL = \"{L}\"\n")
+    code, data, err = run_cli("derive", str(f))
+    assert code == 1 and "Traceback" not in err
+    assert data["error"]["type"] == "ParseError"
+    assert f"(at position {position})" in data["error"]["message"]
+
+
+def test_nesting_bound_admits_its_own_depth(tmp_path):
+    from jetvar.symcore.parser import MAX_NESTING
+    f = tmp_path / "deep.prob"
+    L = "sqrt(" * MAX_NESTING + "1 + y(1;1)^2" + ")" * MAX_NESTING
+    f.write_text(f"[problem]\nn = 1\nm = 1\nr = 1\n\n[lagrangian]\nL = \"{L}\"\n")
+    code, data, _ = run_cli("derive", str(f))
+    assert code == 0 and data["checks"]["defect_zero"]["pass"]
+
+
+def test_a_long_run_of_unary_minus_parses(tmp_path):
+    # read in a loop: 1,000 signs used to recurse once each
+    f = tmp_path / "signs.prob"
+    for signs in (1000, 1001):
+        f.write_text("[problem]\nn = 1\nm = 1\nr = 1\n\n"
+                     f"[lagrangian]\nL = \"{'-' * signs}y(1;1)^2\"\n")
+        code, data, err = run_cli("derive", str(f))
+        assert code == 0 and "Traceback" not in err
+        assert data["problem"]["L"] == ("-" if signs % 2 else "") + "y(1;1)^2"
+
+
 def test_degenerate_exit_3():
     code, data, _ = run_cli("legendre", prob_path("degenerate.prob"))
     assert code == 3
@@ -331,7 +368,9 @@ def test_in_process_calls_share_no_options(tmp_path):
     ("regularity", "--at", "x(1) = 0\ny(1) = 0\ny(1;1) = nan\ny(1;1,1) = 0\n"),
     ("regularity", "--at", "x(1) = 0\ny(1) = 0\ny(1;1) = 0\ny(1;1,1) = inf\n"),
     ("hdd-solve", "--init", "y(1) = nan\nP(1;1) = 1\n"),
-], ids=["point-nan", "point-inf", "init-nan"])
+    ("regularity", "--at", "x(1) = 0\ny(1) = 0\ny(1;1) = 10^400\ny(1;1,1) = 0\n"),
+    ("hdd-solve", "--init", "y(1) = -10^400\nP(1;1) = 1\n"),
+], ids=["point-nan", "point-inf", "init-nan", "point-beyond-float", "init-beyond-float"])
 def test_non_finite_point_is_input_error(tmp_path, command, option, text):
     f = tmp_path / "values.txt"
     f.write_text(text)
@@ -341,6 +380,20 @@ def test_non_finite_point_is_input_error(tmp_path, command, option, text):
     assert code == 1
     assert data["error"]["type"] == "InputError"
     assert "not finite" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("which", ["problem", "point", "init"])
+def test_non_utf8_file_is_input_error(tmp_path, which):
+    bad = tmp_path / "latin1.txt"
+    prob, option = {"problem": (str(bad), ()), "point": (QUARTIC, ("--at", str(bad))),
+                    "init": (HO, ("--init", str(bad)))}[which]
+    bad.write_bytes("[problem]\nn = 1\nm = 1\nr = 1\n\n[lagrangian]\nL = \"y(1;1)^2\"  ; é\n"
+                    .encode("latin-1") if which == "problem" else b"y(1) = 0  # \xe9\n")
+    command = "hdd-solve" if which == "init" else "regularity"
+    code, data, err = run_cli(command, prob, *option, "--x0", "0", "--x1", "1", "--step", "0.1")
+    assert code == 1 and "Traceback" not in err
+    assert data["error"]["type"] == "InputError"
+    assert str(bad) in data["error"]["message"] and "utf-8" in data["error"]["message"]
 
 
 def test_overflow_is_evaluation_error(tmp_path):

@@ -41,3 +41,30 @@ def test_mul_then_diff_is_leibniz_at_kernel_level():
             rhs = K.poly_add(K.poly_mul(K.poly_diff(a, aid), b),
                              K.poly_mul(a, K.poly_diff(b, aid)))
             assert lhs == rhs
+
+
+def test_add_into_appends_new_monomials_and_deletes_cancelled_ones():
+    x, y, z = ((0, 1),), ((1, 1),), ((2, 1),)
+    acc = {x: (1, 1), y: (2, 1)}
+    b = {z: (3, 1), y: (-2, 1), x: (1, 2)}
+    b_before = dict(b)
+    assert K.poly_add_into(acc, b) is acc
+    assert list(acc.items()) == [(x, (3, 2)), (z, (3, 1))]  # y cancelled, z appended
+    assert list(b.items()) == list(b_before.items())
+    K.poly_add_into(acc, {y: (5, 1)})
+    assert list(acc) == [x, z, y]  # hit again, y goes last
+    assert K.poly_add_into(acc, {z: (3, 1), x: (1, 1)}, negate=True) is acc
+    assert list(acc.items()) == [(x, (1, 2)), (y, (5, 1))]
+
+
+def test_add_and_sub_leave_their_inputs_unchanged():
+    rng = random.Random(11)
+    for _ in range(20):
+        a = random_poly(rng)
+        b = random_poly(rng)
+        a_items, b_items = list(a.items()), list(b.items())
+        total, diff = K.poly_add(a, b), K.poly_sub(a, b)
+        assert list(a.items()) == a_items and list(b.items()) == b_items
+        assert total is not a and diff is not a
+        assert K.poly_add_into(dict(diff), b) == a
+        assert K.poly_sub(total, a) == b

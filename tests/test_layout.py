@@ -9,6 +9,9 @@ Code that only tests reach belongs in ``tests/``.
 Every module-level import of a module other than a package ``__init__``
 must be used in that module, as a ``Name`` (which is also the root of any
 ``Attribute`` chain); ``from __future__ import annotations`` is exempt.
+
+Coefficient arithmetic stays in the kernel: no module but ``_poly.py``
+names ``rat``, ``rat_add`` or ``rat_mul``.
 """
 
 import ast
@@ -18,7 +21,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetvar"
 
 # Reached only from perfbench/spans.py and perfbench/oracles.py; they go
 # when the benchmark reads a trace recorder instead (ROADMAP item 2).
-PERFBENCH_ONLY = {"poly_diff", "poly_sub", "Expr.iterated_total_derivative"}
+PERFBENCH_ONLY = {"poly_diff", "Expr.iterated_total_derivative"}
 
 # Hooks that are called by name from code no parse of src/ sees: argparse
 # calls ``error`` on its parser, and the evaluator's generated code calls
@@ -127,3 +130,45 @@ def test_import_scan_flags_unused_module_level_imports():
               '    return os.path.join(F.name, jet(1))\n')
     assert unused_imports({"m.py": source, "pkg/__init__.py": "import json\n"}) == [
         "m.py:2 json", "m.py:5 base"]
+
+
+COEFFICIENT_ARITHMETIC = {"rat", "rat_add", "rat_mul"}
+
+
+def coefficient_arithmetic(sources: dict) -> list:
+    """Names of the kernel's coefficient arithmetic outside ``_poly.py``, as
+    ``path:line name``: a ``Name``, an ``Attribute`` or a name imported from
+    a module.
+
+    ``sources`` maps a path to its source text."""
+    found = []
+    for path, text in sources.items():
+        if pathlib.PurePath(path).name == "_poly.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path}:{node.lineno} {n}" for n in names if n in COEFFICIENT_ARITHMETIC]
+    return found
+
+
+def test_coefficient_arithmetic_stays_in_the_kernel():
+    sources = {str(f.relative_to(SRC)): f.read_text() for f in sorted(SRC.rglob("*.py"))}
+    found = coefficient_arithmetic(sources)
+    assert not found, "coefficient arithmetic outside _poly.py: " + ", ".join(found)
+
+
+def test_coefficient_scan_flags_names_attributes_and_imports():
+    source = ('from ._poly import poly_add_into, rat_add as add\n'
+              'from . import _poly as K\n'
+              'def f(a, b):\n'
+              '    """rat_mul is named here only."""\n'
+              '    return K.rat_mul(a, b), poly_add_into({}, a)\n')
+    assert coefficient_arithmetic({"m.py": source, "_poly.py": "def rat(n, d):\n    pass\n"}) == [
+        "m.py:1 rat_add", "m.py:5 rat_mul"]
