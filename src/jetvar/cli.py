@@ -1,6 +1,7 @@
 """Batch command-line tool: problem files in, JSON reports out.
 
-Problem files are INI blocks with quoted expression strings::
+Problem files are blocks of ``key = value`` entries with quoted expression
+strings::
 
     [problem]
     n = 1
@@ -36,9 +37,17 @@ Problem files are INI blocks with quoted expression strings::
 closed form, exactly and rounded once, whatever the resolution, and any
 other integrand with about ``resolution`` Gauss-Legendre nodes per axis.
 
-Point and init files are plain ``coordinate = value`` lines; a coordinate
-given twice, there or in a block, is an input error. Problem, point and init
-files are read as UTF-8; a value beyond float range counts as non-finite.
+Point and init files are plain ``coordinate = value`` lines, without block
+headers. One line reader serves all three kinds, read as UTF-8: ``[name]``
+opens a block, ``key = value`` splits at the first ``=`` and strips both
+sides, and a ``;`` or ``#`` that starts a line or follows whitespace starts
+a comment. Nothing is interpolated and ``[DEFAULT]`` is an ordinary block.
+A block or key given twice, an empty key, an entry before the first block,
+a header in a point or init file and any other line (such as ``key: value``
+or an indented continuation) are input errors naming ``path:line``, and a
+syntax error in an entry's key or expression names its ``path:line: [block]
+key``. A coordinate given twice, in a file or a block, is an input error,
+and a value beyond float range counts as non-finite.
 The numeric modules (``numerics``, ``legendre``, ``fields``) are registered
 at import and run on their first use, so ``derive`` never runs them. Exit codes:
 0 success, 1 input validation (usage errors included), 2 a computed check
@@ -49,7 +58,6 @@ report was written (128 + SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import configparser
 import importlib.util
 import json
 import math
@@ -103,35 +111,35 @@ class ProblemFile:
     """Parsed problem definition with validated cross-references."""
 
     def __init__(self, path: str, tol=()):
-        cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        cp.optionxform = str
         try:
-            read = cp.read(path, encoding="utf-8")
-        except (configparser.Error, UnicodeDecodeError) as exc:
-            raise InputError(f"malformed problem file {path!r}: {exc}") from exc
-        if not read:
-            raise InputError(f"cannot read problem file {path!r}")
-        if "problem" not in cp or "lagrangian" not in cp:
+            self.blocks = _read_blocks(path, headers=True)
+        except OSError as exc:
+            raise InputError(f"cannot read problem file {path!r}") from exc
+        self.path = path
+        if "problem" not in self.blocks or "lagrangian" not in self.blocks:
             raise InputError("problem file needs [problem] and [lagrangian] blocks")
         try:
-            n = cp.getint("problem", "n")
-            m = cp.getint("problem", "m")
-            r = cp.getint("problem", "r")
-        except (ValueError, configparser.NoOptionError) as exc:
-            raise InputError(f"bad [problem] block: {exc}") from exc
+            n, m, r = (int(self.blocks["problem"][k][0]) for k in "nmr")
+        except (KeyError, ValueError):
+            raise InputError("bad [problem] block: n, m and r must be integers") from None
         self.ctx = ChartContext(n, m, r)
         self.ctx.ensure_max_order(2 * r)
-        ltext = _unquote(cp.get("lagrangian", "L", fallback=None))
-        if ltext is None:
+        L = self._entries("lagrangian").get("L")
+        if L is None:
             raise InputError("[lagrangian] block needs an L entry")
-        self.problem = V.LagrangianProblem(self.ctx, parse_expr(ltext, self.ctx))
-        self.cp = cp
+        self.problem = V.LagrangianProblem(self.ctx, _parsed(parse_expr, *L, self.ctx))
         self.tolerances = self._tolerances(tol)
+
+    def _entries(self, block: str) -> dict:
+        """``{key: (value, where)}`` of the expression entries of ``block``: each
+        value without its quotes, ``where`` its ``path:line: [block] key``."""
+        return {key: (_unquote(val), f"{self.path}:{line}: [{block}] {key}")
+                for key, (val, line) in self.blocks.get(block, {}).items()}
 
     def _tolerances(self, tol) -> dict:
         """The defaults, overridden by the [tolerances] entries and then by
         the ``KEY=VAL`` options ``tol``. Each value must be finite and >= 0."""
-        items = list(self.cp["tolerances"].items()) if "tolerances" in self.cp else []
+        items = [(key, val) for key, (val, _) in self.blocks.get("tolerances", {}).items()]
         for item in tol:
             if "=" not in item:
                 raise InputError(f"bad --tol {item!r}; expected KEY=VAL")
@@ -151,7 +159,7 @@ class ProblemFile:
         return {"n": ctx.n, "m": ctx.m, "r": ctx.r, "L": str(self.problem.L)}
 
     def has(self, block: str) -> bool:
-        return block in self.cp and len(self.cp[block]) > 0
+        return bool(self.blocks.get(block))
 
     def require(self, block: str) -> None:
         if not self.has(block):
@@ -161,14 +169,14 @@ class ProblemFile:
         """``{Coord: Expr}`` of a required block whose keys all pass ``allowed``."""
         self.require(block)
         comps = {}
-        for key, val in self.cp[block].items():
-            c = _parse_coord(key, self.ctx)
+        for key, (val, where) in self._entries(block).items():
+            c = _parsed(_parse_coord, key, where, self.ctx)
             if not allowed(c):
                 raise InputError(f"[{block}] keys must be {what}, got {key}")
             if c in comps:
                 raise InputError(f"duplicate [{block}] entry {key!r}: {c.text()} "
                                  "is given twice")
-            comps[c] = parse_expr(_unquote(val), self.ctx)
+            comps[c] = _parsed(parse_expr, val, where, self.ctx)
         return comps
 
     def sigma_block(self, block: str) -> dict:
@@ -198,7 +206,7 @@ class ProblemFile:
             return V.GSpec()
         entries = {}
         pat = re.compile(r"^g\((\d+);(\d+)\|([\d,]*)\)$")
-        for key, val in self.cp["g"].items():
+        for key, (val, where) in self._entries("g").items():
             mo = pat.match(key.replace(" ", ""))
             if not mo:
                 raise InputError(f"bad [g] key {key!r}; expected g(s;i|j1,...)")
@@ -206,13 +214,13 @@ class ProblemFile:
             J = mi.canon(int(t) for t in mo.group(3).split(",") if t)
             if (sigma, i, J) in entries:
                 raise InputError(f"duplicate [g] entry {key!r}")
-            entries[(sigma, i, J)] = parse_expr(_unquote(val), self.ctx)
+            entries[(sigma, i, J)] = _parsed(parse_expr, val, where, self.ctx)
         return V.GSpec(entries)
 
     def domain(self, resolution: int | None = None) -> N.IntegrationDomain:
         if not self.has("domain"):
             raise InputError("this command needs a [domain] block")
-        blk = self.cp["domain"]
+        blk = {key: val for key, (val, _) in self.blocks["domain"].items()}
         n = self.ctx.n
         bounds = []
         for key, default in (("lower", "0"), ("upper", "1")):
@@ -229,10 +237,7 @@ class ProblemFile:
         return N.IntegrationDomain(*bounds, resolution)
 
 
-def _unquote(text: str | None) -> str | None:
-    if text is None:
-        return None
-    text = text.strip()
+def _unquote(text: str) -> str:
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
         return text[1:-1]
     return text
@@ -251,40 +256,88 @@ def _num_list(text: str, what: str) -> list:
 
 
 def _parse_coord(text: str, ctx: ChartContext) -> Coord:
+    """The coordinate ``text`` names: it must parse to one coordinate atom,
+    to the first power, with coefficient 1."""
     e = parse_expr(text, ctx)
-    ids = e.coord_support_ids()
-    if len(ids) != 1 or not e.equal_exact(Expr.coord(ctx, ctx.atom(next(iter(ids))))):
-        raise ParseError(f"{text!r} is not a single coordinate")
-    return ctx.atom(next(iter(ids)))
+    mono = next(iter(e.num), ())
+    if len(mono) == 1 and ctx.is_coord(mono[0][0]):
+        c = ctx.atom(mono[0][0])
+        if e == Expr.coord(ctx, c):
+            return c
+    raise InputError(f"{text!r} is not a single coordinate")
+
+
+def _parsed(parse, text: str, where: str, ctx: ChartContext):
+    """``parse(text, ctx)`` for a file entry: a ParseError is prefixed with
+    ``where``, the entry's ``path:line: [block] key``."""
+    try:
+        return parse(text, ctx)
+    except ParseError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
+_COMMENT = re.compile(r"(?:^|\s)[;#]")  # a comment starts a line or follows whitespace
+
+
+def _read_blocks(path: str, headers: bool) -> dict:
+    """The entries of a problem file, or with ``headers`` false of a point or
+    init file, read as UTF-8: ``{block: {key: (value, line)}}``; a point or
+    init file is the one block ``""``. ``[name]`` opens a block, ``key = value``
+    splits at the first ``=`` and both sides are stripped, and ``;`` or ``#``
+    at the start of a line or after whitespace starts a comment. A block or
+    key given twice, an empty key and any other line are input errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        what = "problem" if headers else "values"
+        raise InputError(f"malformed {what} file {path!r}: {exc}") from exc
+    blocks = {} if headers else {"": {}}
+    entries = blocks.get("")
+    for lineno, raw in enumerate(lines, 1):
+        comment = _COMMENT.search(raw)
+        line = (raw[:comment.start()] if comment else raw).strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1].strip()
+            if not headers:
+                raise InputError(f"{where}: a values file has no [block] headers")
+            if name in blocks:
+                raise InputError(f"{where}: block [{name}] is given twice")
+            entries = blocks[name] = {}
+            continue
+        key, eq, val = line.partition("=")
+        key = key.strip()
+        if not eq or not key:
+            raise InputError(f"{where}: expected 'key = value' or '[block]', got {line!r}")
+        if entries is None:
+            raise InputError(f"{where}: {key} comes before the first [block]")
+        if key in entries:
+            raise InputError(f"{where}: {key} is given twice")
+        entries[key] = (val.strip(), lineno)
+    return blocks
 
 
 def read_point_file(path: str, ctx: ChartContext) -> dict:
+    """``{Coord: float}`` of a point or init file of ``coordinate = value`` lines."""
     point = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"malformed values file {path!r}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected 'coordinate = value'")
-        key, val = line.split("=", 1)
-        c = _parse_coord(key.strip(), ctx)
+    for key, (val, lineno) in _read_blocks(path, headers=False)[""].items():
+        where = f"{path}:{lineno}"
+        c = _parsed(_parse_coord, key, f"{where}: {key}", ctx)
         if c in point:
-            raise InputError(f"{path}:{lineno}: {c.text()} is given twice")
-        val = val.strip()
+            raise InputError(f"{where}: {c.text()} is given twice")
         try:
             point[c] = float(val)
         except ValueError:
             try:
-                point[c] = float(parse_expr(val, ctx).as_fraction())
+                point[c] = float(_parsed(parse_expr, val, f"{where}: {key}", ctx).as_fraction())
             except OverflowError:  # an exact value beyond float range
                 point[c] = math.inf
         if not math.isfinite(point[c]):
-            raise InputError(f"{path}:{lineno}: {c.text()} = {val} is not finite")
+            raise InputError(f"{where}: {c.text()} = {val} is not finite")
     return point
 
 

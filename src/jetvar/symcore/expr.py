@@ -251,11 +251,14 @@ class Expr:
         return self._inverse() ** -k
 
     @staticmethod
-    def sum(ctx, terms) -> "Expr":
-        """Fold a sum of expressions into one polynomial, in place."""
+    def sum(ctx, terms, minus=()) -> "Expr":
+        """Fold ``terms`` and then the negated ``minus`` into one polynomial,
+        in place: the terms and order of ``t1 + t2 + ... - m1 - m2 - ...``."""
         acc = {}
         for t in terms:
             K.poly_add_into(acc, t.num)
+        for t in minus:
+            K.poly_add_into(acc, t.num, True)
         return Expr(ctx, acc)
 
     # -- zero certificate ----------------------------------------------------
@@ -396,14 +399,14 @@ class Expr:
         grad = self._grad
         if grad is None:
             grad = self._grad = K.poly_grad(self.num)
-        out = Expr(ctx, grad.get(cid, {}))
+        terms = [Expr(ctx, grad.get(cid, {}))]
         for aid in sorted(grad):
             if ctx.is_coord(aid) or cid not in ctx.func_coord_support(aid):
                 continue
             fa = ctx.atom(aid)
             chain = Expr(ctx, grad[aid]) * _func_derivative(ctx, aid, fa)
-            out = out + chain * fa.arg.partial(c)
-        return out
+            terms.append(chain * fa.arg.partial(c))
+        return terms[0] if len(terms) == 1 else Expr.sum(ctx, terms)
 
     def total_derivative(self, i: int) -> "Expr":
         """Formal derivative along the i-th base direction.

@@ -45,6 +45,9 @@ class _Token:
         self.value = value
         self.pos = pos
 
+    def __str__(self):
+        return "end of input" if self.kind == "end" else repr(self.value)
+
 
 def _tokenize(text: str) -> list[_Token]:
     toks = []
@@ -93,7 +96,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         t = self.next()
         if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.value!r}", t.pos)
+            raise ParseError(f"expected {kind!r}, found {t}", t.pos)
         return t
 
     def parse(self) -> Expr:
@@ -159,7 +162,7 @@ class _Parser:
             if t.value in ("x", "y", "v", "P"):
                 return self.coordinate(t)
             raise ParseError(f"unknown name {t.value!r}", t.pos)
-        raise ParseError(f"unexpected token {t.value!r}", t.pos)
+        raise ParseError(f"unexpected {t}", t.pos)
 
     def index(self) -> int:
         t = self.expect("int")

@@ -77,8 +77,8 @@ def _recursion(prob: LagrangianProblem, g: GSpec) -> dict:
         for p in ctx.coords(mom, (k,)):
             e = prob.L.partial(jet(p.sigma, p.J)) * Fraction(1, mi.count(p.J))
             if k < r:
-                for i in range(1, ctx.n + 1):
-                    e = e - _shifted(entries, g, p.sigma, i, p.J).total_derivative(i)
+                e = Expr.sum(ctx, [e], [_shifted(entries, g, p.sigma, i, p.J).total_derivative(i)
+                                        for i in range(1, ctx.n + 1)])
             entries[p] = e
     return entries
 
@@ -97,10 +97,9 @@ def euler_lagrange(prob: LagrangianProblem) -> dict:
     P = momenta(prob)
     out = {}
     for sigma in range(1, ctx.m + 1):
-        e = prob.L.partial(jet(sigma, ()))
-        for i in range(1, ctx.n + 1):
-            e = e - P[mom(sigma, (i,))].total_derivative(i)
-        out[sigma] = e
+        out[sigma] = Expr.sum(ctx, [prob.L.partial(jet(sigma, ()))],
+                              [P[mom(sigma, (i,))].total_derivative(i)
+                               for i in range(1, ctx.n + 1)])
     return out
 
 
@@ -303,13 +302,12 @@ def hamilton_form(lep: LepageanForm) -> HamiltonFormTable:
     Lt = extended_lagrangian(lep)
     entries = {}
     for c in ctx.coords(jet, range(2 * ctx.r)):
-        e = Lt.partial(c)
+        minus = []
         for q in range(1, ctx.n + 1):
             dv = lep.f.get(vel(c.sigma, c.J, q))  # dLt/dv: neither L nor f holds a v
-            if dv is None or dv.is_zero():
-                continue
-            e = e - dv.prolonged_total_derivative(q)
-        entries[c] = e
+            if dv is not None and not dv.is_zero():
+                minus.append(dv.prolonged_total_derivative(q))
+        entries[c] = Expr.sum(ctx, [Lt.partial(c)], minus)
     return HamiltonFormTable(entries, Lt)
 
 

@@ -288,6 +288,8 @@ GAMMA = "[gamma]\ny(1) = \"sin(x(1))\"\n\n"
     ("verify-extremal", GAMMA + "[domain]\nupper = nan\nresolution = 50\n", ()),
     ("verify-extremal", GAMMA + "[domain]\nlower = -inf\nresolution = 50\n", ()),
     ("verify-extremal", "[gamma]\ny(1;1) = \"cos(x(1))\"\n", ()),
+    ("verify-extremal", "[gamma]\ny(1)*(1+y(1))/(1+y(1)) = \"x(1)\"\n\n"
+                        "[domain]\nresolution = 50\n", ()),
     ("legendre", GAMMA + "[delta]\nx(1) = \"0\"\n", ()),
     ("field-check", GAMMA + "[field]\nP(1;1) = \"1\"\n", ()),
     ("first-variation", GAMMA + "[variation]\ny(1;1) = \"1\"\n", ()),
@@ -302,7 +304,7 @@ GAMMA = "[gamma]\ny(1) = \"sin(x(1))\"\n\n"
         "tol-nan", "tol-inf", "tol-negative",
         "duplicate-block", "x0-option", "x1-option", "step-option",
         "resolution-option", "eps-option", "resolution-zero", "domain-nan",
-        "domain-inf", "gamma-key", "delta-key", "field-key", "variation-key",
+        "domain-inf", "gamma-key", "gamma-key-quotient", "delta-key", "field-key", "variation-key",
         "eps-removed", "grid-over-budget-n1", "grid-over-budget-n2"])
 def test_malformed_input_is_input_error(tmp_path, command, blocks, extra):
     # blocks that open with their own [problem] replace the n = 1 header
@@ -313,6 +315,71 @@ def test_malformed_input_is_input_error(tmp_path, command, blocks, extra):
     code, data, _ = run_cli(command, str(f), *extra)
     assert code == 1
     assert data["error"]["type"] == "InputError"
+
+
+HEADER = "[problem]\nn = 1\nm = 1\nr = 1\n\n"
+LAGRANGIAN = "[lagrangian]\nL = \"1/2*y(1;1)^2\"\n"
+
+
+@pytest.mark.parametrize("text,kind,message", [
+    (HEADER + "[lagrangian]\nL = \"1/2*y(1;1)^2 % 3\"\n", "ParseError",
+     "bad.prob:7: [lagrangian] L: unexpected character '%' (at position 13)"),
+    (HEADER + "[DEFAULT]\nL = \"1/2*y(1;1)^2\"\n\n[lagrangian]\n", "InputError",
+     "[lagrangian] block needs an L entry"),
+    (HEADER + "[lagrangian]\nL: \"1/2*y(1;1)^2\"\n", "InputError",
+     "bad.prob:7: expected 'key = value'"),
+    ("n = 1\n" + HEADER + LAGRANGIAN, "InputError", "bad.prob:1: n comes before the first"),
+    (HEADER + LAGRANGIAN + "    + y(1)^2\n", "InputError", "bad.prob:8: expected 'key = value'"),
+    (HEADER + "r = 2\n" + LAGRANGIAN, "InputError", "bad.prob:6: r is given twice"),
+    (HEADER + LAGRANGIAN + " = 1\n", "InputError", "bad.prob:8: expected 'key = value'"),
+], ids=["percent", "default-block", "colon", "before-first-block", "continuation",
+        "repeated-key", "empty-key"])
+def test_problem_file_format(tmp_path, text, kind, message):
+    # the first three used to pass configparser: a traceback
+    # (InterpolationSyntaxError), L inherited from [DEFAULT], a `:` delimiter
+    f = tmp_path / "bad.prob"
+    f.write_text(text)
+    code, data, err = run_cli("derive", str(f))
+    assert code == 1 and "Traceback" not in err
+    assert data["error"]["type"] == kind
+    assert message in data["error"]["message"]
+
+
+@pytest.mark.parametrize("option", ["--at", "--init"])
+def test_block_header_in_a_values_file_is_input_error(tmp_path, option):
+    f = tmp_path / "values.txt"
+    f.write_text("[point]\ny(1) = 0\nP(1;1) = 1\n")
+    command = "regularity" if option == "--at" else "hdd-solve"
+    code, data, _ = run_cli(command, QUARTIC if option == "--at" else HO, option, str(f),
+                            "--x0", "0", "--x1", "1", "--step", "0.1")
+    assert code == 1
+    assert data["error"]["type"] == "InputError"
+    assert data["error"]["message"].endswith("values.txt:1: a values file has no [block] headers")
+
+
+@pytest.mark.parametrize("command,text,option,message", [
+    ("verify-extremal", LAGRANGIAN + "\n[gamma]\ny(1) = \"sin(x(1)\"\n\n[domain]\n"
+                        "resolution = 50\n", None,
+     "p.prob:10: [gamma] y(1): expected ')', found end of input (at position 8)"),
+    ("derive", "[lagrangian]\nL = \"1/2*y(1;1,1)^2\"\n\n[g]\ng(1;2|1) = \"y(1) +\"\n", None,
+     "p.prob:10: [g] g(1;2|1): unexpected end of input (at position 6)"),
+    ("regularity", LAGRANGIAN, "x(1) = 0\ny(1) = 0\ny(1;1) = 1/(2\n",
+     "values.txt:3: y(1;1): expected ')', found end of input (at position 4)"),
+], ids=["gamma", "g", "point"])
+def test_entry_parse_error_names_file_line_block_and_key(tmp_path, command, text, option,
+                                                        message):
+    # the message used to give only the position, and end of input as None
+    path = tmp_path / "p.prob"
+    r = "2" if command == "derive" else "1"
+    path.write_text(HEADER.replace("r = 1", f"r = {r}") + text)
+    extra = ()
+    if option is not None:
+        (tmp_path / "values.txt").write_text(option)
+        extra = ("--at", str(tmp_path / "values.txt"))
+    code, data, _ = run_cli(command, str(path), *extra)
+    assert code == 1
+    assert data["error"]["type"] == "ParseError"
+    assert data["error"]["message"].endswith(message)
 
 
 @pytest.mark.parametrize("x1,step,message", [

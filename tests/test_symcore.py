@@ -665,6 +665,8 @@ def test_symbolic_layers_import_no_numpy():
         # Record classes are plain classes: start-up loads no dataclasses
         # machinery, which imports inspect, ast, dis and tokenize.
         ("import jetvar.cli", "[m for m in ('dataclasses', 'inspect') if m in sys.modules]"),
+        # Problem, point and init files have their own line reader.
+        ("import jetvar.cli", "[m for m in ('configparser',) if m in sys.modules]"),
         # The 5-point rule is in closed form: quadrature on arrays (a sin
         # integrand) loads numpy but not its polynomial package.
         ("import jetvar.cli; assert jetvar.cli.main("
