@@ -44,8 +44,8 @@ sides, and a ``;`` or ``#`` that starts a line or follows whitespace starts
 a comment. Nothing is interpolated and ``[DEFAULT]`` is an ordinary block.
 A block or key given twice, an empty key, an entry before the first block,
 a header in a point or init file and any other line (such as ``key: value``
-or an indented continuation) are input errors naming ``path:line``, and a
-syntax error in an entry's key or expression names its ``path:line: [block]
+or an indented continuation) are input errors naming ``path:line``, and an
+input error in an entry's key or expression names its ``path:line: [block]
 key``. A coordinate given twice, in a file or a block, is an input error,
 and a value beyond float range counts as non-finite.
 The numeric modules (``numerics``, ``legendre``, ``fields``) are registered
@@ -69,7 +69,7 @@ import time
 from . import forms
 from . import multiindex as mi
 from . import varcalc as V
-from .errors import (DegeneracyError, InputError, JetvarError, ParseError,
+from .errors import (DegeneracyError, InputError, JetvarError,
                      UnsupportedSymbolicError)
 from .symcore import ChartContext, Coord, Expr, parse_expr
 
@@ -92,6 +92,8 @@ def _lazy(name: str):
 FL = _lazy("fields")
 LG = _lazy("legendre")
 N = _lazy("numerics")
+
+JET_BUDGET = 10_000  # jets of order <= 2r a problem's chart may have; see _jet_count
 
 DEFAULT_TOLERANCES = {
     "holonomy": 1e-6,
@@ -123,6 +125,10 @@ class ProblemFile:
         except (KeyError, ValueError):
             raise InputError("bad [problem] block: n, m and r must be integers") from None
         self.ctx = ChartContext(n, m, r)
+        jets = _jet_count(n, m, r)
+        if jets is None or jets > JET_BUDGET:
+            raise InputError(f"the chart n = {n}, m = {m}, r = {r} has {jets or 'over 10^100'} "
+                             f"jets up to order 2r, over the budget of {JET_BUDGET}")
         self.ctx.ensure_max_order(2 * r)
         L = self._entries("lagrangian").get("L")
         if L is None:
@@ -237,6 +243,17 @@ class ProblemFile:
         return N.IntegrationDomain(*bounds, resolution)
 
 
+def _jet_count(n: int, m: int, r: int) -> int | None:
+    """m*C(n+2r, 2r), the jets up to order 2r, or None once it passes 10^100
+    (the count of a chart with huge n and r takes long to compute)."""
+    count = m
+    for j in range(1, min(n, 2 * r) + 1):
+        if count > 1e100:
+            return None
+        count = count * (n + 2 * r + 1 - j) // j
+    return count if count <= 1e100 else None
+
+
 def _unquote(text: str) -> str:
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
         return text[1:-1]
@@ -268,11 +285,11 @@ def _parse_coord(text: str, ctx: ChartContext) -> Coord:
 
 
 def _parsed(parse, text: str, where: str, ctx: ChartContext):
-    """``parse(text, ctx)`` for a file entry: a ParseError is prefixed with
+    """``parse(text, ctx)`` for a file entry: an input error is prefixed with
     ``where``, the entry's ``path:line: [block] key``."""
     try:
         return parse(text, ctx)
-    except ParseError as exc:
+    except InputError as exc:
         exc.args = (f"{where}: {exc}",)
         raise
 

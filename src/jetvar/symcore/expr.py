@@ -20,12 +20,12 @@ Consequently:
 * expressions with transcendental atoms fall back to sampled evaluation
   (:meth:`Expr.probably_equal`), reported as probable equality only.
 
-Every partial derivative of an expression is read from its gradient: the
-derivatives with respect to all of its atoms, made in one walk over the
-terms (:func:`jetvar._poly.poly_grad`) on the first :meth:`Expr.partial`
-and cached on the expression, so the momenta, the Euler-Lagrange
-expressions, exterior derivatives and the Hamilton table walk each
-expression once however many partials they take. Canonical text
+Every derivative is one walk (:meth:`Expr._derive`): D(f) is the sum of
+df/da * D(a) over the atoms a of f's gradient, D(g(u)) = g'(u) * D(u) on
+function and reciprocal atoms, and callers fix D on coordinates only. The
+gradient (:func:`jetvar._poly.poly_grad`) is made in one walk over the terms
+and cached, so each expression is walked once however many derivatives the
+momenta, Euler-Lagrange expressions and Hamilton table take. Canonical text
 (:meth:`Expr.__str__`) reads each atom's text and sort key from per-atom
 caches of the context, and writes the terms that share a reciprocal part
 as one group, ``(N)*(D)^-k``.
@@ -60,8 +60,7 @@ from fractions import Fraction
 from .. import _poly as K
 from ..errors import (DivisionByZeroError, DomainError, InputError,
                       OrderOverflowError)
-from .context import (_RECIP, RESIDUE_PRIME, ChartContext, Coord, FuncAtom, base,
-                      jet, vel)
+from .context import _RECIP, RESIDUE_PRIME, ChartContext, Coord, FuncAtom, jet, vel
 from .evaluator import Evaluator
 
 _ONE = {K.ONE_MONO: (1, 1)}
@@ -387,26 +386,10 @@ class Expr:
     # -- calculus ------------------------------------------------------------
 
     def partial(self, c: Coord) -> "Expr":
-        """Partial derivative treating every atom as independent; function
-        and reciprocal atoms whose argument depends on ``c`` contribute
-        through the chain rule.
-
-        Every partial reads the gradient (:func:`jetvar._poly.poly_grad`),
-        computed in one walk over the terms on the first call and cached.
-        """
-        ctx = self.ctx
-        cid = ctx.coord_id(c)
-        grad = self._grad
-        if grad is None:
-            grad = self._grad = K.poly_grad(self.num)
-        terms = [Expr(ctx, grad.get(cid, {}))]
-        for aid in sorted(grad):
-            if ctx.is_coord(aid) or cid not in ctx.func_coord_support(aid):
-                continue
-            fa = ctx.atom(aid)
-            chain = Expr(ctx, grad[aid]) * _func_derivative(ctx, aid, fa)
-            terms.append(chain * fa.arg.partial(c))
-        return terms[0] if len(terms) == 1 else Expr.sum(ctx, terms)
+        """Partial derivative treating every atom as independent: :meth:`_derive`
+        with c mapped to 1, through the atoms whose argument holds c."""
+        cid = self.ctx.coord_id(c)
+        return Expr(self.ctx, self._derive(lambda aid: _ONE if aid == cid else None, cid))
 
     def total_derivative(self, i: int) -> "Expr":
         """Formal derivative along the i-th base direction.
@@ -432,34 +415,51 @@ class Expr:
         return self._formal_derivative(q, prolonged=True)
 
     def _formal_derivative(self, i: int, prolonged: bool) -> "Expr":
-        """d/dx^i plus, per jet coordinate y^s_J, its image times the partial:
-        y^s_{J+i} (total derivative) or v(s;J|i) (prolonged), summed in place."""
+        """:meth:`_derive` with x(i) -> 1 and y(s;J) -> y(s;J+i) (v(s;J|i) if
+        prolonged); a jet at the order bound raises if its partial is nonzero."""
         ctx = self.ctx
         if not 1 <= i <= ctx.n:
             raise InputError(f"base direction {i} outside 1..{ctx.n}")
-        terms = [self.partial(base(i))]
-        for c in self.coords():
+
+        def image(aid):
+            c = ctx.atom(aid)
             if c.kind == "x":
-                continue
+                return _ONE if c.i == i else None
             if c.kind != "y":
-                raise InputError(
-                    ("prolonged total derivative acts on velocity-free jet functions"
-                     if prolonged else
-                     "total derivative is defined for base/jet functions")
-                    + f" only; found {c.text()}")
-            dc = self.partial(c)
-            if dc.is_zero():
-                continue
-            if prolonged:
-                image = vel(c.sigma, c.J, i)
-            elif c.order + 1 > ctx.max_order:
+                what = ("prolonged total derivative acts on velocity-free jet functions"
+                        if prolonged else "total derivative is defined for base/jet functions")
+                raise InputError(f"{what} only; found {c.text()}")
+            if prolonged or c.order < ctx.max_order:
+                d = vel(c.sigma, c.J, i) if prolonged else jet(c.sigma, c.J + (i,))
+                return K.poly_atom(ctx.coord_id(d))
+            if not self.partial(c).is_zero():
                 raise OrderOverflowError(
                     f"total derivative of {c.text()} needs jet order "
                     f"{c.order + 1} > max_order {ctx.max_order}")
-            else:
-                image = jet(c.sigma, c.J + (i,))
-            terms.append(Expr.coord(ctx, image) * dc)
-        return Expr.sum(ctx, terms)
+        return Expr(ctx, self._derive(image))
+
+    def _derive(self, image, holds=None) -> dict:
+        """D(self) for the derivation D that is ``image(aid)`` on coordinates (a
+        polynomial, or None for 0): df/da * D(a) summed in place over the
+        cached gradient's atoms a in id order, D(g(u)) = g'(u) * D(u) on the
+        function atoms whose argument holds the coordinate id ``holds`` (all if None)."""
+        ctx = self.ctx
+        grad = self._grad
+        if grad is None:
+            grad = self._grad = K.poly_grad(self.num)
+        acc = {}
+        for aid in sorted(grad):
+            if ctx.is_coord(aid):
+                d = image(aid)
+                if d:
+                    K.poly_add_into(acc, grad[aid] if d is _ONE else K.poly_mul(grad[aid], d))
+            elif holds is None or holds in ctx.func_coord_support(aid):
+                fa = ctx.atom(aid)
+                d = fa.arg._derive(image, holds)
+                if d:
+                    chain = K.poly_mul(grad[aid], _func_derivative(ctx, aid, fa).num)
+                    K.poly_add_into(acc, K.poly_mul(chain, d))
+        return acc
 
     # -- substitution and evaluation ------------------------------------------
 

@@ -20,3 +20,16 @@ def test_bench_poly_runs_every_workload():
                      "laplace_action_201", "laplace_first_variation_201",
                      "ho_action_13000", "ho_hdd_integrate", "newton_hdd_integrate",
                      "cli_import_source", "cli_import_cached"]
+
+
+def test_report_digest_prints_one_line_per_report():
+    proc = run_python(os.path.join(BENCHMARKS, "report_digest.py"))
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    ids = [jid for jid, _, _ in lines]
+    assert len(ids) == len(set(ids))
+    assert "problems/degenerate.prob:regularity:problems/origin.at" in ids
+    for workload in ("derive_poly", "derive_rational", "verify_numeric"):
+        for seed in (1, 2, 3):
+            assert any(jid.startswith(f"{workload}:{seed}:") for jid in ids)
+    assert all(code in "0123" and len(digest) == 64 for _, code, digest in lines)

@@ -382,6 +382,44 @@ def test_entry_parse_error_names_file_line_block_and_key(tmp_path, command, text
     assert data["error"]["message"].endswith(message)
 
 
+@pytest.mark.parametrize("argv,kind,message", [
+    (["regularity", prob_path("degenerate.prob"), "--at", prob_path("origin.at")],
+     "IndexRangeError", "origin.at:2: x(2): base index 2 outside 1..1"),
+    (["hdd-solve", HO, "--init", prob_path("cubic_r2.init"),
+      "--x0", "0", "--x1", "1", "--step", "0.1"],
+     "IndexRangeError", "cubic_r2.init:4: P(1;1,1): momentum index length 2 outside 1..1"),
+], ids=["point", "init"])
+def test_entry_input_error_names_file_and_line(argv, kind, message):
+    # the message used to name neither the file nor the line
+    data, code = run(build_parser().parse_args(argv))
+    assert code == 1
+    assert data["error"]["type"] == kind
+    assert data["error"]["message"].endswith(message)
+
+
+HUGE_M = 9999999999999999999999999999991
+WIDE = int("9" * 4300)  # the most digits an integer in a problem file may have
+
+
+@pytest.mark.parametrize("n,m,r,count", [
+    (1, HUGE_M, 1, 3 * HUGE_M),
+    (12, 1, 4, 125970),
+    (WIDE, WIDE, WIDE, "over 10^100"),  # neither counted nor printed in full
+], ids=["huge-m", "n12-r4", "wide"])
+def test_chart_over_the_jet_budget_is_refused_at_once(tmp_path, n, m, r, count):
+    # m*C(n+2r, 2r) jets up to order 2r; the derive never finished at the huge
+    # m, so it runs in a child that the time limit stops
+    f = tmp_path / "p.prob"
+    f.write_text(f"[problem]\nn = {n}\nm = {m}\nr = {r}\n\n[lagrangian]\nL = \"y(1;1)^2\"\n")
+    proc = subprocess.run([sys.executable, "-m", "jetvar.cli", "derive", str(f)],
+                          capture_output=True, text=True, env=child_env(), timeout=2)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "type": "InputError",
+        "message": f"the chart n = {n}, m = {m}, r = {r} has {count} jets up to order 2r, "
+                   "over the budget of 10000"}
+
+
 @pytest.mark.parametrize("x1,step,message", [
     ("1", "1", "--step"),        # one step: two samples admit no derivative check
     ("1", "nan", "finite"),

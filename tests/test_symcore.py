@@ -123,6 +123,17 @@ def test_total_derivative_rejects_velocities(ctx):
         parse_expr("v(1;|1)", ctx).total_derivative(1)
 
 
+@pytest.mark.parametrize("text", ["y(1;1)*(1+y(1))/(1+y(1)) - y(1;1)",
+                                  "y(1;1) - ln(exp(y(1;1)))"])
+def test_total_derivative_at_the_bound_needs_a_nonzero_partial(text):
+    # y(1;1) sits at the order bound, and the partial in it is 0 only modulo
+    # D*(1/D) = 1: a walk that raised on every jet at the bound would raise.
+    # The first result used to be the polynomial 0 and is now an exactly
+    # equal quotient.
+    ctx = ChartContext(1, 1, 1)
+    assert parse_expr(text, ctx).total_derivative(1).is_zero()
+
+
 def test_formal_derivatives_commute():
     ctx = ChartContext(2, 2, 2, max_order=4)
     rng = random.Random(11)
@@ -436,6 +447,66 @@ def test_gradient_partials_match_two_walk_reference(seed):
         want = _two_walk_partial(e, c)
         for got in (e.partial(c), e.partial(c)):  # the second reads the cache
             assert list(got.num.items()) == list(want.num.items())
+
+
+def _per_coordinate_formal_derivative(e, i, prolonged):
+    """Reference formal derivative: the partial in x(i) plus, per jet
+    coordinate c whose partial is nonzero, the image of c (y(s;J+i), or
+    v(s;J|i) when prolonged) times that partial."""
+    ctx = e.ctx
+    if not 1 <= i <= ctx.n:
+        raise InputError(f"base direction {i} outside 1..{ctx.n}")
+    out = _two_walk_partial(e, base(i))
+    for c in e.coords():
+        if c.kind == "x":
+            continue
+        if c.kind != "y":
+            raise InputError(
+                ("prolonged total derivative acts on velocity-free jet functions"
+                 if prolonged else "total derivative is defined for base/jet functions")
+                + f" only; found {c.text()}")
+        dc = _two_walk_partial(e, c)
+        if dc.is_zero():
+            continue
+        if prolonged:
+            image = vel(c.sigma, c.J, i)
+        elif c.order + 1 > ctx.max_order:
+            raise OrderOverflowError(f"total derivative of {c.text()} needs jet order "
+                                     f"{c.order + 1} > max_order {ctx.max_order}")
+        else:
+            image = jet(c.sigma, c.J + (i,))
+        out = out + Expr.coord(ctx, image) * dc
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InputError as exc:  # OrderOverflowError included
+        return type(exc), str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(0, 3),
+       st.sampled_from(["plain", "velocity", "momentum", "bound"]))
+def test_formal_derivatives_match_per_coordinate_reference(seed, depth, extra):
+    ctx = ChartContext(2, 1, 1)  # order bound 1
+    rng = random.Random(seed)
+    e = (_random_transcendental(ctx, rng, depth=1) if depth == 0
+         else _nested_reciprocals(ctx, rng, depth))
+    if extra != "plain":
+        c = {"velocity": vel(1, (), 2), "momentum": mom(1, (1,)),
+             "bound": jet(1, (2,))}[extra]
+        e = e + Expr.coord(ctx, c) * e
+    for i in range(4):  # directions 0 and 3 are out of range
+        for prolonged, derive in ((False, e.total_derivative),
+                                  (True, e.prolonged_total_derivative)):
+            want = _outcome(lambda: _per_coordinate_formal_derivative(e, i, prolonged))
+            got = _outcome(lambda: derive(i))
+            if isinstance(want, Expr):
+                assert isinstance(got, Expr) and got.equal_exact(want)
+            else:
+                assert got == want
 
 
 def _nested_reciprocals(ctx, rng, depth):
