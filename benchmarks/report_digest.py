@@ -30,12 +30,13 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 from jetvar import cli  # noqa: E402
 from perfbench import corpus  # noqa: E402
 
+PARSER = cli.build_parser()
 SEEDS = (1, 2, 3)
 HDD = ("--x0", "0", "--x1", "1", "--step", "0.01")
 
 
 def digest(jid: str, argv: list) -> str:
-    data, code = cli.run(cli.build_parser().parse_args(argv))
+    data, code = cli.run(PARSER.parse_args(argv))
     data.pop("timing", None)
     text = json.dumps(data, indent=2, sort_keys=True)
     return f"{jid} {code} {hashlib.sha256(text.encode()).hexdigest()}"

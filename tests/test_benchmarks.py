@@ -32,4 +32,4 @@ def test_report_digest_prints_one_line_per_report():
     for workload in ("derive_poly", "derive_rational", "verify_numeric"):
         for seed in (1, 2, 3):
             assert any(jid.startswith(f"{workload}:{seed}:") for jid in ids)
-    assert all(code in "0123" and len(digest) == 64 for _, code, digest in lines)
+    assert all(code in ("0", "1", "2", "3") and len(digest) == 64 for _, code, digest in lines)
