@@ -135,6 +135,7 @@ class ProblemFile:
             raise InputError("[lagrangian] block needs an L entry")
         self.problem = V.LagrangianProblem(self.ctx, _parsed(parse_expr, *L, self.ctx))
         self.tolerances = self._tolerances(tol)
+        self.read_tolerances = {}
 
     def _entries(self, block: str) -> dict:
         """``{key: (value, where)}`` of the expression entries of ``block``: each
@@ -159,6 +160,10 @@ class ProblemFile:
                 raise InputError(f"tolerance {key} = {val} must be finite and >= 0")
             tolerances[key] = value
         return tolerances
+
+    def tolerance(self, key: str) -> float:
+        """The tolerance ``key``, recorded as read: a report lists those read."""
+        return self.read_tolerances.setdefault(key, self.tolerances[key])
 
     def digest(self) -> dict:
         ctx = self.ctx
@@ -208,8 +213,6 @@ class ProblemFile:
             "field", lambda c: c.kind == "y", "jet coordinates"))
 
     def gspec(self) -> V.GSpec:
-        if not self.has("g"):
-            return V.GSpec()
         entries = {}
         pat = re.compile(r"^g\((\d+);(\d+)\|([\d,]*)\)$")
         for key, (val, where) in self._entries("g").items():
@@ -224,8 +227,7 @@ class ProblemFile:
         return V.GSpec(entries)
 
     def domain(self, resolution: int | None = None) -> N.IntegrationDomain:
-        if not self.has("domain"):
-            raise InputError("this command needs a [domain] block")
+        self.require("domain")
         blk = {key: val for key, (val, _) in self.blocks["domain"].items()}
         n = self.ctx.n
         bounds = []
@@ -360,10 +362,6 @@ def read_point_file(path: str, ctx: ChartContext) -> dict:
 
 # -- report helpers ----------------------------------------------------------------
 
-def _mi_text(J) -> str:
-    return ",".join(str(j) for j in J)
-
-
 def _indices(c: Coord) -> str:
     """A coordinate's text without its kind letter: ``(1;1,2)``, ``(1;|2)``."""
     return c.text()[1:]
@@ -387,7 +385,7 @@ class Report:
         self.data = {
             "command": command,
             "problem": pf.digest(),
-            "tolerances": dict(sorted(pf.tolerances.items())),
+            "tolerances": pf.read_tolerances,  # sorted in finalize
             "results": {},
             "checks": {},
             "exit_code": 0,
@@ -403,6 +401,7 @@ class Report:
     def finalize(self) -> dict:
         if any(not c["pass"] for c in self.data["checks"].values()):
             self.data["exit_code"] = 2
+        self.data["tolerances"] = dict(sorted(self.data["tolerances"].items()))
         self.data["timing"] = {"seconds": round(time.perf_counter() - self._start, 6)}
         return self.data
 
@@ -423,16 +422,14 @@ def cmd_derive(pf: ProblemFile, args) -> Report:
     defect = V.lepagean_defect(lep.realize(), prob)
     rep.check("defect_zero", defect.is_lepagean, {
         "horizontal_mismatch": str(defect.horizontal_mismatch),
-        "contact_defect": {f"({s};{_mi_text(J)})": str(e)
+        "contact_defect": {f"({s};{','.join(map(str, J))})": str(e)
                            for (s, J), e in sorted(defect.contact_defect.items())},
     })
     el_match = all(defect.euler_lagrange.get(s, Expr.const(pf.ctx, 0)).equal_exact(e)
                    for s, e in el.items())
     rep.check("euler_lagrange_consistent", el_match,
               "1-contact density equals the recursion route")
-    hamilton = V.hamilton_form(lep)
-    rep.result("extended_lagrangian", str(hamilton.extended))
-    rep.result("hamilton_table", _coord_table(hamilton.entries, "H"))
+    rep.result("hamilton_table", _coord_table(V.hamilton_form(lep).entries, "H"))
     return rep
 
 
@@ -453,7 +450,7 @@ def cmd_legendre(pf: ProblemFile, args) -> Report:
         summary = LG.hdd_residual(data, pf.delta_components(),
                                   pf.domain(args.resolution))
         rep.result("hdd_residuals", summary.as_dict())
-        tol = pf.tolerances["hdd_residual"]
+        tol = pf.tolerance("hdd_residual")
         rep.check("hdd_residual", summary.global_max <= tol,
                   {"max": summary.global_max, "tolerance": tol})
     return rep
@@ -464,7 +461,7 @@ def cmd_regularity(pf: ProblemFile, args) -> Report:
     if not args.at:
         raise InputError("regularity needs --at POINTFILE")
     point = read_point_file(args.at, pf.ctx)
-    report = LG.regularity_report(pf.problem, point, pf.tolerances["rank_rel"])
+    report = LG.regularity_report(pf.problem, point, pf.tolerance("rank_rel"))
     blocks = {}
     for s, b in sorted(report.blocks.items()):
         blocks[str(s)] = {
@@ -477,7 +474,7 @@ def cmd_regularity(pf: ProblemFile, args) -> Report:
         }
     rep.result("blocks", blocks)
     M, pd, labels = LG.hessian_definiteness(pf.problem, point,
-                                            pf.tolerances["definiteness_pivot"])
+                                            pf.tolerance("definiteness_pivot"))
     rep.result("hessian", {
         "labels": [_indices(c) for c in labels],
         "numeric": [[float(v) for v in row] for row in M],
@@ -518,10 +515,9 @@ def cmd_hdd_solve(pf: ProblemFile, args) -> Report:
     rep.result("final", {c.text(): float(traj.columns[c][-1]) for c in cols})
     hol = LG.interior_max(hol_col, hol_interior)
     elr = LG.interior_max(el_col, el_interior)
-    rep.check("holonomy", hol <= pf.tolerances["holonomy"],
-              {"max": hol, "tolerance": pf.tolerances["holonomy"]})
-    rep.check("euler_lagrange_along", elr <= pf.tolerances["trajectory_el"],
-              {"max": elr, "tolerance": pf.tolerances["trajectory_el"]})
+    hol_tol, el_tol = pf.tolerance("holonomy"), pf.tolerance("trajectory_el")
+    rep.check("holonomy", hol <= hol_tol, {"max": hol, "tolerance": hol_tol})
+    rep.check("euler_lagrange_along", elr <= el_tol, {"max": elr, "tolerance": el_tol})
     return rep
 
 
@@ -548,8 +544,8 @@ def cmd_excess(pf: ProblemFile, args) -> Report:
     if pf.has("gamma"):
         cert = FL.minimum_certificate(
             prob, lep, w, wd, pf.gamma(), pf.domain(),
-            compat_tol=pf.tolerances["compatibility"],
-            pivot_tol=pf.tolerances["definiteness_pivot"])
+            compat_tol=pf.tolerance("compatibility"),
+            pivot_tol=pf.tolerance("definiteness_pivot"))
         rep.result("certificate_caveat", cert.caveat)
         for cond in cert.conditions:
             rep.check(f"certificate:{cond.name}", cond.passed, cond.detail)
@@ -578,7 +574,7 @@ def cmd_verify_extremal(pf: ProblemFile, args) -> Report:
     gamma = pf.gamma()
     dom = pf.domain(args.resolution)
     residual = FL.extremal_residual_via_field(pf.problem, gamma, pf.domain(25))
-    tol = pf.tolerances["extremal_residual"]
+    tol = pf.tolerance("extremal_residual")
     rep.result("euler_lagrange_residual", residual)
     rep.result("action", N.action_value(pf.problem, gamma, dom))
     rep.check("extremal", residual <= tol, {"max": residual, "tolerance": tol})
@@ -596,7 +592,7 @@ def cmd_first_variation(pf: ProblemFile, args) -> Report:
     rep.result("interior", fv.interior)
     rep.result("boundary", fv.boundary)
     rep.result("rhs", fv.rhs)
-    tol = pf.tolerances["first_variation"]
+    tol = pf.tolerance("first_variation")
     rep.check("first_variation", abs(fv.lhs - fv.rhs) <= tol,
               {"difference": abs(fv.lhs - fv.rhs), "tolerance": tol})
     return rep
@@ -638,6 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="jetvar",
         description="derivations and checks for higher-order variational problems")
+    # "-1e-3" and "-inf" are values, not options, as "-1" is
+    p._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.I)
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("file", help="problem definition file")
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -646,9 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override a named tolerance")
     p.add_argument("--at", help="point file for regularity/definiteness")
     p.add_argument("--init", help="initial-data file for hdd-solve")
-    p.add_argument("--x0", type=float)
-    p.add_argument("--x1", type=float)
-    p.add_argument("--step", type=float)
+    for name in ("--x0", "--x1", "--step"):
+        p.add_argument(name, type=float)
     p.add_argument("--resolution", type=int)
     return p
 

@@ -291,9 +291,8 @@ class HamiltonFormTable:
     are affine in the velocity atoms.
     """
 
-    def __init__(self, entries: dict, extended: Expr):
+    def __init__(self, entries: dict):
         self.entries = entries
-        self.extended = extended
 
 
 def hamilton_form(lep: LepageanForm) -> HamiltonFormTable:
@@ -308,7 +307,7 @@ def hamilton_form(lep: LepageanForm) -> HamiltonFormTable:
             if dv is not None and not dv.is_zero():
                 minus.append(dv.prolonged_total_derivative(q))
         entries[c] = Expr.sum(ctx, [Lt.partial(c)], minus)
-    return HamiltonFormTable(entries, Lt)
+    return HamiltonFormTable(entries)
 
 
 def prolong_vector_field(ctx: ChartContext, xi: dict, order: int) -> dict:

@@ -14,7 +14,7 @@ from jetvar import multiindex as mi
 from jetvar import numerics as N
 from jetvar import varcalc as V
 from jetvar.errors import InputError
-from jetvar.symcore import ChartContext, Expr, base, jet, vel
+from jetvar.symcore import ChartContext, Expr, base, jet, parse_expr, vel
 
 
 def random_polynomial(ctx, rng, atoms, n_terms=4, degree=3, allow_const=True):
@@ -63,6 +63,32 @@ CORPUS_SHAPES = [
 def corpus():
     """Twenty random polynomial Lagrangian problems, n,m <= 2, r <= 3."""
     return [random_problem(n, m, r, seed=1000 + i)
+            for i, (n, m, r) in enumerate(CORPUS_SHAPES)]
+
+
+# Non-polynomial parts of the rational corpus, drawn in turn: a quotient, a
+# sqrt atom and an exp atom, each over one jet coordinate u.
+RATIONAL_TAILS = ["({N})/(1+{u}^2)^{k}", "({N})*sqrt(1+{u}^2)", "({N})*exp({u})"]
+
+
+def random_rational_problem(n, m, r, seed):
+    """A random polynomial plus N/(1+u^2)^k (k = 1, 2), N*sqrt(1+u^2) or
+    N*exp(u), with N a random polynomial and u a random jet coordinate."""
+    rng = random.Random(seed)
+    ctx = ChartContext(n, m, r)
+    atoms = lagrangian_atoms(ctx)
+    poly = random_polynomial(ctx, rng, atoms, n_terms=4, degree=3)
+    N = random_polynomial(ctx, rng, atoms, n_terms=3, degree=2)
+    u = rng.choice(atoms[n:]).text()
+    tail = RATIONAL_TAILS[seed % 3].format(N=N, u=u, k=rng.randint(1, 2))
+    return V.LagrangianProblem(ctx, parse_expr(f"{poly} + {tail}", ctx))
+
+
+@pytest.fixture(scope="session")
+def rational_corpus():
+    """Twenty random quotient and transcendental problems, in the shapes of
+    ``corpus``."""
+    return [random_rational_problem(n, m, r, seed=2000 + i)
             for i, (n, m, r) in enumerate(CORPUS_SHAPES)]
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetvar.cli import DEFAULT_TOLERANCES, ProblemFile, build_parser, main, run
+from jetvar.cli import COMMANDS, DEFAULT_TOLERANCES, ProblemFile, build_parser, main, run
 from jetvar.symcore import ChartContext, parse_expr
 from conftest import child_env, run_jetvar
 
@@ -57,8 +57,8 @@ def test_derive_zero_lagrangian(tmp_path):
     f.write_text("[problem]\nn = 1\nm = 1\nr = 1\n\n[lagrangian]\nL = \"0\"\n")
     code, data, _ = run_cli("derive", str(f))
     assert code == 0
-    assert data["results"]["extended_lagrangian"] == "0"
     assert all(v == "0" for v in data["results"]["euler_lagrange"].values())
+    assert all(v == "0" for v in data["results"]["hamilton_table"].values())
 
 
 def test_malformed_expression_exit_1(tmp_path):
@@ -463,10 +463,67 @@ def test_hdd_solve_far_from_origin():
 def test_in_process_calls_share_no_options(tmp_path):
     # main builds its parser once per process; one call's options must not leak
     out = tmp_path / "report.json"
-    assert main(["derive", HO, "--tol", "holonomy=1", "--out", str(out)]) == 0
+    argv = ["hdd-solve", HO, "--init", prob_path("ho.init"),
+            "--x0", "0", "--x1", "1", "--step", "0.01", "--out", str(out)]
+    assert main(argv + ["--tol", "holonomy=1"]) == 0
     assert json.loads(out.read_text())["tolerances"]["holonomy"] == 1.0
-    assert main(["derive", HO, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["tolerances"] == DEFAULT_TOLERANCES
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["tolerances"] == {
+        key: DEFAULT_TOLERANCES[key] for key in ("holonomy", "trajectory_el")}
+
+
+def _tolerances_read_by(command, pf):
+    """The tolerances the checks of ``command`` read on the problem ``pf``."""
+    return {"derive": set(), "field-check": set(), "hj": set(),
+            "legendre": {"hdd_residual"} if pf.has("delta") else set(),
+            "regularity": {"rank_rel", "definiteness_pivot"},
+            "hdd-solve": {"holonomy", "trajectory_el"},
+            "excess": {"compatibility", "definiteness_pivot"} if pf.has("gamma") else set(),
+            "verify-extremal": {"extremal_residual"},
+            "first-variation": {"first_variation"}}[command]
+
+
+def test_report_lists_the_tolerances_its_checks_read():
+    parser, listed = build_parser(), set()
+    names = sorted(os.listdir(PROBLEMS))
+    for prob in (prob_path(f) for f in names if f.endswith(".prob")):
+        pf = ProblemFile(prob)
+        jobs = [[command, prob] for command in sorted(COMMANDS)]
+        jobs += [["regularity", prob, "--at", prob_path(f)] for f in names if f.endswith(".at")]
+        jobs += [["hdd-solve", prob, "--init", prob_path(f), "--x0", "0", "--x1", "1",
+                  "--step", "0.01"] for f in names if f.endswith(".init")]
+        for argv in jobs:
+            data, _ = run(parser.parse_args(argv))
+            if "error" not in data:
+                assert set(data["tolerances"]) == _tolerances_read_by(argv[0], pf), argv
+                listed.add((argv[0], tuple(sorted(data["tolerances"]))))
+    # every command, and legendre with and without [delta], made a report
+    assert {c for c, _ in listed} == set(COMMANDS)
+    assert {("legendre", ()), ("legendre", ("hdd_residual",))} <= listed
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--x0", "-1e-3"), ("--x0", "-1E-3"), ("--x0", "-.1e-2"), ("--x1", "-2e-1"),
+])
+def test_negative_number_in_exponent_notation_is_a_value(option, value):
+    argv = ["hdd-solve", HO, "--init", prob_path("ho.init"), "--x0", "-1", "--x1", "1",
+            "--step", "0.01"]
+    parser = build_parser()
+    at = argv.index(option)
+    spaced, code = run(parser.parse_args(argv[:at + 1] + [value] + argv[at + 2:]))
+    joined, _ = run(parser.parse_args(argv[:at] + [f"{option}={value}"] + argv[at + 2:]))
+    assert code == 0
+    assert strip_timing(spaced) == strip_timing(joined)
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+def test_negative_non_finite_option_is_not_a_usage_error(tmp_path, value):
+    out = tmp_path / "report.json"
+    assert main(["hdd-solve", HO, "--init", prob_path("ho.init"), "--x0", value,
+                 "--x1", "1", "--step", "0.01", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["command"] == "hdd-solve"
+    assert data["error"] == {"type": "InputError", "message": "x0, x1 and step must be finite"}
 
 
 @pytest.mark.parametrize("command,option,text", [
@@ -712,8 +769,8 @@ def test_report_expressions_reparse():
         parse_expr(text, ctx)
     for text in data["results"]["euler_lagrange"].values():
         parse_expr(text, ctx)
-    lt = parse_expr(data["results"]["extended_lagrangian"], ctx)
-    assert not lt.is_zero()
+    table = [parse_expr(text, ctx) for text in data["results"]["hamilton_table"].values()]
+    assert not all(e.is_zero() for e in table)
 
 
 def test_out_file_and_text_format(tmp_path):

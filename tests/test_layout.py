@@ -12,6 +12,11 @@ must be used in that module, as a ``Name`` (which is also the root of any
 
 Coefficient arithmetic stays in the kernel: no module but ``_poly.py``
 names ``rat``, ``rat_add`` or ``rat_mul``.
+
+Checks read their tolerances through ``ProblemFile.tolerance``, which records
+each one read for the report: no code outside the ``ProblemFile`` class
+names the attribute ``tolerances``, so no check reads a tolerance that its
+report does not list.
 """
 
 import ast
@@ -172,3 +177,39 @@ def test_coefficient_scan_flags_names_attributes_and_imports():
               '    return K.rat_mul(a, b), poly_add_into({}, a)\n')
     assert coefficient_arithmetic({"m.py": source, "_poly.py": "def rat(n, d):\n    pass\n"}) == [
         "m.py:1 rat_add", "m.py:5 rat_mul"]
+
+
+def tolerance_reads(sources: dict) -> list:
+    """Uses of an attribute named ``tolerances`` outside the ``ProblemFile``
+    class (a subscript, a ``.get``, any other read), as ``path:line``.
+
+    ``sources`` maps a path to its source text."""
+    found = []
+    for path, text in sources.items():
+        tree = ast.parse(text)
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "ProblemFile"
+                  for node in ast.walk(cls)}
+        lines = sorted(node.lineno for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and node.attr == "tolerances"
+                       and id(node) not in inside)
+        found += [f"{path}:{line}" for line in lines]
+    return found
+
+
+def test_tolerances_are_read_through_the_recording_accessor():
+    sources = {str(f.relative_to(SRC)): f.read_text() for f in sorted(SRC.rglob("*.py"))}
+    found = tolerance_reads(sources)
+    assert not found, "tolerances read outside ProblemFile.tolerance: " + ", ".join(found)
+
+
+def test_tolerance_scan_flags_reads_outside_problem_file():
+    source = ('class ProblemFile:\n'
+              '    def tolerance(self, key):\n'
+              '        return self.tolerances[key]\n'
+              'def check(pf):\n'
+              '    """pf.tolerances is named here only."""\n'
+              '    return pf.tolerances["holonomy"], pf.tolerances.get("rank_rel")\n'
+              'def report(pf):\n'
+              '    return dict(pf.tolerances), pf.tolerance("holonomy")\n')
+    assert tolerance_reads({"m.py": source}) == ["m.py:6", "m.py:6", "m.py:8"]

@@ -234,14 +234,19 @@ def test_extended_lagrangian_free_particle():
     assert_sym_equal(lt, parse_expr("y(1;1)*v(1;|1) - 1/2*y(1;1)^2", prob.ctx))
 
 
-def test_extended_lagrangian_holonomic_substitution(corpus):
-    for prob in corpus:
-        ctx = prob.ctx
+def _holonomic(ctx):
+    """The substitution v(s;J|i) -> y(s;J+i) for every velocity of the chart
+    (its images reach order 2r, which the chart may not hold yet)."""
+    ctx.ensure_max_order(2 * ctx.r)
+    return {vel(y.sigma, y.J, i): Expr.coord(ctx, jet(y.sigma, mi.merge(y.J, i)))
+            for y in ctx.coords(jet, range(2 * ctx.r))
+            for i in range(1, ctx.n + 1)}
+
+
+def test_extended_lagrangian_holonomic_substitution(corpus, rational_corpus):
+    for prob in corpus + rational_corpus:
         lt = V.extended_lagrangian(V.poincare_cartan(prob))
-        hol = {vel(y.sigma, y.J, i): Expr.coord(ctx, jet(y.sigma, mi.merge(y.J, i)))
-               for y in ctx.coords(jet, range(2 * ctx.r))
-               for i in range(1, ctx.n + 1)}
-        assert lt.subs(hol) == prob.L
+        assert lt.subs(_holonomic(prob.ctx)) == prob.L
 
 
 def test_extended_lagrangian_zero():
@@ -288,10 +293,22 @@ def _velocity_degree(e):
     return max((sum(k for a, k in mono if a in vids) for mono in e.num), default=0)
 
 
-def test_hamilton_table_affine_in_velocities(corpus):
-    for prob in corpus:
+def test_hamilton_table_affine_in_velocities(corpus, rational_corpus):
+    for prob in corpus + rational_corpus:
         tab = V.hamilton_form(V.poincare_cartan(prob))
         assert all(_velocity_degree(e) <= 1 for e in tab.entries.values())
+
+
+def test_hamilton_table_holonomic_restriction(corpus, rational_corpus):
+    # on holonomic velocities, v(s;J|i) -> y(s;J+i), the entry H(s) is the
+    # Euler-Lagrange expression of fiber s and every other entry is 0
+    for prob in corpus + rational_corpus:
+        ctx = prob.ctx
+        el = V.euler_lagrange(prob)
+        hol = _holonomic(ctx)
+        for c, e in V.hamilton_form(V.poincare_cartan(prob)).entries.items():
+            want = Expr.const(ctx, 0) if c.J else el[c.sigma]
+            assert e.subs(hol).equal_exact(want), (str(prob.L), c.text())
 
 
 def test_hamilton_defining_property(corpus):
